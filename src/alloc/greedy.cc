@@ -62,8 +62,9 @@ MarginalGreedyBase::allocate(const core::FisherMarket &market) const
 
     // Each server is independent: assign its cores one at a time to the
     // job with the largest marginal gain.
+    const core::ServerJobIndex index(market);
     for (std::size_t j = 0; j < market.serverCount(); ++j) {
-        const auto located = jobsOnServer(market, j);
+        const auto located = index.jobsOn(j);
         if (located.empty())
             continue;
 

@@ -25,30 +25,33 @@ LotteryPolicy::allocate(const core::FisherMarket &market) const
     }
 
     Rng rng(seed_);
+    const core::ServerJobIndex index(market);
     for (std::size_t j = 0; j < market.serverCount(); ++j) {
-        const auto located = jobsOnServer(market, j);
+        const auto located = index.jobsOn(j);
         if (located.empty())
             continue;
 
         // Each job holds its owner's tickets divided across her jobs
         // on this server, so a user's total tickets equal her budget
-        // regardless of how many jobs she runs here.
+        // regardless of how many jobs she runs here. The slice is in
+        // user-major order, so a user's jobs here form one run.
         std::vector<double> tickets(located.size());
-        for (std::size_t k = 0; k < located.size(); ++k) {
-            const std::size_t owner = located[k].first;
-            std::size_t colocated = 0;
-            for (const auto &[i2, k2] : located)
-                colocated += i2 == owner;
-            tickets[k] = market.user(owner).budget /
-                         static_cast<double>(colocated);
+        for (std::size_t k = 0; k < located.size();) {
+            const std::size_t owner = located[k].user;
+            std::size_t end = k;
+            while (end < located.size() && located[end].user == owner)
+                ++end;
+            const double share = market.user(owner).budget /
+                                 static_cast<double>(end - k);
+            for (; k < end; ++k)
+                tickets[k] = share;
         }
 
         const int capacity =
             static_cast<int>(std::llround(market.capacity(j)));
         for (int c = 0; c < capacity; ++c) {
             const std::size_t winner = rng.weightedIndex(tickets);
-            ++result.cores[located[winner].first]
-                          [located[winner].second];
+            ++result.cores[located[winner].user][located[winner].job];
         }
     }
 

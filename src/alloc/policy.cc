@@ -40,20 +40,6 @@ AllocationResult::userCores(std::size_t i) const
     return total;
 }
 
-std::vector<std::pair<std::size_t, std::size_t>>
-jobsOnServer(const core::FisherMarket &market, std::size_t server)
-{
-    std::vector<std::pair<std::size_t, std::size_t>> located;
-    for (std::size_t i = 0; i < market.userCount(); ++i) {
-        const auto &jobs = market.user(i).jobs;
-        for (std::size_t k = 0; k < jobs.size(); ++k) {
-            if (jobs[k].server == server)
-                located.emplace_back(i, k);
-        }
-    }
-    return located;
-}
-
 void
 auditAllocation(const core::FisherMarket &market,
                 const AllocationResult &result)

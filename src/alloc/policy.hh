@@ -118,13 +118,6 @@ class AllocationPolicy
 };
 
 /**
- * Jobs located on one server, as (user, job-index) pairs — a shared
- * helper for per-server policies.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-jobsOnServer(const core::FisherMarket &market, std::size_t server);
-
-/**
  * Audit the contract every policy's output must honor: result shapes
  * match the market, parallel fractions are in [0, 1], fractional and
  * integral allocations are non-negative and finite, and no server is

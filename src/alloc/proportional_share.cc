@@ -46,33 +46,30 @@ ProportionalShare::allocate(const core::FisherMarket &market) const
         result.cores[i].assign(market.user(i).jobs.size(), 0);
     }
 
+    const core::ServerJobIndex index(market);
     for (std::size_t j = 0; j < market.serverCount(); ++j) {
-        const auto located = jobsOnServer(market, j);
+        const auto located = index.jobsOn(j);
         if (located.empty())
             continue;
 
         // Group jobs by user; a user's demand on the server is the sum
-        // of her jobs' caps (unbounded when uncapped).
+        // of her jobs' caps (unbounded when uncapped). The slice is in
+        // user-major order, so a user's jobs here are adjacent.
         std::vector<std::size_t> users;
         std::vector<double> demands;
         std::vector<std::vector<std::size_t>> jobs_of;
         for (const auto &[i, k] : located) {
-            auto it = std::find(users.begin(), users.end(), i);
-            std::size_t slot;
-            if (it == users.end()) {
-                slot = users.size();
+            if (users.empty() || users.back() != i) {
                 users.push_back(i);
                 demands.push_back(0.0);
                 jobs_of.emplace_back();
-            } else {
-                slot = static_cast<std::size_t>(it - users.begin());
             }
-            jobs_of[slot].push_back(k);
+            jobs_of.back().push_back(k);
             const double cap =
                 demandCaps ? (*demandCaps)[i][k] : unbounded;
             if (cap < 0.0)
                 fatal("negative demand cap for user ", i);
-            demands[slot] += cap;
+            demands.back() += cap;
         }
 
         // Progressive filling: proportional shares with demand caps;

@@ -7,11 +7,19 @@
 #include "common/invariants.hh"
 #include "common/logging.hh"
 #include "core/amdahl.hh"
+#include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/timer.hh"
 #include "solver/water_filling.hh"
 
 namespace amdahl::core {
+
+namespace {
+
+/** Users per chunk of the certificate's per-user pass. */
+constexpr std::size_t kCertificateUserGrain = 1024;
+
+} // namespace
 
 FisherMarket::FisherMarket(std::vector<double> capacities)
     : capacities_(std::move(capacities))
@@ -141,18 +149,48 @@ MarketOutcome::userCores(std::size_t i) const
     return total;
 }
 
-double
-MarketOutcome::serverLoad(const FisherMarket &market, std::size_t j) const
+std::vector<double>
+MarketOutcome::serverLoads(const FisherMarket &market) const
 {
-    double load = 0.0;
+    if (allocation.size() != market.userCount())
+        fatal("outcome allocation has wrong user count");
+    std::vector<double> loads(market.serverCount(), 0.0);
     for (std::size_t i = 0; i < market.userCount(); ++i) {
         const auto &jobs = market.user(i).jobs;
-        for (std::size_t k = 0; k < jobs.size(); ++k) {
-            if (jobs[k].server == j)
-                load += allocation[i][k];
-        }
+        for (std::size_t k = 0; k < jobs.size(); ++k)
+            loads[jobs[k].server] += allocation[i][k];
     }
-    return load;
+    return loads;
+}
+
+ServerJobIndex::ServerJobIndex(const FisherMarket &market)
+    : starts_(market.serverCount() + 1, 0)
+{
+    // Counting sort: count each server's jobs, prefix-sum the counts
+    // into slice starts, then place jobs in user-major order, which
+    // keeps every slice in that order.
+    for (std::size_t i = 0; i < market.userCount(); ++i) {
+        for (const auto &job : market.user(i).jobs)
+            ++starts_[job.server + 1];
+    }
+    for (std::size_t j = 0; j < market.serverCount(); ++j)
+        starts_[j + 1] += starts_[j];
+    entries_.resize(starts_.back());
+    std::vector<std::size_t> next(starts_.begin(), starts_.end() - 1);
+    for (std::size_t i = 0; i < market.userCount(); ++i) {
+        const auto &jobs = market.user(i).jobs;
+        for (std::size_t k = 0; k < jobs.size(); ++k)
+            entries_[next[jobs[k].server]++] = {i, k};
+    }
+}
+
+std::span<const JobRef>
+ServerJobIndex::jobsOn(std::size_t j) const
+{
+    if (j >= serverCount())
+        fatal("server index ", j, " out of range (", serverCount(), ")");
+    return std::span<const JobRef>(entries_).subspan(
+        starts_[j], starts_[j + 1] - starts_[j]);
 }
 
 bool
@@ -187,10 +225,10 @@ verifyEquilibrium(const FisherMarket &market, const MarketOutcome &outcome)
     }
 
     // Condition 1: every server clears.
+    const auto loads = outcome.serverLoads(market);
     for (std::size_t j = 0; j < market.serverCount(); ++j) {
-        const double load = outcome.serverLoad(market, j);
         const double residual =
-            std::abs(load - market.capacity(j)) / market.capacity(j);
+            std::abs(loads[j] - market.capacity(j)) / market.capacity(j);
         AMDAHL_CHECK_FINITE(residual);
         check.maxClearingResidual =
             std::max(check.maxClearingResidual, residual);
@@ -199,36 +237,56 @@ verifyEquilibrium(const FisherMarket &market, const MarketOutcome &outcome)
     // Condition 2: each user's allocation solves her budget-constrained
     // utility maximization at the posted prices. The closed-form
     // water-filling solver gives the optimum to compare against.
-    for (std::size_t i = 0; i < market.userCount(); ++i) {
-        const auto &user = market.user(i);
-        double spent = 0.0;
-        for (double b : outcome.bids[i])
-            spent += b;
-        check.maxBudgetResidual =
-            std::max(check.maxBudgetResidual,
-                     std::abs(spent - user.budget) / user.budget);
+    // Users are independent, so the pass runs on the pool; max is
+    // exact in any fold order, so the check is thread-count invariant.
+    struct Worst
+    {
+        double budget = 0.0;
+        double gap = 0.0;
+    };
+    const Worst worst = exec::parallelReduce(
+        std::size_t{0}, market.userCount(), kCertificateUserGrain,
+        Worst{},
+        [&](std::size_t lo, std::size_t hi) {
+            Worst chunk;
+            std::vector<solver::WaterFillItem> items;
+            for (std::size_t i = lo; i < hi; ++i) {
+                const auto &user = market.user(i);
+                double spent = 0.0;
+                for (double b : outcome.bids[i])
+                    spent += b;
+                chunk.budget =
+                    std::max(chunk.budget,
+                             std::abs(spent - user.budget) / user.budget);
 
-        std::vector<solver::WaterFillItem> items;
-        items.reserve(user.jobs.size());
-        for (const auto &job : user.jobs) {
-            items.push_back({job.weight, job.parallelFraction,
-                             outcome.prices[job.server]});
-        }
-        const auto best = solver::waterFill(items, user.budget);
+                items.clear();
+                for (const auto &job : user.jobs) {
+                    items.push_back({job.weight, job.parallelFraction,
+                                     outcome.prices[job.server]});
+                }
+                const auto best = solver::waterFill(items, user.budget);
 
-        double actual = 0.0;
-        for (std::size_t k = 0; k < user.jobs.size(); ++k) {
-            actual += user.jobs[k].weight *
-                      amdahlSpeedup(user.jobs[k].parallelFraction,
-                                    outcome.allocation[i][k]);
-        }
-        if (best.utility > 0.0) {
-            const double gap = (best.utility - actual) / best.utility;
-            AMDAHL_CHECK_FINITE(gap);
-            check.maxOptimalityGap =
-                std::max(check.maxOptimalityGap, gap);
-        }
-    }
+                double actual = 0.0;
+                for (std::size_t k = 0; k < user.jobs.size(); ++k) {
+                    actual += user.jobs[k].weight *
+                              amdahlSpeedup(user.jobs[k].parallelFraction,
+                                            outcome.allocation[i][k]);
+                }
+                if (best.utility > 0.0) {
+                    const double gap =
+                        (best.utility - actual) / best.utility;
+                    AMDAHL_CHECK_FINITE(gap);
+                    chunk.gap = std::max(chunk.gap, gap);
+                }
+            }
+            return chunk;
+        },
+        [](const Worst &a, const Worst &b) {
+            return Worst{std::max(a.budget, b.budget),
+                         std::max(a.gap, b.gap)};
+        });
+    check.maxBudgetResidual = worst.budget;
+    check.maxOptimalityGap = worst.gap;
     // Published so an operator can watch certificate quality drift
     // without parsing bench output.
     auto &reg = obs::metrics();

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,46 @@ class FisherMarket
  */
 using JobMatrix = std::vector<std::vector<double>>;
 
+/** The address of one job: user i's k-th job, entry [i][k] of a
+ *  JobMatrix. */
+struct JobRef
+{
+    std::size_t user = 0; //!< User index i.
+    std::size_t job = 0;  //!< Index into MarketUser::jobs.
+
+    bool operator==(const JobRef &) const = default;
+};
+
+/**
+ * Server-major index over a market's jobs, for per-server passes
+ * (rounding, per-server policies).
+ *
+ * Built by one counting sort in O(users + servers + jobs). Within a
+ * server the entries keep user-major order — by user, then by job
+ * index — which is the order a scan over every user meets them, so a
+ * pass over one server's slice sees exactly the sequence such a scan
+ * would, without the O(users x servers) cost of repeating the scan
+ * per server. The index copies what it needs and holds no reference
+ * to the market; it goes stale if users are added afterwards.
+ */
+class ServerJobIndex
+{
+  public:
+    explicit ServerJobIndex(const FisherMarket &market);
+
+    /** @return Number of servers m. */
+    std::size_t serverCount() const { return starts_.size() - 1; }
+
+    /** @return Server j's jobs in user-major order; empty when it
+     *  hosts none. */
+    std::span<const JobRef> jobsOn(std::size_t j) const;
+
+  private:
+    /** Server j's slice of entries_ is [starts_[j], starts_[j + 1]). */
+    std::vector<std::size_t> starts_;
+    std::vector<JobRef> entries_;
+};
+
 /**
  * Network-facing diagnostics of a sharded clearing solve (src/net/).
  * All-zero for in-process solves, so the struct is free to carry on
@@ -186,8 +227,12 @@ struct MarketOutcome
     /** @return Total cores user i holds across all her jobs. */
     double userCores(std::size_t i) const;
 
-    /** @return Sum of allocations on server j under the given market. */
-    double serverLoad(const FisherMarket &market, std::size_t j) const;
+    /**
+     * @return sum_i x_ij for every server j under the given market, in
+     * one user-major pass (O(jobs)). Each server's load is summed in
+     * user-major order.
+     */
+    std::vector<double> serverLoads(const FisherMarket &market) const;
 };
 
 /** Residuals of the two equilibrium conditions. */
@@ -212,6 +257,12 @@ struct EquilibriumCheck
 
 /**
  * Verify that an outcome is (approximately) a market equilibrium.
+ *
+ * Linear in jobs: the server loads come from one user-major pass, and
+ * the per-user half (budget residual, water-fill optimum, optimality
+ * gap) is split across the thread pool. Every field is a max, which
+ * is exact in any fold order, so the result is identical at every
+ * thread count.
  *
  * @param market  The market description.
  * @param outcome Prices/allocations/bids to check.

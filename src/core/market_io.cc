@@ -8,7 +8,8 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
-#include <unordered_set>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -17,19 +18,37 @@ namespace amdahl::core {
 
 namespace {
 
-/** Split a line into whitespace-separated tokens, dropping comments. */
-std::vector<std::string>
-tokenize(const std::string &line)
+using Tokens = std::vector<std::string_view>;
+
+/** @return true for the whitespace operator>> skips in the C locale. */
+bool
+isSpace(char c)
 {
-    std::vector<std::string> tokens;
-    std::istringstream is(line);
-    std::string token;
-    while (is >> token) {
-        if (!token.empty() && token.front() == '#')
-            break;
-        tokens.push_back(token);
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
+           c == '\f' || c == '\r';
+}
+
+/**
+ * Split a line into whitespace-separated tokens, dropping comments: a
+ * token that starts with '#' ends the line. The tokens are views into
+ * @p line and @p tokens is reused across lines, so splitting a line
+ * allocates nothing once the buffer has grown.
+ */
+void
+tokenize(std::string_view line, Tokens &tokens)
+{
+    tokens.clear();
+    std::size_t pos = 0;
+    for (;;) {
+        while (pos < line.size() && isSpace(line[pos]))
+            ++pos;
+        if (pos == line.size() || line[pos] == '#')
+            return;
+        const std::size_t start = pos;
+        while (pos < line.size() && !isSpace(line[pos]))
+            ++pos;
+        tokens.push_back(line.substr(start, pos - start));
     }
-    return tokens;
 }
 
 /**
@@ -40,7 +59,7 @@ tokenize(const std::string &line)
  * trust-boundary leak this module now exists to stop).
  */
 Status
-parseNumber(const std::string &token, int line_no, const char *what,
+parseNumber(std::string_view token, int line_no, const char *what,
             double &value)
 {
     double parsed = 0.0;
@@ -66,7 +85,7 @@ parseNumber(const std::string &token, int line_no, const char *what,
 
 /** Parse a non-negative integer token (server indices). */
 Status
-parseIndex(const std::string &token, int line_no, const char *what,
+parseIndex(std::string_view token, int line_no, const char *what,
            std::size_t &value)
 {
     std::size_t parsed = 0;
@@ -97,7 +116,9 @@ struct MarketParser
     MarketParseOptions opts;
     std::optional<FisherMarket> market;
     MarketUser current;
-    std::unordered_set<std::size_t> currentServers;
+    /** Per server, the index of the last user with a job there (the
+     *  duplicate-job check); the current user's index is userCount(). */
+    std::vector<std::size_t> lastUserOn;
     bool inUser = false;
     int userLine = 0;
 
@@ -113,13 +134,12 @@ struct MarketParser
         }
         market->addUser(std::move(current));
         current = MarketUser();
-        currentServers.clear();
         inUser = false;
         return Status::ok();
     }
 
     Status
-    serversLine(const std::vector<std::string> &tokens, int line_no)
+    serversLine(const Tokens &tokens, int line_no)
     {
         if (market) {
             return Status::error(ErrorKind::SemanticError, line_no,
@@ -144,12 +164,14 @@ struct MarketParser
             }
             capacities.push_back(c);
         }
+        lastUserOn.assign(capacities.size(),
+                          std::numeric_limits<std::size_t>::max());
         market.emplace(std::move(capacities));
         return Status::ok();
     }
 
     Status
-    userLineKeyword(const std::vector<std::string> &tokens, int line_no)
+    userLineKeyword(const Tokens &tokens, int line_no)
     {
         if (!market) {
             return Status::error(ErrorKind::SemanticError, line_no,
@@ -163,7 +185,7 @@ struct MarketParser
         // Accept: user <name> [budget <b>]
         std::size_t t = 1;
         if (t < tokens.size() && tokens[t] != "budget")
-            current.name = tokens[t++];
+            current.name = std::string(tokens[t++]);
         if (t < tokens.size()) {
             if (tokens[t] != "budget" || t + 1 >= tokens.size()) {
                 return Status::error(ErrorKind::ParseError, line_no,
@@ -189,7 +211,7 @@ struct MarketParser
     }
 
     Status
-    jobLine(const std::vector<std::string> &tokens, int line_no)
+    jobLine(const Tokens &tokens, int line_no)
     {
         if (!inUser) {
             return Status::error(ErrorKind::SemanticError, line_no,
@@ -202,8 +224,8 @@ struct MarketParser
         JobSpec job;
         bool have_server = false, have_fraction = false;
         for (std::size_t t = 1; t + 1 < tokens.size(); t += 2) {
-            const std::string &key = tokens[t];
-            const std::string &value = tokens[t + 1];
+            const std::string_view key = tokens[t];
+            const std::string_view value = tokens[t + 1];
             if (key == "server") {
                 if (auto st = parseIndex(value, line_no,
                                          "a server index", job.server);
@@ -251,8 +273,10 @@ struct MarketParser
                 job.server, " but there are only ",
                 market->serverCount(), " servers");
         }
+        const std::size_t user_index = market->userCount();
         if (opts.rejectDuplicateServerJobs &&
-            !currentServers.insert(job.server).second) {
+            std::exchange(lastUserOn[job.server], user_index) ==
+                user_index) {
             return Status::error(
                 ErrorKind::SemanticError, line_no, "user '",
                 current.name, "' already has a job on server ",
@@ -279,12 +303,13 @@ tryParseMarket(std::istream &in, const MarketParseOptions &opts)
     parser.opts = opts;
     int line_no = 0;
     std::string line;
+    Tokens tokens;
     while (std::getline(in, line)) {
         ++line_no;
-        const auto tokens = tokenize(line);
+        tokenize(line, tokens);
         if (tokens.empty())
             continue;
-        const std::string &keyword = tokens.front();
+        const std::string_view keyword = tokens.front();
 
         Status st = Status::ok();
         if (keyword == "servers")

@@ -86,25 +86,20 @@ roundOutcome(const FisherMarket &market, const MarketOutcome &outcome)
         integral[i].assign(outcome.allocation[i].size(), 0);
 
     // Per server: gather that server's job shares, round, scatter back.
+    const ServerJobIndex index(market);
+    std::vector<double> shares;
     for (std::size_t j = 0; j < market.serverCount(); ++j) {
-        std::vector<double> shares;
-        std::vector<std::pair<std::size_t, std::size_t>> owners;
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto &jobs = market.user(i).jobs;
-            for (std::size_t k = 0; k < jobs.size(); ++k) {
-                if (jobs[k].server == j) {
-                    shares.push_back(outcome.allocation[i][k]);
-                    owners.emplace_back(i, k);
-                }
-            }
-        }
-        if (shares.empty())
+        const auto located = index.jobsOn(j);
+        if (located.empty())
             continue;
+        shares.clear();
+        for (const auto &[i, k] : located)
+            shares.push_back(outcome.allocation[i][k]);
         const int capacity =
             static_cast<int>(std::llround(market.capacity(j)));
         const auto rounded = hamiltonRound(shares, capacity);
-        for (std::size_t k = 0; k < owners.size(); ++k)
-            integral[owners[k].first][owners[k].second] = rounded[k];
+        for (std::size_t e = 0; e < located.size(); ++e)
+            integral[located[e].user][located[e].job] = rounded[e];
     }
     return integral;
 }

@@ -39,6 +39,9 @@ std::vector<int> hamiltonRound(const std::vector<double> &fractional,
 /**
  * Round a whole market outcome server by server.
  *
+ * Linear in jobs: each server is rounded from its slice of one
+ * ServerJobIndex, with its shares in user-major order.
+ *
  * @param market  The market (supplies job->server placement and
  *                capacities).
  * @param outcome A fractional outcome whose servers clear.

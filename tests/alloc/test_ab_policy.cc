@@ -61,13 +61,15 @@ TEST(AmdahlBiddingPolicy, UserCoresHelper)
     EXPECT_EQ(result.userCores(1), 10);
 }
 
-TEST(JobsOnServer, LocatesJobs)
+TEST(ServerJobIndex, LocatesJobs)
 {
     const auto market = aliceBobMarket();
-    const auto on0 = jobsOnServer(market, 0);
+    const core::ServerJobIndex index(market);
+    ASSERT_EQ(index.serverCount(), 2u);
+    const auto on0 = index.jobsOn(0);
     ASSERT_EQ(on0.size(), 2u);
-    EXPECT_EQ(on0[0], (std::pair<std::size_t, std::size_t>{0, 0}));
-    EXPECT_EQ(on0[1], (std::pair<std::size_t, std::size_t>{1, 0}));
+    EXPECT_EQ(on0[0], (core::JobRef{0, 0}));
+    EXPECT_EQ(on0[1], (core::JobRef{1, 0}));
 }
 
 } // namespace

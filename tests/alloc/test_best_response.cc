@@ -30,8 +30,9 @@ TEST(BestResponse, ConvergesAndClearsServers)
     const BestResponsePolicy br;
     const auto result = br.allocate(market);
     EXPECT_TRUE(result.outcome.converged);
+    const auto loads = result.outcome.serverLoads(market);
     for (std::size_t j = 0; j < market.serverCount(); ++j) {
-        EXPECT_NEAR(result.outcome.serverLoad(market, j), 10.0, 1e-6)
+        EXPECT_NEAR(loads[j], 10.0, 1e-6)
             << "server " << j;
     }
 }

@@ -52,8 +52,9 @@ TEST(Bidding, MarketClearsEveryServer)
 {
     const auto market = aliceBobMarket();
     const auto r = solveAmdahlBidding(market);
+    const auto loads = r.serverLoads(market);
     for (std::size_t j = 0; j < market.serverCount(); ++j)
-        EXPECT_NEAR(r.serverLoad(market, j), market.capacity(j), 1e-6);
+        EXPECT_NEAR(loads[j], market.capacity(j), 1e-6);
 }
 
 TEST(Bidding, BudgetsAreExhausted)
@@ -410,7 +411,7 @@ TEST(Bidding, UserWithJobsOnSameServer)
     market.addUser({"multi", 1.0, {{0, 0.95, 1.0}, {0, 0.6, 1.0}}});
     market.addUser({"other", 1.0, {{0, 0.8, 1.0}}});
     const auto r = solveAmdahlBidding(market);
-    EXPECT_NEAR(r.serverLoad(market, 0), 12.0, 1e-6);
+    EXPECT_NEAR(r.serverLoads(market)[0], 12.0, 1e-6);
     EXPECT_GT(r.allocation[0][0], r.allocation[0][1]);
 }
 

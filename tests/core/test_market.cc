@@ -95,8 +95,8 @@ TEST(Market, OutcomeHelpers)
     MarketOutcome outcome;
     outcome.allocation = {{1.0, 9.0}, {9.0, 1.0}};
     EXPECT_DOUBLE_EQ(outcome.userCores(0), 10.0);
-    EXPECT_DOUBLE_EQ(outcome.serverLoad(market, 0), 10.0);
-    EXPECT_DOUBLE_EQ(outcome.serverLoad(market, 1), 10.0);
+    EXPECT_EQ(outcome.serverLoads(market),
+              (std::vector<double>{10.0, 10.0}));
     EXPECT_THROW(outcome.userCores(5), FatalError);
 }
 

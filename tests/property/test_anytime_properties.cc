@@ -91,8 +91,9 @@ expectBudgetFeasible(const FisherMarket &market,
         EXPECT_NEAR(spent, market.user(i).budget,
                     1e-9 * market.user(i).budget);
     }
+    const auto loads = result.serverLoads(market);
     for (std::size_t j = 0; j < market.serverCount(); ++j) {
-        const double load = result.serverLoad(market, j);
+        const double load = loads[j];
         EXPECT_TRUE(std::isfinite(load));
         EXPECT_LE(load, market.capacity(j) * (1.0 + 1e-9));
     }

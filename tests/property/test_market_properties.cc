@@ -91,8 +91,9 @@ class MarketProperty : public ::testing::TestWithParam<MarketCase>
 
 TEST_P(MarketProperty, MarketClears)
 {
+    const auto loads = result.serverLoads(*market);
     for (std::size_t j = 0; j < market->serverCount(); ++j) {
-        EXPECT_NEAR(result.serverLoad(*market, j), market->capacity(j),
+        EXPECT_NEAR(loads[j], market->capacity(j),
                     1e-5 * market->capacity(j));
     }
 }

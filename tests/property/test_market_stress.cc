@@ -120,7 +120,7 @@ TEST(MarketStress, LargeSingleServerCrowd)
     }
     const auto r = solveAmdahlBidding(market, tightOptions());
     ASSERT_TRUE(r.converged);
-    EXPECT_NEAR(r.serverLoad(market, 0), 24.0, 1e-5);
+    EXPECT_NEAR(r.serverLoads(market)[0], 24.0, 1e-5);
     const auto rounded = roundOutcome(market, r);
     int total = 0;
     for (const auto &row : rounded)
