@@ -9,13 +9,10 @@ namespace amdahl::alloc {
 AllocationResult
 AmdahlBiddingPolicy::allocate(const core::FisherMarket &market) const
 {
-    AllocationResult result;
-    result.policyName = name();
-    result.outcome = core::solveAmdahlBidding(market, opts);
-    result.cores = core::roundOutcome(market, result.outcome);
-    if constexpr (checkedBuild)
-        auditAllocation(market, result);
-    return result;
+    core::ClearingContext ctx;
+    ctx.transport = opts.transport;
+    ctx.kernelCache = opts.kernelCache;
+    return allocate(market, ctx);
 }
 
 AllocationResult
@@ -23,16 +20,10 @@ AmdahlBiddingPolicy::allocate(
     const core::FisherMarket &market,
     const core::BidTransportFaults &faults) const
 {
-    core::BiddingOptions faulty = opts;
-    faulty.transport = faults;
-
-    AllocationResult result;
-    result.policyName = name();
-    result.outcome = core::solveAmdahlBidding(market, faulty);
-    result.cores = core::roundOutcome(market, result.outcome);
-    if constexpr (checkedBuild)
-        auditAllocation(market, result);
-    return result;
+    core::ClearingContext ctx;
+    ctx.transport = faults;
+    ctx.kernelCache = opts.kernelCache;
+    return allocate(market, ctx);
 }
 
 AllocationResult

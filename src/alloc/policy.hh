@@ -84,10 +84,11 @@ class AllocationPolicy
     /**
      * Allocate under per-clearing bid-transport faults.
      *
-     * The online runtime calls this variant so a fault schedule can
-     * degrade the distributed bidding procedure epoch by epoch.
-     * Market mechanisms override it; the default ignores the faults —
-     * centralized policies have no bid messages to lose.
+     * The online runtime reaches this variant through the clearing-
+     * context overload's default, so a fault schedule can degrade the
+     * distributed bidding procedure epoch by epoch. Market mechanisms
+     * override it; the default ignores the faults — centralized
+     * policies have no bid messages to lose.
      *
      * @param market The problem; validated by implementations.
      * @param faults This clearing's transport-fault realization.

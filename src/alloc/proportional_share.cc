@@ -148,13 +148,16 @@ ProportionalShare::allocate(const core::FisherMarket &market) const
         }
 
         // Round to integers: Hamilton over the cores actually granted
-        // (demand caps may leave cores idle).
+        // (demand caps may leave cores idle). The target rounds the
+        // granted total up, never below it — Hamilton cannot hand out
+        // fewer cores than the shares it rounds — and the 1e-9 slack
+        // absorbs summation noise on an integral total.
         double granted_total = 0.0;
         for (double s : shares)
             granted_total += s;
-        const int target = static_cast<int>(
-            std::min(std::llround(market.capacity(j)),
-                     std::llround(granted_total)));
+        const int target = static_cast<int>(std::min(
+            std::llround(market.capacity(j)),
+            static_cast<long long>(std::ceil(granted_total - 1e-9))));
         const auto rounded = core::hamiltonRound(shares, target);
         for (std::size_t k = 0; k < owners.size(); ++k)
             result.cores[owners[k].first][owners[k].second] = rounded[k];

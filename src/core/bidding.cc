@@ -6,14 +6,17 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <optional>
 
 #include "common/check.hh"
+#include "common/invariants.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/amdahl.hh"
 #include "core/bidding_kernel.hh"
 #include "core/bidding_simd.hh"
 #include "exec/thread_pool.hh"
+#include "net/options.hh"
 #include "obs/metrics.hh"
 #include "obs/timer.hh"
 #include "obs/trace.hh"
@@ -217,6 +220,97 @@ projectBids(const detail::BidKernel &kernel, std::vector<double> &bids)
     }
 }
 
+/**
+ * Contract: after every proportional-response round, prices stay
+ * positive and finite, bids stay non-negative, and each user's bids
+ * still sum to her budget (paper Eq. 10). No code in default builds.
+ */
+void
+checkRoundInvariants(const FisherMarket &market,
+                     const detail::BidKernel &kernel,
+                     const std::vector<double> &newPrices,
+                     JobMatrix &bidsScratch)
+{
+    if constexpr (checkedBuild) {
+        detail::unflattenBids(kernel, bidsScratch);
+        invariants::CheckMarketState(newPrices, bidsScratch,
+                                     "bidding round");
+        const std::size_t n = market.userCount();
+        std::vector<double> budgets(n);
+        for (std::size_t i = 0; i < n; ++i)
+            budgets[i] = market.user(i).budget;
+        invariants::CheckBidBudgets(bidsScratch, budgets, 1e-9,
+                                    "bidding round");
+    }
+}
+
+/**
+ * Relative max price movement between rounds. max over chunks is
+ * exact (no rounding), so the tree fold is trivially
+ * order-independent; the reduce keeps the scan off the critical path
+ * at high thread counts.
+ */
+double
+maxPriceDelta(const std::vector<double> &oldPrices,
+              const std::vector<double> &newPrices, std::size_t m)
+{
+    return exec::parallelReduce(
+        std::size_t{0}, m, detail::kServerGrain, 0.0,
+        [&](std::size_t lo, std::size_t hi) {
+            double chunk_max = 0.0;
+            for (std::size_t j = lo; j < hi; ++j) {
+                const double base = std::max(oldPrices[j], 1e-300);
+                chunk_max = std::max(
+                    chunk_max,
+                    std::abs(newPrices[j] - oldPrices[j]) / base);
+            }
+            return chunk_max;
+        },
+        [](double a, double b) { return std::max(a, b); });
+}
+
+/**
+ * Final allocations x_ij = b_ij / p_j, plus the clearing-feasibility
+ * contract in checked builds. @p checkFeasible skips the contract
+ * when the final sharded round served stale aggregates: shard-local
+ * bids and coordinator prices are then legitimately inconsistent
+ * (the degraded round is the point), and the non-converged result
+ * escalates through the fallback ladder instead.
+ */
+void
+finalizeAllocation(const FisherMarket &market, BiddingResult &result,
+                   bool checkFeasible)
+{
+    const std::size_t n = market.userCount();
+    const std::size_t m = market.serverCount();
+    result.allocation.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto &jobs = market.user(i).jobs;
+        result.allocation[i].resize(jobs.size());
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+            const double p = result.prices[jobs[k].server];
+            ensure(p > 0.0, "zero equilibrium price on server ",
+                   jobs[k].server);
+            result.allocation[i][k] = result.bids[i][k] / p;
+        }
+    }
+
+    // Contract: x = b / p clears every server exactly up to rounding,
+    // and never over-subscribes capacity.
+    if constexpr (checkedBuild) {
+        if (checkFeasible) {
+            std::vector<double> loads(m, 0.0);
+            for (std::size_t i = 0; i < n; ++i) {
+                const auto &jobs = market.user(i).jobs;
+                for (std::size_t k = 0; k < jobs.size(); ++k)
+                    loads[jobs[k].server] += result.allocation[i][k];
+            }
+            invariants::CheckAllocationFeasible(
+                loads, market.capacities(), 1e-6, "bidding allocation");
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -309,10 +403,54 @@ meanFieldSeedBids(const FisherMarket &market)
     return bids;
 }
 
+namespace {
+
+/**
+ * The one round loop of Amdahl Bidding. Each round posts prices and
+ * takes the next round's prices from one of two price exchanges: in
+ * process, the bid update plus the canonical gather; sharded
+ * (@p sharded non-null), the epoch-barrier protocol of
+ * detail::ShardedExchange. Everything else happens here, once.
+ */
 BiddingResult
-solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
+clearMarket(const FisherMarket &market, const BiddingOptions &opts,
+            const net::ShardedOptions *sharded, net::NetSession *session)
 {
-    detail::validateBiddingCommon(market, opts);
+    market.validate();
+    if (opts.priceTolerance <= 0.0)
+        fatal("price tolerance must be positive");
+    if (opts.maxIterations < 1)
+        fatal("need at least one iteration");
+    if (opts.damping <= 0.0 || opts.damping > 1.0)
+        fatal("damping must be in (0, 1], got ", opts.damping);
+    if (opts.transport.lossRate < 0.0 || opts.transport.lossRate > 1.0)
+        fatal("bid loss rate must be in [0, 1], got ",
+              opts.transport.lossRate);
+    if (opts.deadline.wallClockSeconds < 0.0 ||
+        !std::isfinite(opts.deadline.wallClockSeconds)) {
+        fatal("wall-clock deadline must be finite and non-negative, "
+              "got ", opts.deadline.wallClockSeconds);
+    }
+    if (opts.deadline.iterationBudget < 0) {
+        fatal("iteration budget must be non-negative, got ",
+              opts.deadline.iterationBudget);
+    }
+    if (sharded != nullptr) {
+        if (!sharded->enabled())
+            fatal("solveShardedBidding called with sharding disabled");
+        if (const Status st = net::validateShardedOptions(*sharded);
+            !st.isOk())
+            fatal("invalid sharded clearing options: ", st.toString());
+        if (opts.schedule == UpdateSchedule::GaussSeidel)
+            fatal("sharded clearing requires the Synchronous schedule");
+        if (opts.deadline.wallClockSeconds > 0.0)
+            fatal("sharded clearing runs in virtual time; wall-clock "
+                  "deadlines are not supported (use iterationBudget)");
+        if (opts.accel.enabled)
+            fatal("Anderson acceleration is not supported by the "
+                  "sharded solver: the accelerated iterate mixes whole "
+                  "bid vectors, which no shard owns");
+    }
     if (opts.accel.enabled) {
         if (opts.schedule == UpdateSchedule::GaussSeidel)
             fatal("Anderson acceleration requires the Synchronous "
@@ -346,7 +484,18 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
         obs::timeHistogram("time.bidding.update_us");
     obs::Histogram *prices_hist =
         obs::timeHistogram("time.bidding.prices_us");
-    detail::traceBiddingStart(n, m, opts);
+    if (auto *sink = obs::traceSink()) {
+        obs::TraceEvent(*sink, "bidding_start")
+            .field("users", n)
+            .field("servers", m)
+            .field("schedule",
+                   opts.schedule == UpdateSchedule::GaussSeidel
+                       ? "gauss_seidel"
+                       : "synchronous")
+            .field("damping", opts.damping)
+            .field("warm_start", !opts.initialBids.empty())
+            .field("deadline_armed", opts.deadline.enabled());
+    }
 
     BiddingResult result;
     result.prices.assign(m, 0.0);
@@ -357,6 +506,12 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
         detail::acquireKernel(market, opts.kernelCache, localKernel);
     detail::flattenBids(result.bids, kernel);
     detail::gatherPrices(kernel, result.prices);
+
+    // The price exchange: null is the in-process path.
+    std::optional<detail::ShardedExchange> exchange;
+    if (sharded != nullptr)
+        exchange.emplace(kernel, opts.damping, *sharded, session,
+                         result.net);
 
     // Anytime bookkeeping. The best-so-far snapshot is seeded with the
     // initial state: on a validated market every server hosts a job and
@@ -382,10 +537,10 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
 
     // Lossy transport: each (user, round) loss decision comes from its
     // own counter-based substream — a pure function of (seed, user,
-    // round) — so realizations are identical under either schedule and
-    // at any thread count. The mask is materialized serially before the
-    // round's fan-out; with a sound transport (the default) nothing is
-    // ever drawn.
+    // round) — so realizations are identical under either schedule,
+    // either exchange and at any thread count. The mask is
+    // materialized serially before the round's fan-out; with a sound
+    // transport (the default) nothing is ever drawn.
     const bool lossy = opts.transport.lossRate > 0.0;
     std::vector<unsigned char> lost;
     if (lossy)
@@ -413,6 +568,10 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
 
     std::vector<double> new_prices(m);
     std::vector<double> live_prices;
+    // A fresh round is one whose prices answer every user's bids;
+    // only sharded rounds that served stale aggregates are not.
+    bool fresh = true;
+    bool collapsed = false;
     for (int it = 0; it < opts.maxIterations; ++it) {
         bool round_lost_message = false;
         if (lossy) {
@@ -433,69 +592,76 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
             }
         }
 
-        {
-            obs::ScopedTimer update_timer(update_hist);
-            if (opts.schedule == UpdateSchedule::GaussSeidel) {
-                // Inherently sequential: each user responds to prices
-                // that already reflect earlier users' new bids.
-                live_prices = result.prices;
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (lossy && lost[i])
-                        continue;
-                    const std::size_t lo = kernel.userOffset[i];
-                    const std::size_t hi = kernel.userOffset[i + 1];
-                    // Fold the bid change into prices immediately so
-                    // later users in this round see it.
-                    std::vector<double> previous(
-                        kernel.bids.begin() +
-                            static_cast<std::ptrdiff_t>(lo),
-                        kernel.bids.begin() +
-                            static_cast<std::ptrdiff_t>(hi));
-                    detail::updateOneUser(kernel, i, live_prices,
-                                          opts.damping);
-                    for (std::size_t e = lo; e < hi; ++e) {
-                        const std::size_t j = kernel.server[e];
-                        live_prices[j] +=
-                            (kernel.bids[e] - previous[e - lo]) /
-                            kernel.capacity[j];
-                    }
-                }
-            } else {
-                // Synchronous: every user responds to the same posted
-                // prices and writes only her own bid slots — disjoint
-                // per chunk, so the fan-out commutes bitwise. The
-                // accelerator needs the pre-update iterate to form the
-                // residual g(x) - x.
-                if (accel)
-                    accel_prev = kernel.bids;
-                exec::parallelFor(
-                    0, n, userGrain,
-                    [&](std::size_t ulo, std::size_t uhi) {
-                        if (!lossy) {
-                            detail::updateUsersRange(kernel, ulo, uhi,
-                                                     result.prices,
-                                                     opts.damping);
-                            return;
-                        }
-                        for (std::size_t i = ulo; i < uhi; ++i) {
-                            if (lost[i])
-                                continue;
-                            detail::updateOneUser(kernel, i,
-                                                  result.prices,
-                                                  opts.damping);
-                        }
-                    });
+        if (exchange) {
+            const auto round =
+                exchange->round(it, result.prices, lost, new_prices);
+            if (round.collapsed) {
+                collapsed = true;
+                result.iterations = it + 1;
+                break;
             }
-        }
-
-        {
+            fresh = round.fresh;
+        } else {
+            {
+                obs::ScopedTimer update_timer(update_hist);
+                if (opts.schedule == UpdateSchedule::GaussSeidel) {
+                    // Inherently sequential: each user responds to
+                    // prices that already reflect earlier users' new
+                    // bids.
+                    live_prices = result.prices;
+                    for (std::size_t i = 0; i < n; ++i) {
+                        if (lossy && lost[i])
+                            continue;
+                        const std::size_t lo = kernel.userOffset[i];
+                        const std::size_t hi = kernel.userOffset[i + 1];
+                        // Fold the bid change into prices immediately
+                        // so later users in this round see it.
+                        std::vector<double> previous(
+                            kernel.bids.begin() +
+                                static_cast<std::ptrdiff_t>(lo),
+                            kernel.bids.begin() +
+                                static_cast<std::ptrdiff_t>(hi));
+                        detail::updateOneUser(kernel, i, live_prices,
+                                              opts.damping);
+                        for (std::size_t e = lo; e < hi; ++e) {
+                            const std::size_t j = kernel.server[e];
+                            live_prices[j] +=
+                                (kernel.bids[e] - previous[e - lo]) /
+                                kernel.capacity[j];
+                        }
+                    }
+                } else {
+                    // Synchronous: every user responds to the same
+                    // posted prices and writes only her own bid slots
+                    // — disjoint per chunk, so the fan-out commutes
+                    // bitwise. The accelerator needs the pre-update
+                    // iterate to form the residual g(x) - x.
+                    if (accel)
+                        accel_prev = kernel.bids;
+                    exec::parallelFor(
+                        0, n, userGrain,
+                        [&](std::size_t ulo, std::size_t uhi) {
+                            if (!lossy) {
+                                detail::updateUsersRange(
+                                    kernel, ulo, uhi, result.prices,
+                                    opts.damping);
+                                return;
+                            }
+                            for (std::size_t i = ulo; i < uhi; ++i) {
+                                if (lost[i])
+                                    continue;
+                                detail::updateOneUser(kernel, i,
+                                                      result.prices,
+                                                      opts.damping);
+                            }
+                        });
+                }
+            }
             obs::ScopedTimer prices_timer(prices_hist);
             detail::gatherPrices(kernel, new_prices);
         }
 
-        double max_delta =
-            detail::maxPriceDelta(result.prices, new_prices, m);
-
+        double max_delta = maxPriceDelta(result.prices, new_prices, m);
         if (accel) {
             // The plain PRD step is already in kernel.bids/new_prices
             // and is the guaranteed fallback. Try to do better: mix
@@ -528,7 +694,7 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
                                                  opts.damping);
                     });
                 detail::gatherPrices(kernel, accel_next_prices);
-                accel_delta = detail::maxPriceDelta(
+                accel_delta = maxPriceDelta(
                     accel_prices, accel_next_prices, m);
                 if (accel_delta < plain_delta) {
                     accepted = true;
@@ -551,8 +717,7 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
             }
         }
 
-        detail::checkRoundInvariants(market, kernel, new_prices,
-                                     result.bids);
+        checkRoundInvariants(market, kernel, new_prices, result.bids);
         result.prices = new_prices;
         result.iterations = it + 1;
         if (opts.trackHistory)
@@ -563,9 +728,14 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
                 .field("max_delta", max_delta)
                 .field("lost_messages", round_lost_message);
         }
+        if (exchange)
+            exchange->emitRoundSpan();
         // A round with lost messages can leave prices spuriously
-        // still (nobody moved), so it never counts as convergence.
-        if (max_delta < opts.priceTolerance && !round_lost_message) {
+        // still (nobody moved), and a stale round's silent shards have
+        // not answered these prices yet: neither counts as
+        // convergence.
+        if (max_delta < opts.priceTolerance && !round_lost_message &&
+            fresh) {
             result.converged = true;
             break;
         }
@@ -578,7 +748,10 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
                     break;
                 }
             }
-            if (positive && max_delta < best_delta) {
+            // Only fresh rounds are anytime candidates: a stale
+            // round's prices come from aggregates the local bids have
+            // partly outrun, and the restored pair must be consistent.
+            if (positive && fresh && max_delta < best_delta) {
                 best_delta = max_delta;
                 best_bids = kernel.bids;
                 best_prices = new_prices;
@@ -612,11 +785,55 @@ solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
             std::chrono::duration<double>(Clock::now() - start_time)
                 .count();
     }
+    if (exchange)
+        exchange->finish(result.iterations);
 
-    detail::recordSolveEnd(result, lost_messages);
+    auto &reg = obs::metrics();
+    reg.counter("bidding.solves").add();
+    reg.counter("bidding.iterations")
+        .add(static_cast<std::uint64_t>(result.iterations));
+    if (!result.converged)
+        reg.counter("bidding.non_converged").add();
+    if (result.deadlineExpired)
+        reg.counter("bidding.deadline_expired").add();
+    if (lost_messages > 0)
+        reg.counter("bidding.lost_messages").add(lost_messages);
+    if (result.accelAccepted > 0)
+        reg.counter("bidding.accel_accepted")
+            .add(static_cast<std::uint64_t>(result.accelAccepted));
+    if (result.accelRejected > 0)
+        reg.counter("bidding.accel_rejected")
+            .add(static_cast<std::uint64_t>(result.accelRejected));
+    if (auto *sink = obs::traceSink()) {
+        obs::TraceEvent(*sink, "bidding_end")
+            .field("iterations", result.iterations)
+            .field("converged", result.converged)
+            .field("deadline_expired", result.deadlineExpired);
+    }
+
     detail::unflattenBids(kernel, result.bids);
-    detail::finalizeAllocation(market, result, true);
+    // The final state is consistent (x = b / p clears capacity) unless
+    // the last sharded round served stale aggregates or the quorum
+    // collapsed; a restored anytime snapshot always is.
+    finalizeAllocation(market, result,
+                       result.deadlineExpired || (fresh && !collapsed));
     return result;
+}
+
+} // namespace
+
+BiddingResult
+solveAmdahlBidding(const FisherMarket &market, const BiddingOptions &opts)
+{
+    return clearMarket(market, opts, nullptr, nullptr);
+}
+
+BiddingResult
+solveShardedBidding(const FisherMarket &market, const BiddingOptions &opts,
+                    const net::ShardedOptions &sharded,
+                    net::NetSession *session)
+{
+    return clearMarket(market, opts, &sharded, session);
 }
 
 } // namespace amdahl::core

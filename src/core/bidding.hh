@@ -119,7 +119,7 @@ struct DeadlineOptions
  *
  * Off (the default) the solve path is bit-identical to a build
  * without this feature. Incompatible with the GaussSeidel schedule,
- * lossy transports, and the sharded solver (fatal).
+ * lossy transports, and sharded clearing (fatal).
  */
 struct AccelOptions
 {
@@ -205,7 +205,7 @@ struct BiddingOptions
      * solve. When the cached CSR structure matches the market exactly
      * the counting sort is skipped and only changed user rows are
      * re-derived — a pure structural cache, so results are byte-
-     * identical with or without it. Ignored by the sharded solver.
+     * identical with or without it.
      */
     KernelCache *kernelCache = nullptr;
 };
@@ -272,11 +272,16 @@ JobMatrix meanFieldSeedBids(const FisherMarket &market);
  * barrier with bounded retransmit + exponential backoff, and
  * partial-quorum degraded rounds under faults (see DESIGN.md §14).
  *
- * Determinism bridge: with every fault rate zero and no scheduled
- * partitions, the result — traces, metrics (modulo exec.steal), bids,
- * prices, allocations — is byte-identical to solveAmdahlBidding at
- * any shard count. Requires the Synchronous schedule and no
- * wall-clock deadline (virtual time only); fatals otherwise.
+ * Both entry points run the same round loop; this one swaps the
+ * in-process bid update and price gather for the sharded protocol's
+ * per-round price exchange, so every other option (warm starts,
+ * anytime budgets, the kernel cache, per-user bid loss) means the
+ * same thing here. Determinism bridge: with every fault rate zero and
+ * no scheduled partitions, the result — traces, metrics (modulo
+ * exec.steal), bids, prices, allocations — is byte-identical to
+ * solveAmdahlBidding at any shard count. Requires the Synchronous
+ * schedule, no wall-clock deadline (virtual time only) and no
+ * Anderson acceleration; fatals otherwise.
  *
  * @param market  The allocation problem (validated internally).
  * @param opts    Termination/damping options (schedule must be

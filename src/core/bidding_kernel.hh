@@ -1,14 +1,19 @@
 /**
  * @file
- * Shared internals of the proportional-response clearing solvers.
+ * Shared internals of proportional-response clearing.
  *
- * The in-process solver (bidding.cc) and the sharded epoch-barrier
- * solver (bidding_sharded.cc) must produce byte-identical results in
- * the fault-free case — ISSUE 8's determinism bridge. The only way to
- * keep two round loops bit-compatible is to make them share every
- * numeric kernel, so this header holds the structure-of-arrays view,
- * the bid update, the price accumulation, the delta reduction, and
- * the entry/exit bookkeeping as inline functions in core::detail.
+ * There is one round loop (bidding.cc). Each round it turns posted
+ * prices into the next round's prices through one of two price
+ * exchanges: in process, the bid update plus the direct canonical
+ * gather (gatherPrices); sharded, the epoch-barrier protocol over the
+ * simulated network (ShardedExchange, bidding_sharded.cc). Everything
+ * else — validation, initial bids, the kernel and its cache, loss
+ * masks, convergence, anytime deadlines, finalization — exists once,
+ * in the loop, so the fault-free determinism bridge between the two
+ * exchanges (DESIGN.md §14) holds by construction wherever the
+ * exchanges agree. This header holds what both exchanges share: the
+ * structure-of-arrays view, the bid update, the price accumulation,
+ * the kernel cache, and the exchange declaration.
  *
  * ## The blocked canonical price fold
  *
@@ -34,14 +39,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "common/check.hh"
-#include "common/invariants.hh"
 #include "common/logging.hh"
 #include "core/amdahl.hh"
 #include "core/bidding.hh"
 #include "exec/thread_pool.hh"
+#include "net/options.hh"
+#include "net/transport.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -267,7 +274,7 @@ accumulateBlockPartials(const BidKernel &kernel, std::size_t blockLo,
 /**
  * Fold the dense partial table into prices: the canonical left fold
  * over all blocks, zeros included. Same parallel shape as
- * gatherPrices, so exec.tasks agrees between the two solvers.
+ * gatherPrices, so exec.tasks agrees between the two exchanges.
  */
 inline void
 foldPriceTable(const std::vector<double> &table, std::size_t blockCount,
@@ -289,7 +296,7 @@ foldPriceTable(const std::vector<double> &table, std::size_t blockCount,
  * One proportional-response update for user @p i against @p posted
  * prices, writing the (damped) next bids in place. Bitwise identical
  * to updateUserBids + the solver's damping blend; shared by both
- * schedules and both solvers so they cannot drift apart.
+ * schedules and both price exchanges so they cannot drift apart.
  */
 inline void
 updateOneUser(BidKernel &kernel, std::size_t i,
@@ -335,51 +342,6 @@ updateOneUser(BidKernel &kernel, std::size_t i,
             damping < 1.0
                 ? (1.0 - damping) * kernel.bids[e] + damping * proposal
                 : proposal;
-    }
-}
-
-/** The option fatals shared by both solvers (plus market.validate()). */
-inline void
-validateBiddingCommon(const FisherMarket &market,
-                      const BiddingOptions &opts)
-{
-    market.validate();
-    if (opts.priceTolerance <= 0.0)
-        fatal("price tolerance must be positive");
-    if (opts.maxIterations < 1)
-        fatal("need at least one iteration");
-    if (opts.damping <= 0.0 || opts.damping > 1.0)
-        fatal("damping must be in (0, 1], got ", opts.damping);
-    if (opts.transport.lossRate < 0.0 || opts.transport.lossRate > 1.0)
-        fatal("bid loss rate must be in [0, 1], got ",
-              opts.transport.lossRate);
-    if (opts.deadline.wallClockSeconds < 0.0 ||
-        !std::isfinite(opts.deadline.wallClockSeconds)) {
-        fatal("wall-clock deadline must be finite and non-negative, "
-              "got ", opts.deadline.wallClockSeconds);
-    }
-    if (opts.deadline.iterationBudget < 0) {
-        fatal("iteration budget must be non-negative, got ",
-              opts.deadline.iterationBudget);
-    }
-}
-
-/** The bidding_start trace event, identical from both solvers. */
-inline void
-traceBiddingStart(std::size_t n, std::size_t m,
-                  const BiddingOptions &opts)
-{
-    if (auto *sink = obs::traceSink()) {
-        obs::TraceEvent(*sink, "bidding_start")
-            .field("users", n)
-            .field("servers", m)
-            .field("schedule",
-                   opts.schedule == UpdateSchedule::GaussSeidel
-                       ? "gauss_seidel"
-                       : "synchronous")
-            .field("damping", opts.damping)
-            .field("warm_start", !opts.initialBids.empty())
-            .field("deadline_armed", opts.deadline.enabled());
     }
 }
 
@@ -441,125 +403,6 @@ initializeBids(const FisherMarket &market, const BiddingOptions &opts,
                                   static_cast<double>(seed.size() + 1),
                           "warm start broke budget conservation for ",
                           "user '", user.name, "'");
-        }
-    }
-}
-
-/**
- * Contract: after every proportional-response round, prices stay
- * positive and finite, bids stay non-negative, and each user's bids
- * still sum to her budget (paper Eq. 10). No code in default builds.
- */
-inline void
-checkRoundInvariants(const FisherMarket &market, const BidKernel &kernel,
-                     const std::vector<double> &newPrices,
-                     JobMatrix &bidsScratch)
-{
-    if constexpr (checkedBuild) {
-        unflattenBids(kernel, bidsScratch);
-        invariants::CheckMarketState(newPrices, bidsScratch,
-                                     "bidding round");
-        const std::size_t n = market.userCount();
-        std::vector<double> budgets(n);
-        for (std::size_t i = 0; i < n; ++i)
-            budgets[i] = market.user(i).budget;
-        invariants::CheckBidBudgets(bidsScratch, budgets, 1e-9,
-                                    "bidding round");
-    }
-}
-
-/**
- * Relative max price movement between rounds. max over chunks is
- * exact (no rounding), so the tree fold is trivially
- * order-independent; the reduce keeps the scan off the critical path
- * at high thread counts.
- */
-inline double
-maxPriceDelta(const std::vector<double> &oldPrices,
-              const std::vector<double> &newPrices, std::size_t m)
-{
-    return exec::parallelReduce(
-        std::size_t{0}, m, kServerGrain, 0.0,
-        [&](std::size_t lo, std::size_t hi) {
-            double chunk_max = 0.0;
-            for (std::size_t j = lo; j < hi; ++j) {
-                const double base = std::max(oldPrices[j], 1e-300);
-                chunk_max = std::max(
-                    chunk_max,
-                    std::abs(newPrices[j] - oldPrices[j]) / base);
-            }
-            return chunk_max;
-        },
-        [](double a, double b) { return std::max(a, b); });
-}
-
-/** The bidding.* solve counters + bidding_end event, shared. */
-inline void
-recordSolveEnd(const BiddingResult &result, std::uint64_t lostMessages)
-{
-    auto &reg = obs::metrics();
-    reg.counter("bidding.solves").add();
-    reg.counter("bidding.iterations")
-        .add(static_cast<std::uint64_t>(result.iterations));
-    if (!result.converged)
-        reg.counter("bidding.non_converged").add();
-    if (result.deadlineExpired)
-        reg.counter("bidding.deadline_expired").add();
-    if (lostMessages > 0)
-        reg.counter("bidding.lost_messages").add(lostMessages);
-    if (result.accelAccepted > 0)
-        reg.counter("bidding.accel_accepted")
-            .add(static_cast<std::uint64_t>(result.accelAccepted));
-    if (result.accelRejected > 0)
-        reg.counter("bidding.accel_rejected")
-            .add(static_cast<std::uint64_t>(result.accelRejected));
-    if (auto *sink = obs::traceSink()) {
-        obs::TraceEvent(*sink, "bidding_end")
-            .field("iterations", result.iterations)
-            .field("converged", result.converged)
-            .field("deadline_expired", result.deadlineExpired);
-    }
-}
-
-/**
- * Final allocations x_ij = b_ij / p_j, plus the clearing-feasibility
- * contract in checked builds. @p checkFeasible lets the sharded
- * solver skip the contract when its final round served stale
- * aggregates: shard-local bids and coordinator prices are then
- * legitimately inconsistent (the degraded round is the point), and
- * the non-converged result escalates through the fallback ladder
- * instead.
- */
-inline void
-finalizeAllocation(const FisherMarket &market, BiddingResult &result,
-                   bool checkFeasible)
-{
-    const std::size_t n = market.userCount();
-    const std::size_t m = market.serverCount();
-    result.allocation.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &jobs = market.user(i).jobs;
-        result.allocation[i].resize(jobs.size());
-        for (std::size_t k = 0; k < jobs.size(); ++k) {
-            const double p = result.prices[jobs[k].server];
-            ensure(p > 0.0, "zero equilibrium price on server ",
-                   jobs[k].server);
-            result.allocation[i][k] = result.bids[i][k] / p;
-        }
-    }
-
-    // Contract: x = b / p clears every server exactly up to rounding,
-    // and never over-subscribes capacity.
-    if constexpr (checkedBuild) {
-        if (checkFeasible) {
-            std::vector<double> loads(m, 0.0);
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto &jobs = market.user(i).jobs;
-                for (std::size_t k = 0; k < jobs.size(); ++k)
-                    loads[jobs[k].server] += result.allocation[i][k];
-            }
-            invariants::CheckAllocationFeasible(
-                loads, market.capacities(), 1e-6, "bidding allocation");
         }
     }
 }
@@ -685,6 +528,145 @@ acquireKernel(const FisherMarket &market, KernelCache *cache,
     }
     return kernel;
 }
+
+/**
+ * The sharded price exchange (bidding_sharded.cc, DESIGN.md §14): the
+ * step the round loop runs instead of the in-process bid update and
+ * gatherPrices when clearing is sharded. It owns the shard layout, the
+ * transport and its session, the coordinator's block x server partial
+ * table, the retransmit timers, the critical-path attribution and the
+ * degraded-round bookkeeping; the loop owns everything else.
+ */
+class ShardedExchange
+{
+  public:
+    /** What one exchange round produced. */
+    struct Round
+    {
+        /** Every shard's aggregate for this round arrived, so the new
+         *  prices are consistent with the bids (a stale round is
+         *  neither a convergence nor an anytime candidate). */
+        bool fresh = true;
+        /** The usable quorum fell below the floor: the solve aborts,
+         *  and no new prices were produced. */
+        bool collapsed = false;
+    };
+
+    /** Validated options only; @p kernel holds the initial bids and
+     *  @p stats receives the network diagnostics as rounds run. A
+     *  null @p session gets a throwaway starting at tick 0, round 0. */
+    ShardedExchange(BidKernel &kernel, double damping,
+                    const net::ShardedOptions &sharded,
+                    net::NetSession *session, NetOutcomeStats &stats);
+    ShardedExchange(const ShardedExchange &) = delete;
+    ShardedExchange &operator=(const ShardedExchange &) = delete;
+
+    /**
+     * Round @p it: broadcast @p posted, run the virtual-time barrier
+     * (each shard updates its users' bids in the kernel, skipping
+     * users @p lost marks; empty = none), and fold the coordinator's
+     * table into @p newPrices. Emits the round's barrier, compute and
+     * fold spans — and, on a collapse, the round span.
+     */
+    Round round(int it, const std::vector<double> &posted,
+                const std::vector<unsigned char> &lost,
+                std::vector<double> &newPrices);
+
+    /** The last round's span; the loop emits it after bidding_iter. */
+    void emitRoundSpan() const;
+
+    /** Close the solve: minQuorum into the stats, and the session's
+     *  clock and global round past the @p iterations run. */
+    void finish(int iterations);
+
+  private:
+    /** A pending shard retransmission (driver-side timer). */
+    struct RetransmitTimer
+    {
+        net::Ticks tick = 0;
+        std::size_t shard = 0;
+        std::uint64_t round = 0; ///< Global round of the resent bid.
+        std::uint32_t attempt = 0;
+    };
+
+    /** Deterministic min-timer: index of the smallest (tick, shard,
+     *  attempt), or -1 when none is pending. */
+    int nextTimer() const;
+    void sendShardBid(std::size_t s, std::uint64_t forRound,
+                      std::uint64_t partitionRound, net::Ticks at);
+
+    BidKernel &kernel;
+    const double damping;
+    const net::ShardedOptions &sharded;
+    NetOutcomeStats &stats;
+    const std::size_t n;
+    const std::size_t m;
+    // Per-phase timers, looked up once per solve; null while timing
+    // is off.
+    obs::Histogram *const updateHist;
+    obs::Histogram *const pricesHist;
+
+    // Shard layout: contiguous whole price blocks per shard, so shard
+    // boundaries coincide with canonical fold boundaries and the
+    // shard count can never perturb a partial. Effective shard count
+    // is clamped to the block count (a 40-user market has at most two
+    // shards no matter what was asked for).
+    const std::size_t blockCount;
+    const std::size_t S;
+    std::vector<std::size_t> blockLo;
+    std::vector<std::uint32_t> shardOf;
+
+    // Transport plumbing. The session persists across epochs (and
+    // crashes); a null session gets a solve-local throwaway.
+    net::NetSession localSession;
+    net::NetSession *const sess;
+    const std::uint64_t base;
+    net::VirtualClock clock;
+    const net::NetFaultModel model;
+    net::NetInstruments instStorage;
+    const net::NetInstruments *const inst;
+    net::VirtualTransport transport;
+
+    // Span tracing: resolved once per solve (the CLI flips the switch
+    // before clearing starts). Null is the entire disabled path.
+    obs::TraceSink *const spans;
+
+    // Coordinator state: the dense partial table, seeded from the
+    // initial bids (every shard "fresh as of round base - 1"). The
+    // scratch table is the *shard-side* staging area: a shard
+    // recomputes its rows there and ships them as a BidMsg, and the
+    // coordinator's table only changes when that message is actually
+    // delivered — a lost aggregate leaves the coordinator genuinely
+    // stale.
+    std::vector<double> table;
+    std::vector<double> scratch;
+    std::vector<std::int64_t> lastApplied;    // coordinator
+    std::vector<std::int64_t> lastPriceRound; // shard-side
+    std::vector<net::Ticks> priceTickLatest;
+    std::vector<std::vector<double>> postedPrices;
+    std::vector<net::Message> lastBid;
+    std::vector<std::unordered_set<std::uint64_t>> seenSeq;
+    std::vector<RetransmitTimer> timers;
+    std::vector<unsigned char> mask;
+    std::vector<double> dampShard;
+
+    const std::uint64_t quorumMin;
+    std::uint64_t minQuorum;
+
+    // The last round's span coordinates and critical-path attribution,
+    // kept for the round span emitted after the loop's bidding_iter.
+    std::uint64_t g = 0;
+    std::uint64_t roundParent = 0;
+    std::uint64_t roundId = 0;
+    net::Ticks T = 0;
+    net::Ticks roundEnd = 0;
+    bool roundFresh = true;
+    std::size_t closerShard = 0;
+    net::Ticks cDelay = 0;
+    net::Ticks cRetransmit = 0;
+    net::Ticks cPartition = 0;
+    net::Ticks cQuorum = 0;
+};
 
 } // namespace detail
 } // namespace amdahl::core

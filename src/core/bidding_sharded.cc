@@ -1,6 +1,7 @@
 /**
  * @file
- * Amdahl Bidding as an epoch-barrier protocol over src/net/.
+ * The sharded price exchange: one round of Amdahl Bidding as an
+ * epoch-barrier protocol over src/net/.
  *
  * Users are grouped into shards of whole price blocks. Each round the
  * coordinator broadcasts a PriceMsg per shard; a shard that receives
@@ -17,11 +18,17 @@
  * FallbackPolicy ladder to absorb. Healed shards re-enter with damped
  * warm-start updates.
  *
+ * Everything else about the solve — validation, initial bids, the
+ * kernel and its cache, the bid-loss mask, convergence, anytime
+ * deadlines, history, finalization — belongs to the one round loop in
+ * bidding.cc, which calls this exchange where the in-process path
+ * updates bids and gathers prices.
+ *
  * Determinism: all randomness is counter-based (per-edge, round,
  * attempt substreams), all time is virtual, message processing
  * follows the transport's total delivery order, and the price fold is
  * the blocked canonical fold of bidding_kernel.hh — so with zero
- * fault rates any shard count reproduces the in-process solver byte
+ * fault rates any shard count reproduces the in-process exchange byte
  * for byte, and with faults any (shard count, thread count) pair
  * reproduces itself.
  */
@@ -29,7 +36,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <tuple>
 #include <unordered_set>
@@ -38,7 +44,6 @@
 
 #include "common/check.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "core/bidding.hh"
 #include "core/bidding_kernel.hh"
 #include "exec/parallelism.hh"
@@ -51,24 +56,54 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/timer.hh"
-#include "obs/trace.hh"
 
-namespace amdahl::core {
+namespace amdahl::core::detail {
 
-namespace {
-
-/** A pending shard retransmission (driver-side timer). */
-struct RetransmitTimer
+ShardedExchange::ShardedExchange(BidKernel &kernel_, double damping_,
+                                 const net::ShardedOptions &sharded_,
+                                 net::NetSession *session,
+                                 NetOutcomeStats &stats_)
+    : kernel(kernel_), damping(damping_), sharded(sharded_),
+      stats(stats_), n(kernel_.userCount), m(kernel_.serverCount),
+      updateHist(obs::timeHistogram("time.bidding.update_us")),
+      pricesHist(obs::timeHistogram("time.bidding.prices_us")),
+      blockCount(priceBlockCount(n)),
+      S(std::min(sharded_.shards, blockCount)), blockLo(S + 1),
+      shardOf(n), sess(session ? session : &localSession),
+      base(sess->globalRound), clock(sess->ticks),
+      model(sharded_.faults, sharded_.partitions),
+      inst(model.active() ? &(instStorage = net::NetInstruments::bind())
+                          : nullptr),
+      transport(model, *sess, inst),
+      spans(obs::spanSink()), table(blockCount * m, 0.0),
+      scratch(blockCount * m, 0.0),
+      lastApplied(S, static_cast<std::int64_t>(base) - 1),
+      lastPriceRound(S, static_cast<std::int64_t>(base) - 1),
+      priceTickLatest(S, clock.now()), postedPrices(S), lastBid(S),
+      seenSeq(2 * std::max(S, sharded_.shards)), mask(n, 0),
+      dampShard(S, damping_),
+      quorumMin(std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(std::ceil(
+                 sharded_.quorumFloor * static_cast<double>(S))))),
+      minQuorum(S)
 {
-    net::Ticks tick = 0;
-    std::size_t shard = 0;
-    std::uint64_t round = 0; ///< Global round of the bid being resent.
-    std::uint32_t attempt = 0;
-};
+    for (std::size_t s = 0; s <= S; ++s)
+        blockLo[s] = s * blockCount / S;
+    for (std::size_t s = 0; s < S; ++s) {
+        const std::size_t uLo =
+            std::min(n, blockLo[s] * kPriceBlockUsers);
+        const std::size_t uHi =
+            std::min(n, blockLo[s + 1] * kPriceBlockUsers);
+        for (std::size_t i = uLo; i < uHi; ++i)
+            shardOf[i] = static_cast<std::uint32_t>(s);
+    }
+    if (sess->edgeSeq.size() < seenSeq.size())
+        sess->edgeSeq.resize(seenSeq.size(), 0);
+    accumulateBlockPartials(kernel, 0, blockCount, table);
+}
 
-/** Deterministic min-timer: smallest (tick, shard, attempt). */
 int
-nextTimerIndex(const std::vector<RetransmitTimer> &timers)
+ShardedExchange::nextTimer() const
 {
     int best = -1;
     for (std::size_t i = 0; i < timers.size(); ++i) {
@@ -85,642 +120,405 @@ nextTimerIndex(const std::vector<RetransmitTimer> &timers)
     return best;
 }
 
-} // namespace
-
-BiddingResult
-solveShardedBidding(const FisherMarket &market, const BiddingOptions &opts,
-                    const net::ShardedOptions &sharded,
-                    net::NetSession *session)
+// One iteration of a shard's protocol reaction to a price it just
+// applied: recompute its block partials and ship the aggregate,
+// arming the backoff timers.
+void
+ShardedExchange::sendShardBid(std::size_t s, std::uint64_t forRound,
+                              std::uint64_t partitionRound, net::Ticks at)
 {
-    detail::validateBiddingCommon(market, opts);
-    if (!sharded.enabled())
-        fatal("solveShardedBidding called with sharding disabled");
-    if (const Status st = net::validateShardedOptions(sharded);
-        !st.isOk())
-        fatal("invalid sharded clearing options: ", st.toString());
-    if (opts.schedule == UpdateSchedule::GaussSeidel)
-        fatal("sharded clearing requires the Synchronous schedule");
-    if (opts.deadline.wallClockSeconds > 0.0)
-        fatal("sharded clearing runs in virtual time; wall-clock "
-              "deadlines are not supported (use iterationBudget)");
-    if (opts.accel.enabled)
-        fatal("Anderson acceleration is not supported by the sharded "
-              "solver: the accelerated iterate mixes whole bid "
-              "vectors, which no shard owns");
+    accumulateBlockPartials(kernel, blockLo[s], blockLo[s + 1], scratch);
+    net::Message bm;
+    bm.kind = net::MsgKind::Bid;
+    bm.src = net::shardNode(s);
+    bm.dst = net::kCoordinatorNode;
+    bm.attempt = 0;
+    bm.bid.shard = static_cast<std::uint32_t>(s);
+    bm.bid.round = forRound;
+    bm.bid.partials.reserve((blockLo[s + 1] - blockLo[s]) * m);
+    for (std::size_t b = blockLo[s]; b < blockLo[s + 1]; ++b) {
+        for (std::size_t j = 0; j < m; ++j) {
+            net::BlockPartial p;
+            p.server = static_cast<std::uint32_t>(j);
+            p.block = b;
+            p.partial = scratch[b * m + j];
+            bm.bid.partials.push_back(p);
+        }
+    }
+    lastBid[s] = bm;
+    transport.send(bm, net::bidEdge(s), s, forRound, partitionRound, at);
+    for (std::uint32_t k = 1; k <= sharded.maxRetransmits; ++k) {
+        RetransmitTimer t;
+        t.tick = at + sharded.retransmitBase * (net::Ticks{1} << (k - 1));
+        t.shard = s;
+        t.round = forRound;
+        t.attempt = k;
+        timers.push_back(t);
+    }
+}
 
-    const std::size_t n = market.userCount();
-    const std::size_t m = market.serverCount();
+ShardedExchange::Round
+ShardedExchange::round(int it, const std::vector<double> &posted,
+                       const std::vector<unsigned char> &lost,
+                       std::vector<double> &newPrices)
+{
+    g = base + static_cast<std::uint64_t>(it);
+    T = clock.now();
+    const net::Ticks deadlineTick = T + sharded.barrierDeadline;
 
-    obs::ScopedTimer solve_timer(
-        obs::timeHistogram("time.bidding.solve_us"));
-    obs::Histogram *update_hist =
-        obs::timeHistogram("time.bidding.update_us");
-    obs::Histogram *prices_hist =
-        obs::timeHistogram("time.bidding.prices_us");
-    detail::traceBiddingStart(n, m, opts);
+    // Round and barrier span IDs: pure functions of the causal
+    // parent (the fallback rung or epoch) and the global round.
+    // The parent scope makes the barrier the causal parent of
+    // every xfer span the transport emits inside this window.
+    roundParent = spans ? obs::currentSpanParent() : 0;
+    roundId = spans ? obs::spanId(obs::SpanKind::Round, roundParent, g)
+                    : 0;
+    const std::uint64_t barrierId =
+        spans ? obs::spanId(obs::SpanKind::Barrier, roundId, g) : 0;
+    std::optional<obs::SpanParentScope> xferScope;
+    if (spans)
+        xferScope.emplace(barrierId);
 
-    BiddingResult result;
-    result.prices.assign(m, 0.0);
-    detail::initializeBids(market, opts, result.bids);
-
-    detail::BidKernel kernel = detail::buildKernel(market);
-    detail::flattenBids(result.bids, kernel);
-
-    // Shard layout: contiguous whole price blocks per shard, so shard
-    // boundaries coincide with canonical fold boundaries and the
-    // shard count can never perturb a partial. Effective shard count
-    // is clamped to the block count (a 40-user market has at most two
-    // shards no matter what was asked for).
-    const std::size_t blockCount = detail::priceBlockCount(n);
-    const std::size_t S = std::min(sharded.shards, blockCount);
-    std::vector<std::size_t> blockLo(S + 1);
-    for (std::size_t s = 0; s <= S; ++s)
-        blockLo[s] = s * blockCount / S;
-    std::vector<std::uint32_t> shardOf(n);
+    // Open the round: broadcast this round's prices to every
+    // shard (through the codec, even when the network is sound).
     for (std::size_t s = 0; s < S; ++s) {
-        const std::size_t uLo =
-            std::min(n, blockLo[s] * detail::kPriceBlockUsers);
-        const std::size_t uHi =
-            std::min(n, blockLo[s + 1] * detail::kPriceBlockUsers);
-        for (std::size_t i = uLo; i < uHi; ++i)
-            shardOf[i] = static_cast<std::uint32_t>(s);
+        net::Message pm;
+        pm.kind = net::MsgKind::Price;
+        pm.src = net::kCoordinatorNode;
+        pm.dst = net::shardNode(s);
+        pm.attempt = 0;
+        pm.price.round = g;
+        pm.price.prices = posted;
+        transport.send(std::move(pm), net::priceEdge(s), s, g, g, T);
     }
 
-    // Transport plumbing. The session persists across epochs (and
-    // crashes); a null session gets a solve-local throwaway.
-    net::NetSession localSession;
-    net::NetSession *sess = session ? session : &localSession;
-    const std::size_t edgeSpan =
-        2 * std::max(S, sharded.shards);
-    if (sess->edgeSeq.size() < edgeSpan)
-        sess->edgeSeq.resize(edgeSpan, 0);
-    const std::uint64_t base = sess->globalRound;
-    net::VirtualClock clock(sess->ticks);
-    const net::NetFaultModel model(sharded.faults, sharded.partitions);
-    const bool instrumented = model.active();
-    net::NetInstruments instStorage;
-    const net::NetInstruments *inst = nullptr;
-    if (instrumented) {
-        instStorage = net::NetInstruments::bind();
-        inst = &instStorage;
-    }
-    net::VirtualTransport transport(model, *sess, inst);
+    std::size_t freshCount = 0;
+    net::Ticks closeTick = deadlineTick;
+    roundFresh = false;
+    // The delivery that completed the barrier, for critical-path
+    // attribution: which shard closed the round, and when its
+    // winning bid copy left the wire.
+    closerShard = 0;
+    net::Ticks closeSentAt = T;
 
-    // Span tracing: resolved once per solve (the CLI flips the switch
-    // before clearing starts). Null is the entire disabled path.
-    obs::TraceSink *const spans = obs::spanSink();
+    // Shards whose price application is pending at batchTick:
+    // (shard, healed re-entry?). All price deliveries sharing a
+    // tick are folded into one fan-out so the sound-mode task
+    // structure matches the in-process exchange exactly.
+    std::vector<std::pair<std::size_t, bool>> batch;
+    net::Ticks batchTick = 0;
 
-    // Coordinator state: the dense partial table, seeded from the
-    // initial bids (every shard "fresh as of round base - 1"), and
-    // the canonical fold of it as the opening prices. The scratch
-    // table is the *shard-side* staging area: a shard recomputes its
-    // rows there and ships them as a BidMsg, and the coordinator's
-    // table only changes when that message is actually delivered —
-    // a lost aggregate leaves the coordinator genuinely stale.
-    std::vector<double> table(blockCount * m, 0.0);
-    detail::accumulateBlockPartials(kernel, 0, blockCount, table);
-    detail::foldPriceTable(table, blockCount, kernel, result.prices);
-    std::vector<double> scratch(blockCount * m, 0.0);
-
-    const std::int64_t before =
-        static_cast<std::int64_t>(base) - 1;
-    std::vector<std::int64_t> lastApplied(S, before);  // coordinator
-    std::vector<std::int64_t> lastPriceRound(S, before); // shard-side
-    std::vector<net::Ticks> priceTickLatest(S, clock.now());
-    std::vector<std::vector<double>> postedPrices(S);
-    std::vector<net::Message> lastBid(S);
-    std::vector<std::unordered_set<std::uint64_t>> seenSeq(edgeSpan);
-    std::vector<RetransmitTimer> timers;
-    std::vector<unsigned char> mask(n, 0);
-    std::vector<double> dampShard(S, opts.damping);
-
-    const std::uint64_t quorumMin = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(std::ceil(
-               sharded.quorumFloor * static_cast<double>(S))));
-
-    // Anytime bookkeeping (iteration budget only — virtual time).
-    const bool anytime = opts.deadline.enabled();
-    std::vector<double> best_bids;
-    std::vector<double> best_prices;
-    double best_delta = std::numeric_limits<double>::infinity();
-    if (anytime) {
-        best_bids = kernel.bids;
-        best_prices = result.prices;
-    }
-
-    const bool lossy = opts.transport.lossRate > 0.0;
-    std::vector<unsigned char> lost;
-    if (lossy)
-        lost.assign(n, 0);
-    std::uint64_t lost_messages = 0;
-
-    std::uint64_t minQuorum = S;
-    bool collapsed = false;
-    bool roundFresh = true;
-    std::vector<double> new_prices(m);
-
-    // One iteration of a shard's protocol reaction to a price it just
-    // applied: recompute its block partials and ship the aggregate,
-    // arming the backoff timers.
-    const auto sendShardBid = [&](std::size_t s, std::uint64_t forRound,
-                                  std::uint64_t partitionRound,
-                                  net::Ticks at) {
-        detail::accumulateBlockPartials(kernel, blockLo[s],
-                                        blockLo[s + 1], scratch);
-        net::Message bm;
-        bm.kind = net::MsgKind::Bid;
-        bm.src = net::shardNode(s);
-        bm.dst = net::kCoordinatorNode;
-        bm.attempt = 0;
-        bm.bid.shard = static_cast<std::uint32_t>(s);
-        bm.bid.round = forRound;
-        bm.bid.partials.reserve((blockLo[s + 1] - blockLo[s]) * m);
-        for (std::size_t b = blockLo[s]; b < blockLo[s + 1]; ++b) {
-            for (std::size_t j = 0; j < m; ++j) {
-                net::BlockPartial p;
-                p.server = static_cast<std::uint32_t>(j);
-                p.block = b;
-                p.partial = scratch[b * m + j];
-                bm.bid.partials.push_back(p);
+    const auto runBatch = [&](net::Ticks tick,
+                              std::uint64_t partitionRound) {
+        if (batch.empty())
+            return;
+        std::fill(mask.begin(), mask.end(), 0);
+        for (const auto &[s, healed] : batch) {
+            dampShard[s] = damping;
+            if (healed) {
+                dampShard[s] *= sharded.reentryDamping;
+                ++stats.healedReentries;
+                if (inst)
+                    inst->healedReentries->add();
             }
+            const std::size_t uLo =
+                std::min(n, blockLo[s] * kPriceBlockUsers);
+            const std::size_t uHi =
+                std::min(n, blockLo[s + 1] * kPriceBlockUsers);
+            std::fill(mask.begin() + static_cast<std::ptrdiff_t>(uLo),
+                      mask.begin() + static_cast<std::ptrdiff_t>(uHi),
+                      1);
         }
-        lastBid[s] = bm;
-        transport.send(bm, net::bidEdge(s), s, forRound, partitionRound,
-                       at);
-        for (std::uint32_t k = 1; k <= sharded.maxRetransmits; ++k) {
-            RetransmitTimer t;
-            t.tick = at + sharded.retransmitBase *
-                              (net::Ticks{1} << (k - 1));
-            t.shard = s;
-            t.round = forRound;
-            t.attempt = k;
-            timers.push_back(t);
+        {
+            // One fan-out per batch tick, full span, fixed grain:
+            // in the sound case the single batch covers every
+            // user and this is bit- and task-identical to the
+            // in-process Synchronous update. Same grain source as
+            // the in-process update, so exec.tasks agrees across
+            // the determinism bridge at any AMDAHL_BID_GRAIN
+            // setting. The per-user loop stays scalar: users in one
+            // chunk may sit in different shards with different
+            // posted prices, and both kernels are bit-identical
+            // anyway.
+            obs::ScopedTimer update_timer(updateHist);
+            exec::parallelFor(
+                0, n, exec::bidUpdateGrain(kUserGrain),
+                [&](std::size_t ulo, std::size_t uhi) {
+                    for (std::size_t i = ulo; i < uhi; ++i) {
+                        if (!mask[i] || (!lost.empty() && lost[i]))
+                            continue;
+                        updateOneUser(kernel, i,
+                                      postedPrices[shardOf[i]],
+                                      dampShard[shardOf[i]]);
+                    }
+                });
         }
+        if (spans)
+            obs::SpanEvent(
+                *spans, "compute",
+                obs::spanId(obs::SpanKind::Compute, roundId, tick),
+                barrierId, tick, tick)
+                .field("round", g)
+                .field("shards", batch.size());
+        for (const auto &[s, healed] : batch) {
+            sendShardBid(s, static_cast<std::uint64_t>(lastPriceRound[s]),
+                         partitionRound, tick);
+        }
+        batch.clear();
     };
 
-    for (int it = 0; it < opts.maxIterations; ++it) {
-        const std::uint64_t g = base + static_cast<std::uint64_t>(it);
-        bool round_lost_message = false;
-        if (lossy) {
-            for (std::size_t i = 0; i < n; ++i) {
-                lost[i] = counterBernoulli(
-                              opts.transport.seed, i,
-                              static_cast<std::uint64_t>(it),
-                              opts.transport.lossRate)
-                              ? 1
-                              : 0;
-                if (lost[i]) {
-                    round_lost_message = true;
-                    ++lost_messages;
-                }
-            }
+    while (true) {
+        net::Ticks dTick = 0;
+        std::uint64_t dEdge = 0;
+        const bool haveDelivery = transport.peekNext(dTick, dEdge);
+        const int ti = nextTimer();
+        const bool timerEligible =
+            ti >= 0 &&
+            timers[static_cast<std::size_t>(ti)].tick <= deadlineTick;
+        // Deliveries win ties against timers: a same-tick price
+        // broadcast must cancel the retransmission it obsoletes.
+        const bool pickDelivery =
+            haveDelivery && dTick <= deadlineTick &&
+            (!timerEligible ||
+             dTick <= timers[static_cast<std::size_t>(ti)].tick);
+
+        // Flush the pending price batch before processing
+        // anything that is not another price at the batch tick
+        // (the transport ranks prices ahead of bids at equal
+        // ticks, so same-tick prices drain contiguously). The
+        // batch's sends change the heap, so re-peek afterwards.
+        if (!batch.empty() &&
+            !(pickDelivery && dEdge % 2 == 0 && dTick == batchTick)) {
+            runBatch(batchTick, g);
+            continue;
         }
 
-        const net::Ticks T = clock.now();
-        const net::Ticks deadlineTick = T + sharded.barrierDeadline;
-
-        // Round and barrier span IDs: pure functions of the causal
-        // parent (the fallback rung or epoch) and the global round.
-        // The parent scope makes the barrier the causal parent of
-        // every xfer span the transport emits inside this window.
-        const std::uint64_t roundParent =
-            spans ? obs::currentSpanParent() : 0;
-        const std::uint64_t roundId =
-            spans ? obs::spanId(obs::SpanKind::Round, roundParent, g)
-                  : 0;
-        const std::uint64_t barrierId =
-            spans ? obs::spanId(obs::SpanKind::Barrier, roundId, g)
-                  : 0;
-        std::optional<obs::SpanParentScope> xferScope;
-        if (spans)
-            xferScope.emplace(barrierId);
-
-        // Open the round: broadcast this round's prices to every
-        // shard (through the codec, even when the network is sound).
-        for (std::size_t s = 0; s < S; ++s) {
-            net::Message pm;
-            pm.kind = net::MsgKind::Price;
-            pm.src = net::kCoordinatorNode;
-            pm.dst = net::shardNode(s);
-            pm.attempt = 0;
-            pm.price.round = g;
-            pm.price.prices = result.prices;
-            transport.send(std::move(pm), net::priceEdge(s), s, g, g, T);
-        }
-
-        std::size_t freshCount = 0;
-        net::Ticks closeTick = deadlineTick;
-        roundFresh = false;
-        // The delivery that completed the barrier, for critical-path
-        // attribution: which shard closed the round, and when its
-        // winning bid copy left the wire.
-        std::size_t closerShard = 0;
-        net::Ticks closeSentAt = T;
-
-        // Shards whose price application is pending at batchTick:
-        // (shard, healed re-entry?). All price deliveries sharing a
-        // tick are folded into one fan-out so the sound-mode task
-        // structure matches the in-process solver exactly.
-        std::vector<std::pair<std::size_t, bool>> batch;
-        net::Ticks batchTick = 0;
-
-        const auto runBatch = [&](net::Ticks tick,
-                                  std::uint64_t partitionRound) {
-            if (batch.empty())
-                return;
-            std::fill(mask.begin(), mask.end(), 0);
-            for (const auto &[s, healed] : batch) {
-                dampShard[s] = opts.damping;
-                if (healed) {
-                    dampShard[s] *= sharded.reentryDamping;
-                    ++result.net.healedReentries;
-                    if (inst)
-                        inst->healedReentries->add();
-                }
-                const std::size_t uLo =
-                    std::min(n, blockLo[s] * detail::kPriceBlockUsers);
-                const std::size_t uHi = std::min(
-                    n, blockLo[s + 1] * detail::kPriceBlockUsers);
-                std::fill(mask.begin() +
-                              static_cast<std::ptrdiff_t>(uLo),
-                          mask.begin() +
-                              static_cast<std::ptrdiff_t>(uHi),
-                          1);
-            }
-            {
-                // One fan-out per batch tick, full span, fixed grain:
-                // in the sound case the single batch covers every
-                // user and this is bit- and task-identical to the
-                // in-process Synchronous update.
-                obs::ScopedTimer update_timer(update_hist);
-                // Same grain source as the in-process solver, so
-                // exec.tasks agrees across the determinism bridge at
-                // any AMDAHL_BID_GRAIN setting. The per-user loop
-                // stays scalar: users in one chunk may sit in
-                // different shards with different posted prices, and
-                // both kernels are bit-identical anyway.
-                exec::parallelFor(
-                    0, n, exec::bidUpdateGrain(detail::kUserGrain),
-                    [&](std::size_t ulo, std::size_t uhi) {
-                        for (std::size_t i = ulo; i < uhi; ++i) {
-                            if (!mask[i])
-                                continue;
-                            if (lossy && lost[i])
-                                continue;
-                            detail::updateOneUser(
-                                kernel, i, postedPrices[shardOf[i]],
-                                dampShard[shardOf[i]]);
-                        }
-                    });
-            }
-            if (spans)
-                obs::SpanEvent(
-                    *spans, "compute",
-                    obs::spanId(obs::SpanKind::Compute, roundId, tick),
-                    barrierId, tick, tick)
-                    .field("round", g)
-                    .field("shards", batch.size());
-            for (const auto &[s, healed] : batch) {
-                sendShardBid(
-                    s,
-                    static_cast<std::uint64_t>(lastPriceRound[s]),
-                    partitionRound, tick);
-            }
-            batch.clear();
-        };
-
-        while (true) {
-            net::Ticks dTick = 0;
-            std::uint64_t dEdge = 0;
-            const bool haveDelivery = transport.peekNext(dTick, dEdge);
-            const int ti = nextTimerIndex(timers);
-            const bool timerEligible =
-                ti >= 0 && timers[static_cast<std::size_t>(ti)].tick <=
-                               deadlineTick;
-            // Deliveries win ties against timers: a same-tick price
-            // broadcast must cancel the retransmission it obsoletes.
-            const bool pickDelivery =
-                haveDelivery && dTick <= deadlineTick &&
-                (!timerEligible ||
-                 dTick <= timers[static_cast<std::size_t>(ti)].tick);
-
-            // Flush the pending price batch before processing
-            // anything that is not another price at the batch tick
-            // (the transport ranks prices ahead of bids at equal
-            // ticks, so same-tick prices drain contiguously). The
-            // batch's sends change the heap, so re-peek afterwards.
-            if (!batch.empty() &&
-                !(pickDelivery && dEdge % 2 == 0 &&
-                  dTick == batchTick)) {
-                runBatch(batchTick, g);
-                continue;
-            }
-
-            if (pickDelivery) {
-                net::Delivery d;
-                if (!transport.popNext(deadlineTick, d))
-                    fatal("transport peek/pop disagree");
-                auto decoded = net::decodeMessage(d.wire);
-                ensure(decoded.ok(), "simulated transport corrupted a "
-                       "frame: ", decoded.status().toString());
-                net::Message msg = decoded.take();
-                if (!seenSeq[d.edge].insert(msg.seq).second) {
-                    if (inst)
-                        inst->dupSuppressed->add();
-                    continue;
-                }
-                const std::size_t s = d.edge / 2;
-                if (d.edge % 2 == 0) {
-                    // Price broadcast to shard s.
-                    ensure(msg.kind == net::MsgKind::Price,
-                           "bid frame on a price edge");
-                    const auto rp =
-                        static_cast<std::int64_t>(msg.price.round);
-                    if (rp <= lastPriceRound[s])
-                        continue; // Stale broadcast; a newer one won.
-                    const bool healed = rp > lastPriceRound[s] + 1;
-                    lastPriceRound[s] = rp;
-                    priceTickLatest[s] = d.at;
-                    postedPrices[s] = std::move(msg.price.prices);
-                    batch.emplace_back(s, healed);
-                    batchTick = d.at;
-                    continue;
-                }
-                // Bid aggregate from shard s.
-                ensure(msg.kind == net::MsgKind::Bid,
-                       "price frame on a bid edge");
-                const auto rb =
-                    static_cast<std::int64_t>(msg.bid.round);
-                if (rb <= lastApplied[s]) {
-                    // A retransmit or duplicate of an aggregate the
-                    // table already reflects.
-                    if (inst)
-                        inst->dupSuppressed->add();
-                    continue;
-                }
-                for (const net::BlockPartial &p : msg.bid.partials)
-                    table[p.block * m + p.server] = p.partial;
-                lastApplied[s] = rb;
-                if (rb == static_cast<std::int64_t>(g)) {
-                    ++freshCount;
-                    if (freshCount == S) {
-                        closeTick = d.at;
-                        roundFresh = true;
-                        closerShard = s;
-                        closeSentAt = d.sentAt;
-                        break;
-                    }
-                }
-                continue;
-            }
-
-            if (timerEligible) {
-                const RetransmitTimer t =
-                    timers[static_cast<std::size_t>(ti)];
-                timers.erase(timers.begin() + ti);
-                // Cancelled if the shard had already heard a newer
-                // price by the time this timer fires.
-                const bool cancelled =
-                    lastPriceRound[t.shard] >
-                        static_cast<std::int64_t>(t.round) &&
-                    priceTickLatest[t.shard] <= t.tick;
-                if (cancelled)
-                    continue;
-                net::Message re = lastBid[t.shard];
-                re.attempt = t.attempt;
-                transport.send(std::move(re), net::bidEdge(t.shard),
-                               t.shard, t.round, g, t.tick);
-                ++result.net.retransmits;
+        if (pickDelivery) {
+            net::Delivery d;
+            if (!transport.popNext(deadlineTick, d))
+                fatal("transport peek/pop disagree");
+            auto decoded = net::decodeMessage(d.wire);
+            ensure(decoded.ok(), "simulated transport corrupted a "
+                   "frame: ", decoded.status().toString());
+            net::Message msg = decoded.take();
+            if (!seenSeq[d.edge].insert(msg.seq).second) {
                 if (inst)
-                    inst->retransmits->add();
+                    inst->dupSuppressed->add();
                 continue;
             }
-            break; // Nothing left inside this round's window.
-        }
-        clock.advanceTo(roundFresh ? closeTick : deadlineTick);
-
-        // Drop timers that can never fire (their shard already moved
-        // on) so the pending set stays bounded.
-        timers.erase(
-            std::remove_if(
-                timers.begin(), timers.end(),
-                [&](const RetransmitTimer &t) {
-                    return lastPriceRound[t.shard] >
-                               static_cast<std::int64_t>(t.round) &&
-                           priceTickLatest[t.shard] <= t.tick;
-                }),
-            timers.end());
-
-        // Barrier resolution: quorum accounting and degraded-round
-        // bookkeeping. Unreachable when the network is sound (every
-        // round is fresh), so none of it can perturb the bridge.
-        const std::uint64_t usable = [&] {
-            std::uint64_t count = 0;
-            for (std::size_t s = 0; s < S; ++s) {
-                const auto staleness =
-                    static_cast<std::int64_t>(g) - lastApplied[s];
-                if (staleness <=
-                    static_cast<std::int64_t>(sharded.maxStaleRounds))
-                    ++count;
+            const std::size_t s = d.edge / 2;
+            if (d.edge % 2 == 0) {
+                // Price broadcast to shard s.
+                ensure(msg.kind == net::MsgKind::Price,
+                       "bid frame on a price edge");
+                const auto rp = static_cast<std::int64_t>(msg.price.round);
+                if (rp <= lastPriceRound[s])
+                    continue; // Stale broadcast; a newer one won.
+                const bool healed = rp > lastPriceRound[s] + 1;
+                lastPriceRound[s] = rp;
+                priceTickLatest[s] = d.at;
+                postedPrices[s] = std::move(msg.price.prices);
+                batch.emplace_back(s, healed);
+                batchTick = d.at;
+                continue;
             }
-            return count;
-        }();
-        minQuorum = std::min(minQuorum, usable);
-        if (inst)
-            inst->quorum->record(static_cast<double>(usable));
-
-        const std::uint64_t staleServed =
-            static_cast<std::uint64_t>(S) - freshCount;
-        bool partitionHit = false;
-        if (!roundFresh) {
-            for (std::size_t s = 0; s < S; ++s) {
-                if (lastApplied[s] < static_cast<std::int64_t>(g) &&
-                    model.partitioned(s, g))
-                    partitionHit = true;
-            }
-        }
-
-        // Critical-path attribution. A fresh round's latency is the
-        // closing chain itself: price transit to the closing shard,
-        // retransmit backoff until the winning bid copy left, and
-        // that copy's transit back — three legs that sum to
-        // closeTick - T exactly (compute is instantaneous in virtual
-        // time). A degraded or collapsed round waited out the whole
-        // barrier window instead: charged to partition wait when a
-        // scheduled partition silenced a missing shard, else to
-        // quorum wait.
-        const net::Ticks roundEnd =
-            roundFresh ? closeTick : deadlineTick;
-        const net::Ticks latency = roundEnd - T;
-        net::Ticks cDelay = 0;
-        net::Ticks cRetransmit = 0;
-        net::Ticks cPartition = 0;
-        net::Ticks cQuorum = 0;
-        if (roundFresh) {
-            const net::Ticks priceAt = priceTickLatest[closerShard];
-            cDelay = (priceAt - T) + (closeTick - closeSentAt);
-            cRetransmit = closeSentAt - priceAt;
-        } else if (partitionHit) {
-            cPartition = latency;
-        } else {
-            cQuorum = latency;
-        }
-        result.net.latencyTicks += latency;
-        result.net.delayTicks += cDelay;
-        result.net.retransmitTicks += cRetransmit;
-        result.net.partitionWaitTicks += cPartition;
-        result.net.quorumWaitTicks += cQuorum;
-
-        if (spans) {
-            obs::SpanEvent(*spans, "barrier", barrierId, roundId, T,
-                           roundEnd)
-                .field("round", g)
-                .field("deadline", deadlineTick)
-                .field("fresh", freshCount)
-                .field("quorum", usable);
-        }
-        const auto emitRoundSpan = [&] {
-            if (!spans)
-                return;
-            obs::SpanCause cause = obs::SpanCause::Compute;
-            if (latency > 0) {
-                if (cPartition > 0)
-                    cause = obs::SpanCause::PartitionWait;
-                else if (cQuorum > 0)
-                    cause = obs::SpanCause::QuorumWait;
-                else if (cRetransmit > cDelay)
-                    cause = obs::SpanCause::Retransmit;
-                else
-                    cause = obs::SpanCause::NetDelay;
-            }
-            obs::SpanEvent(*spans, "round", roundId, roundParent, T,
-                           roundEnd)
-                .field("round", g)
-                .field("fresh", roundFresh)
-                .field("closer", closerShard)
-                .field("cause", obs::toString(cause))
-                .field("ticks", latency)
-                .field("c_compute", std::uint64_t{0})
-                .field("c_delay", cDelay)
-                .field("c_retransmit", cRetransmit)
-                .field("c_partition", cPartition)
-                .field("c_quorum", cQuorum);
-        };
-
-        if (!roundFresh) {
-            if (usable < quorumMin) {
-                collapsed = true;
-                result.net.quorumCollapsed = true;
-                result.iterations = it + 1;
+            // Bid aggregate from shard s.
+            ensure(msg.kind == net::MsgKind::Bid,
+                   "price frame on a bid edge");
+            const auto rb = static_cast<std::int64_t>(msg.bid.round);
+            if (rb <= lastApplied[s]) {
+                // A retransmit or duplicate of an aggregate the
+                // table already reflects.
                 if (inst)
-                    inst->quorumCollapses->add();
-                obs::recordDegraded(
-                    {"barrier", obs::DegradedReason::QuorumFloor, g,
-                     usable, staleServed});
-                emitRoundSpan();
-                break;
+                    inst->dupSuppressed->add();
+                continue;
             }
-            const obs::DegradedReason reason =
-                partitionHit ? obs::DegradedReason::Partition
-                             : obs::DegradedReason::DeadlineExpired;
-            ++result.net.degradedRounds;
-            result.net.staleBidRounds += staleServed;
-            if (reason == obs::DegradedReason::Partition)
-                result.net.partitionDegraded = true;
-            if (inst) {
-                inst->degradedRounds->add();
-                inst->staleBidRounds->add(staleServed);
-            }
-            obs::recordDegraded({"barrier", reason, g, usable,
-                                 staleServed});
-        }
-
-        {
-            obs::ScopedTimer prices_timer(prices_hist);
-            detail::foldPriceTable(table, blockCount, kernel,
-                                   new_prices);
-        }
-        if (spans)
-            obs::SpanEvent(*spans, "fold",
-                           obs::spanId(obs::SpanKind::Fold, roundId,
-                                       g),
-                           roundId, roundEnd, roundEnd)
-                .field("round", g);
-
-        detail::checkRoundInvariants(market, kernel, new_prices,
-                                     result.bids);
-
-        const double max_delta =
-            detail::maxPriceDelta(result.prices, new_prices, m);
-        result.prices = new_prices;
-        result.iterations = it + 1;
-        if (opts.trackHistory)
-            result.priceDeltaHistory.push_back(max_delta);
-        if (auto *sink = obs::traceSink()) {
-            obs::TraceEvent(*sink, "bidding_iter")
-                .field("iter", it + 1)
-                .field("max_delta", max_delta)
-                .field("lost_messages", round_lost_message);
-        }
-        emitRoundSpan();
-        // Degraded rounds never count as convergence: stale shards
-        // haven't responded to these prices yet, so apparent
-        // stillness proves nothing (same reasoning as lost bid
-        // messages in the in-process solver).
-        if (max_delta < opts.priceTolerance && !round_lost_message &&
-            roundFresh) {
-            result.converged = true;
-            break;
-        }
-
-        if (anytime) {
-            bool positive = true;
-            for (double p : new_prices) {
-                if (!(p > 0.0)) {
-                    positive = false;
+            for (const net::BlockPartial &p : msg.bid.partials)
+                table[p.block * m + p.server] = p.partial;
+            lastApplied[s] = rb;
+            if (rb == static_cast<std::int64_t>(g)) {
+                ++freshCount;
+                if (freshCount == S) {
+                    closeTick = d.at;
+                    roundFresh = true;
+                    closerShard = s;
+                    closeSentAt = d.sentAt;
                     break;
                 }
             }
-            // Only fresh rounds are anytime candidates: a degraded
-            // round's prices come from a table the local bids have
-            // partly outrun, and the restored pair must be
-            // consistent.
-            if (positive && roundFresh && max_delta < best_delta) {
-                best_delta = max_delta;
-                best_bids = kernel.bids;
-                best_prices = new_prices;
-            }
-            const bool expired =
-                opts.deadline.iterationBudget > 0 &&
-                it + 1 >= opts.deadline.iterationBudget;
-            if (expired) {
-                kernel.bids = std::move(best_bids);
-                result.prices = std::move(best_prices);
-                result.deadlineExpired = true;
-                if (auto *sink = obs::traceSink()) {
-                    obs::TraceEvent(*sink, "deadline_expired")
-                        .field("iter", it + 1)
-                        .field("best_delta", best_delta);
-                }
-                break;
-            }
+            continue;
+        }
+
+        if (timerEligible) {
+            const RetransmitTimer t = timers[static_cast<std::size_t>(ti)];
+            timers.erase(timers.begin() + ti);
+            // Cancelled if the shard had already heard a newer
+            // price by the time this timer fires.
+            const bool cancelled =
+                lastPriceRound[t.shard] >
+                    static_cast<std::int64_t>(t.round) &&
+                priceTickLatest[t.shard] <= t.tick;
+            if (cancelled)
+                continue;
+            net::Message re = lastBid[t.shard];
+            re.attempt = t.attempt;
+            transport.send(std::move(re), net::bidEdge(t.shard), t.shard,
+                           t.round, g, t.tick);
+            ++stats.retransmits;
+            if (inst)
+                inst->retransmits->add();
+            continue;
+        }
+        break; // Nothing left inside this round's window.
+    }
+    clock.advanceTo(roundFresh ? closeTick : deadlineTick);
+
+    // Drop timers that can never fire (their shard already moved
+    // on) so the pending set stays bounded.
+    timers.erase(std::remove_if(timers.begin(), timers.end(),
+                                [&](const RetransmitTimer &t) {
+                                    return lastPriceRound[t.shard] >
+                                               static_cast<std::int64_t>(
+                                                   t.round) &&
+                                           priceTickLatest[t.shard] <=
+                                               t.tick;
+                                }),
+                 timers.end());
+
+    // Barrier resolution: quorum accounting and degraded-round
+    // bookkeeping. Unreachable when the network is sound (every
+    // round is fresh), so none of it can perturb the bridge.
+    std::uint64_t usable = 0;
+    for (std::size_t s = 0; s < S; ++s) {
+        if (static_cast<std::int64_t>(g) - lastApplied[s] <=
+            static_cast<std::int64_t>(sharded.maxStaleRounds))
+            ++usable;
+    }
+    minQuorum = std::min(minQuorum, usable);
+    if (inst)
+        inst->quorum->record(static_cast<double>(usable));
+
+    const std::uint64_t staleServed =
+        static_cast<std::uint64_t>(S) - freshCount;
+    bool partitionHit = false;
+    if (!roundFresh) {
+        for (std::size_t s = 0; s < S; ++s) {
+            if (lastApplied[s] < static_cast<std::int64_t>(g) &&
+                model.partitioned(s, g))
+                partitionHit = true;
         }
     }
 
-    result.net.minQuorum = minQuorum;
-    sess->ticks = clock.now();
-    sess->globalRound =
-        base + static_cast<std::uint64_t>(result.iterations);
+    // Critical-path attribution. A fresh round's latency is the
+    // closing chain itself: price transit to the closing shard,
+    // retransmit backoff until the winning bid copy left, and
+    // that copy's transit back — three legs that sum to
+    // closeTick - T exactly (compute is instantaneous in virtual
+    // time). A degraded or collapsed round waited out the whole
+    // barrier window instead: charged to partition wait when a
+    // scheduled partition silenced a missing shard, else to
+    // quorum wait.
+    roundEnd = roundFresh ? closeTick : deadlineTick;
+    const net::Ticks latency = roundEnd - T;
+    cDelay = 0;
+    cRetransmit = 0;
+    cPartition = 0;
+    cQuorum = 0;
+    if (roundFresh) {
+        const net::Ticks priceAt = priceTickLatest[closerShard];
+        cDelay = (priceAt - T) + (closeTick - closeSentAt);
+        cRetransmit = closeSentAt - priceAt;
+    } else if (partitionHit) {
+        cPartition = latency;
+    } else {
+        cQuorum = latency;
+    }
+    stats.latencyTicks += latency;
+    stats.delayTicks += cDelay;
+    stats.retransmitTicks += cRetransmit;
+    stats.partitionWaitTicks += cPartition;
+    stats.quorumWaitTicks += cQuorum;
 
-    detail::recordSolveEnd(result, lost_messages);
-    detail::unflattenBids(kernel, result.bids);
-    // The final state is consistent (x = b / p clears capacity) only
-    // when it came from a fully fresh round: a restored anytime
-    // snapshot, or a final round where every aggregate arrived.
-    const bool consistent =
-        result.deadlineExpired || (roundFresh && !collapsed);
-    detail::finalizeAllocation(market, result, consistent);
-    return result;
+    if (spans) {
+        obs::SpanEvent(*spans, "barrier", barrierId, roundId, T, roundEnd)
+            .field("round", g)
+            .field("deadline", deadlineTick)
+            .field("fresh", freshCount)
+            .field("quorum", usable);
+    }
+
+    if (!roundFresh) {
+        if (usable < quorumMin) {
+            stats.quorumCollapsed = true;
+            if (inst)
+                inst->quorumCollapses->add();
+            obs::recordDegraded({"barrier", obs::DegradedReason::QuorumFloor,
+                                 g, usable, staleServed});
+            emitRoundSpan();
+            return {false, true};
+        }
+        const obs::DegradedReason reason =
+            partitionHit ? obs::DegradedReason::Partition
+                         : obs::DegradedReason::DeadlineExpired;
+        ++stats.degradedRounds;
+        stats.staleBidRounds += staleServed;
+        if (reason == obs::DegradedReason::Partition)
+            stats.partitionDegraded = true;
+        if (inst) {
+            inst->degradedRounds->add();
+            inst->staleBidRounds->add(staleServed);
+        }
+        obs::recordDegraded({"barrier", reason, g, usable, staleServed});
+    }
+
+    {
+        obs::ScopedTimer prices_timer(pricesHist);
+        foldPriceTable(table, blockCount, kernel, newPrices);
+    }
+    if (spans)
+        obs::SpanEvent(*spans, "fold",
+                       obs::spanId(obs::SpanKind::Fold, roundId, g),
+                       roundId, roundEnd, roundEnd)
+            .field("round", g);
+    return {roundFresh, false};
 }
 
-} // namespace amdahl::core
+void
+ShardedExchange::emitRoundSpan() const
+{
+    if (!spans)
+        return;
+    const net::Ticks latency = roundEnd - T;
+    obs::SpanCause cause = obs::SpanCause::Compute;
+    if (latency > 0) {
+        if (cPartition > 0)
+            cause = obs::SpanCause::PartitionWait;
+        else if (cQuorum > 0)
+            cause = obs::SpanCause::QuorumWait;
+        else if (cRetransmit > cDelay)
+            cause = obs::SpanCause::Retransmit;
+        else
+            cause = obs::SpanCause::NetDelay;
+    }
+    obs::SpanEvent(*spans, "round", roundId, roundParent, T, roundEnd)
+        .field("round", g)
+        .field("fresh", roundFresh)
+        .field("closer", closerShard)
+        .field("cause", obs::toString(cause))
+        .field("ticks", latency)
+        .field("c_compute", std::uint64_t{0})
+        .field("c_delay", cDelay)
+        .field("c_retransmit", cRetransmit)
+        .field("c_partition", cPartition)
+        .field("c_quorum", cQuorum);
+}
+
+void
+ShardedExchange::finish(int iterations)
+{
+    stats.minQuorum = minQuorum;
+    sess->ticks = clock.now();
+    sess->globalRound = base + static_cast<std::uint64_t>(iterations);
+}
+
+} // namespace amdahl::core::detail

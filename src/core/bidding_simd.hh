@@ -137,9 +137,10 @@ bidKernelMode()
 /**
  * The Synchronous bid update for users [ulo, uhi) against the same
  * posted prices — the one dispatch point between the scalar and SIMD
- * kernels, shared by the in-process and sharded solvers. Both sides
- * are bit-identical, so the mode is a performance knob in the same
- * sense as the thread count.
+ * kernels, used by the in-process price exchange (the sharded one
+ * updates user by user: a chunk may span shards with different posted
+ * prices). Both sides are bit-identical, so the mode is a performance
+ * knob in the same sense as the thread count.
  */
 inline void
 updateUsersRange(BidKernel &kernel, std::size_t ulo, std::size_t uhi,

@@ -904,34 +904,28 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         }
     }
 
-    const auto result = [&] {
-        if (opts_.net.enabled() || delta) {
-            // Sharded clearing over the simulated network (the
-            // transport session rides in the run state so recovery
-            // resumes on the same network timeline), and/or the delta
-            // re-clearing plumbing. The kernel cache lives in the run
-            // state but is never serialized: a recovered run rebuilds
-            // it and stays on the original's trajectory.
-            core::ClearingContext ctx;
-            ctx.transport = transport;
-            if (opts_.net.enabled()) {
-                ctx.sharding = &opts_.net;
-                ctx.session = &s.net;
-            }
-            if (!warm.empty())
-                ctx.initialBids = &warm;
-            if (opts_.delta.reuseKernel) {
-                if (!s.kernelCache) {
-                    s.kernelCache =
-                        std::make_shared<core::KernelCache>();
-                }
-                ctx.kernelCache = s.kernelCache.get();
-            }
-            return policy.allocate(market, ctx);
-        }
-        return faulty ? policy.allocate(market, transport)
-                      : policy.allocate(market);
-    }();
+    // One clearing context for every policy: the bid-loss model, plus
+    // sharded clearing over the simulated network (the transport
+    // session rides in the run state so recovery resumes on the same
+    // network timeline) and the delta re-clearing plumbing when on.
+    // The kernel cache lives in the run state but is never serialized:
+    // a recovered run rebuilds it and stays on the original's
+    // trajectory. Policies that clear no network forward to their
+    // faults overload (AllocationPolicy's default).
+    core::ClearingContext ctx;
+    ctx.transport = transport;
+    if (opts_.net.enabled()) {
+        ctx.sharding = &opts_.net;
+        ctx.session = &s.net;
+    }
+    if (!warm.empty())
+        ctx.initialBids = &warm;
+    if (opts_.delta.reuseKernel) {
+        if (!s.kernelCache)
+            s.kernelCache = std::make_shared<core::KernelCache>();
+        ctx.kernelCache = s.kernelCache.get();
+    }
+    const auto result = policy.allocate(market, ctx);
 
     // Record the equilibrium bids for the next epoch's warm start.
     // Shape-guarded: fallback rungs (proportional share) and

@@ -20,15 +20,18 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hh"
 #include "common/random.hh"
 #include "core/bidding.hh"
 #include "core/market.hh"
 #include "exec/parallelism.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
 #include "obs/trace.hh"
 
 namespace amdahl::core {
@@ -230,6 +233,85 @@ TEST(BiddingDeterminism, MetricsAreThreadCountIndependentModuloSteal)
     for (int threads : {2, 8})
         EXPECT_EQ(counterSamples(threads), reference)
             << "counters diverged at " << threads << " threads";
+}
+
+/**
+ * CRC-32 of a solve's trace (spans on) and of its result state, at
+ * @p threads. Compared against digests recorded from an earlier build,
+ * these pin the solver's bytes across refactors, not just against the
+ * same build at another thread count.
+ */
+std::pair<std::uint32_t, std::uint32_t>
+pinnedDigests(int threads, const FisherMarket &market,
+              const BiddingOptions &opts)
+{
+    const bool previous = obs::setSpanTracingEnabled(true);
+    std::ostringstream os;
+    BiddingResult r;
+    {
+        obs::TraceSink sink(os);
+        obs::TraceGuard guard(sink);
+        r = solveAt(threads, market, opts);
+    }
+    obs::setSpanTracingEnabled(previous);
+    Crc32 state;
+    state.updateU64(static_cast<std::uint64_t>(r.iterations));
+    state.updateU32(r.converged ? 1 : 0);
+    state.updateU32(r.deadlineExpired ? 1 : 0);
+    state.updateU64(static_cast<std::uint64_t>(r.accelAccepted));
+    state.updateU64(static_cast<std::uint64_t>(r.accelRejected));
+    for (double p : r.prices)
+        state.updateF64(p);
+    for (std::size_t i = 0; i < r.bids.size(); ++i) {
+        state.updateU64(r.bids[i].size());
+        for (std::size_t k = 0; k < r.bids[i].size(); ++k) {
+            state.updateF64(r.bids[i][k]);
+            state.updateF64(r.allocation[i][k]);
+        }
+    }
+    return {crc32(os.str()), state.value()};
+}
+
+void
+expectPinned(int threads, const FisherMarket &market,
+             const BiddingOptions &opts, std::uint32_t trace,
+             std::uint32_t state, const std::string &what)
+{
+    const auto [gotTrace, gotState] =
+        pinnedDigests(threads, market, opts);
+    EXPECT_EQ(gotTrace, trace)
+        << what << ": trace crc 0x" << std::hex << gotTrace;
+    EXPECT_EQ(gotState, state)
+        << what << ": state crc 0x" << std::hex << gotState;
+}
+
+TEST(BiddingDeterminism, LossySchedulesMatchPinnedBytes)
+{
+    const auto market = testMarket();
+    BiddingOptions sync;
+    sync.transport.lossRate = 0.25;
+    sync.transport.seed = 0x91;
+    sync.deadline.iterationBudget = 60;
+    BiddingOptions gs = sync;
+    gs.schedule = UpdateSchedule::GaussSeidel;
+    for (int threads : {1, 4}) {
+        const std::string at = " threads=" + std::to_string(threads);
+        expectPinned(threads, market, sync, 0x44226f97u, 0x3226401du,
+                     "lossy synchronous" + at);
+        expectPinned(threads, market, gs, 0x3bf1dcddu, 0x69bf8648u,
+                     "lossy gauss-seidel" + at);
+    }
+}
+
+TEST(BiddingDeterminism, AcceleratedSolveMatchesPinnedBytes)
+{
+    const auto market = testMarket();
+    BiddingOptions opts;
+    opts.accel.enabled = true;
+    for (int threads : {1, 4}) {
+        expectPinned(threads, market, opts, 0x107c5da6u, 0x1781c531u,
+                     "accel threads=" + std::to_string(threads));
+    }
 }
 
 TEST(BiddingDeterminism, KernelMatchesUpdateUserBidsExactly)

@@ -19,12 +19,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hh"
 #include "common/random.hh"
 #include "core/bidding.hh"
+#include "core/bidding_kernel.hh"
 #include "core/market.hh"
 #include "exec/parallelism.hh"
 #include "net/options.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
 #include "obs/trace.hh"
 
 namespace amdahl::core {
@@ -41,6 +44,20 @@ class ThreadGuard
 
   private:
     int previous_;
+};
+
+/** Scoped span-tracing switch; restores the previous setting. */
+class SpanGuard
+{
+  public:
+    explicit SpanGuard(bool on) : previous_(obs::setSpanTracingEnabled(on))
+    {}
+    ~SpanGuard() { obs::setSpanTracingEnabled(previous_); }
+    SpanGuard(const SpanGuard &) = delete;
+    SpanGuard &operator=(const SpanGuard &) = delete;
+
+  private:
+    bool previous_;
 };
 
 /** Nine price blocks, so an eight-shard split is genuinely uneven. */
@@ -143,6 +160,53 @@ observe(const FisherMarket &market, const BiddingOptions &opts,
     out.trace = traceStream.str();
     out.metrics = comparableMetrics();
     return out;
+}
+
+/** CRC-32 of a solve's trace bytes and of its result state. */
+struct Pin
+{
+    std::uint32_t trace = 0;
+    std::uint32_t state = 0;
+};
+
+Pin
+pinOf(const Observed &run)
+{
+    const BiddingResult &r = run.result;
+    Crc32 state;
+    state.updateU64(static_cast<std::uint64_t>(r.iterations));
+    state.updateU32(r.converged ? 1 : 0);
+    state.updateU32(r.deadlineExpired ? 1 : 0);
+    for (double p : r.prices)
+        state.updateF64(p);
+    for (std::size_t i = 0; i < r.bids.size(); ++i) {
+        state.updateU64(r.bids[i].size());
+        for (std::size_t k = 0; k < r.bids[i].size(); ++k) {
+            state.updateF64(r.bids[i][k]);
+            state.updateF64(r.allocation[i][k]);
+        }
+    }
+    const NetOutcomeStats &net = r.net;
+    for (std::uint64_t v :
+         {net.degradedRounds, net.staleBidRounds, net.retransmits,
+          net.healedReentries, net.minQuorum, net.latencyTicks,
+          net.delayTicks, net.retransmitTicks, net.partitionWaitTicks,
+          net.quorumWaitTicks})
+        state.updateU64(v);
+    state.updateU32(net.partitionDegraded ? 1 : 0);
+    state.updateU32(net.quorumCollapsed ? 1 : 0);
+    return {crc32(run.trace), state.value()};
+}
+
+/** Compare a run against digests recorded from an earlier build. */
+void
+expectPinned(const Observed &run, Pin expected, const std::string &what)
+{
+    const Pin got = pinOf(run);
+    EXPECT_EQ(got.trace, expected.trace)
+        << what << ": trace crc 0x" << std::hex << got.trace;
+    EXPECT_EQ(got.state, expected.state)
+        << what << ": state crc 0x" << std::hex << got.state;
 }
 
 TEST(ShardedBridge, SoundNetworkReproducesInProcessByteForByte)
@@ -263,6 +327,96 @@ TEST(ShardedBridge, ShardCountIsAResultsKnobOnlyUnderFaults)
               true)
         << "different shard counts under loss should see different "
            "networks";
+}
+
+TEST(ShardedBridge, KernelCacheReachesShardedClearing)
+{
+    // Two consecutive sound solves through one kernel cache, the
+    // second after a value-only change: sharded clearing reuses and
+    // patches the cached kernel exactly as in-process clearing does,
+    // byte for byte, counters included.
+    const auto first = bridgeMarket(96, 8);
+    FisherMarket second(first.capacities());
+    for (std::size_t i = 0; i < first.userCount(); ++i) {
+        MarketUser user = first.user(i);
+        if (i % 7 == 0) {
+            user.budget *= 1.5;
+            user.jobs.front().parallelFraction *= 0.9;
+        }
+        second.addUser(std::move(user));
+    }
+    net::ShardedOptions sharded;
+    sharded.shards = 2;
+
+    KernelCache inProcess;
+    KernelCache overShards;
+    BiddingOptions opts;
+    const FisherMarket *markets[] = {&first, &second};
+    for (const FisherMarket *market : markets) {
+        opts.kernelCache = &inProcess;
+        const Observed reference = observe(*market, opts, nullptr, 1);
+        opts.kernelCache = &overShards;
+        const Observed run = observe(*market, opts, &sharded, 4);
+        expectIdentical(run.result, reference.result, "cached");
+        EXPECT_EQ(run.trace, reference.trace);
+        EXPECT_EQ(run.metrics, reference.metrics);
+    }
+    EXPECT_EQ(overShards.rebuilds, 1u);
+    EXPECT_EQ(overShards.reuses, 1u);
+    EXPECT_EQ(overShards.patchedUsers, inProcess.patchedUsers);
+    EXPECT_GT(overShards.patchedUsers, 0u);
+    EXPECT_EQ(obs::metrics().counter("bidding.kernel_reuses").value(),
+              1u);
+}
+
+TEST(ShardedBridge, FaultedBudgetedRunMatchesPinnedBytes)
+{
+    // Every fault the protocol models at once — loss, duplication,
+    // delay and a scheduled partition — plus per-user bid loss, under
+    // an anytime budget, with spans on. The digests were recorded from an earlier build, so
+    // they pin the protocol's bytes across refactors, not just against
+    // the same build at another thread count.
+    SpanGuard spansOn(true);
+    const auto market = bridgeMarket();
+    BiddingOptions opts;
+    opts.deadline.iterationBudget = 40;
+    opts.transport.lossRate = 0.05;
+    opts.transport.seed = 3;
+    net::ShardedOptions sharded;
+    sharded.shards = 4;
+    sharded.faults.lossRate = 0.1;
+    sharded.faults.duplicationRate = 0.1;
+    sharded.faults.delayMin = 1;
+    sharded.faults.delayMax = 6;
+    sharded.faults.seed = 91;
+    sharded.partitions = {{2, 3, 9}};
+    for (int threads : {1, 4}) {
+        const Observed run = observe(market, opts, &sharded, threads);
+        EXPECT_GT(run.result.net.degradedRounds, 0u);
+        EXPECT_TRUE(run.result.net.partitionDegraded);
+        expectPinned(run, {0xee5974afu, 0xbf9d004au},
+                     "faulted threads=" + std::to_string(threads));
+    }
+}
+
+TEST(ShardedBridge, CollapsedQuorumMatchesPinnedBytes)
+{
+    // A full quorum floor and a shard silenced from round 3 on: the
+    // solve clears a few fresh rounds, then aborts on the collapse.
+    SpanGuard spansOn(true);
+    const auto market = bridgeMarket(96, 8);
+    BiddingOptions opts;
+    net::ShardedOptions sharded;
+    sharded.shards = 3;
+    sharded.quorumFloor = 1.0;
+    sharded.faults.delayMin = 1;
+    sharded.faults.delayMax = 3;
+    sharded.faults.seed = 5;
+    sharded.partitions = {{1, 3, 1000}};
+    const Observed run = observe(market, opts, &sharded, 2);
+    EXPECT_TRUE(run.result.net.quorumCollapsed);
+    EXPECT_FALSE(run.result.converged);
+    expectPinned(run, {0x69a0c329u, 0xc866d031u}, "collapsed");
 }
 
 } // namespace
