@@ -7,11 +7,11 @@
  * users (the datacenter regime of the paper's title — populations far
  * past the 40-1000 users of Section VI):
  *
- *  - `scaling_users`: fixed-iteration clearing throughput and
- *    ns/bid-update of the scalar reference kernel vs the AVX2 kernel
- *    (when compiled in and supported by the host), with a bitwise
- *    identity verdict — the SIMD path must reproduce the scalar
- *    prices, bids, and allocations byte for byte.
+ *  - `scaling_users`: ns/bid-update of the scalar reference kernel
+ *    vs the AVX2 kernel (when the host supports it), with a bitwise
+ *    identity verdict — the SIMD kernel must reproduce the scalar
+ *    bids byte for byte — and one full fixed-iteration solve per
+ *    size through the kernel the CPU picks.
  *  - `scaling_accel`: rounds to equilibrium of plain proportional
  *    response vs the Anderson-accelerated solver on contended
  *    markets. Round counts are deterministic (no timing).
@@ -23,10 +23,6 @@
  *  - `scaling_roofline`: analytic bytes and flops per bid-update vs
  *    the achieved GB/s and GFLOP/s of the best kernel — a loose
  *    sanity bound, not a gated measurement.
- *
- * A grain sweep (`scaling_grain`) rides along: the per-chunk user
- * count is a performance knob (exec::setBidUpdateGrain), never a
- * semantic one, so every grain must produce byte-identical results.
  *
  * Scale knobs: AMDAHL_BENCH_SCALING_ITERS, AMDAHL_BENCH_REPS, and
  * AMDAHL_BENCH_SCALING_BIG=1 to add the 10^6-user point (seconds per
@@ -157,8 +153,7 @@ main()
     if (bench::envInt("AMDAHL_BENCH_SCALING_BIG", 0) > 0)
         sizes.push_back(1'000'000);
 
-    const bool simd_available =
-        core::kSimdKernelCompiled && core::simdKernelSupported();
+    const bool simd_available = core::detail::simdKernelSupported();
     const int previous_threads = exec::setThreadCount(1);
     bool all_identical = true;
 
@@ -191,29 +186,32 @@ main()
 
         // The bid-update phase in isolation: the solver's exact call
         // pattern (chunks of kUserGrain users against fixed posted
-        // prices), minus the price gather and convergence test that
-        // are byte-for-byte the same code in both rows. Bids restart
-        // from the even split before every rep so each rep performs
-        // identical work.
-        auto kernel = core::detail::buildKernel(market);
+        // prices), minus the price gather and convergence test. Each
+        // row drives one kernel directly, so neither depends on the
+        // CPU's pick. Bids restart from the even split before every
+        // rep so each rep performs identical work, and both kernels
+        // end on the same rounds — their bids must then agree bit
+        // for bit.
+        const auto built = core::detail::buildKernel(market);
         core::JobMatrix seed_bids;
         core::detail::initializeBids(market, opts, seed_bids);
-        core::detail::flattenBids(seed_bids, kernel);
-        std::vector<double> posted(kernel.serverCount);
-        core::detail::gatherPrices(kernel, posted);
-        const std::size_t n = kernel.userCount;
+        std::vector<double> posted(built.serverCount);
+        {
+            auto seeded = built;
+            core::detail::flattenBids(seed_bids, seeded);
+            core::detail::gatherPrices(seeded, posted);
+        }
+        const std::size_t n = built.userCount;
         const std::size_t grain = core::detail::kUserGrain;
-        auto update_seconds = [&](int run_reps) {
+        auto update_seconds = [&](core::detail::BidKernel &kernel,
+                                  auto &&update_chunk) {
             double best = 0.0;
-            for (int r = 0; r < run_reps; ++r) {
+            for (int r = 0; r < reps; ++r) {
                 core::detail::flattenBids(seed_bids, kernel);
                 const auto start = std::chrono::steady_clock::now();
                 for (int it = 0; it < iterations; ++it) {
-                    for (std::size_t u = 0; u < n; u += grain) {
-                        core::detail::updateUsersRange(
-                            kernel, u, std::min(n, u + grain), posted,
-                            opts.damping);
-                    }
+                    for (std::size_t u = 0; u < n; u += grain)
+                        update_chunk(kernel, u, std::min(n, u + grain));
                 }
                 const double seconds =
                     std::chrono::duration<double>(
@@ -225,13 +223,18 @@ main()
             return best;
         };
 
-        core::BiddingResult reference;
-        core::setBidKernelMode(core::BidKernelMode::Scalar);
-        const double scalar_update = update_seconds(reps);
-        const double scalar_solve =
-            bestSeconds(reps, reference, [&] {
-                return core::solveAmdahlBidding(market, opts);
+        auto scalar_kernel = built;
+        const double scalar_update = update_seconds(
+            scalar_kernel, [&](core::detail::BidKernel &kernel,
+                               std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i)
+                    core::detail::updateOneUser(kernel, i, posted,
+                                                opts.damping);
             });
+        core::BiddingResult solved;
+        const double solve_seconds = bestSeconds(reps, solved, [&] {
+            return core::solveAmdahlBidding(market, opts);
+        });
         kernels.beginRow()
             .cell(users)
             .cell("scalar")
@@ -239,19 +242,20 @@ main()
             .cell(scalar_update * 1e9 / updates, 2)
             .cell(updates / scalar_update / 1e6, 1)
             .cell(1.0, 2)
-            .cell(scalar_solve * 1e3, 2)
+            .cell(solve_seconds * 1e3, 2)
             .cell("ref");
         double best_seconds = scalar_update;
 
         if (simd_available) {
-            core::BiddingResult simd_result;
-            core::setBidKernelMode(core::BidKernelMode::Simd);
-            const double simd_update = update_seconds(reps);
-            const double simd_solve =
-                bestSeconds(reps, simd_result, [&] {
-                    return core::solveAmdahlBidding(market, opts);
+            auto simd_kernel = built;
+            const double simd_update = update_seconds(
+                simd_kernel, [&](core::detail::BidKernel &kernel,
+                                 std::size_t lo, std::size_t hi) {
+                    core::detail::updateUsersRangeSimd(
+                        kernel, lo, hi, posted, opts.damping);
                 });
-            const bool identical = sameResult(simd_result, reference);
+            const bool identical =
+                simd_kernel.bids == scalar_kernel.bids;
             all_identical = all_identical && identical;
             kernels.beginRow()
                 .cell(users)
@@ -260,27 +264,26 @@ main()
                 .cell(simd_update * 1e9 / updates, 2)
                 .cell(updates / simd_update / 1e6, 1)
                 .cell(scalar_update / simd_update, 2)
-                .cell(simd_solve * 1e3, 2)
+                .cell("-")
                 .cell(identical ? "yes" : "NO");
             best_seconds = std::min(best_seconds, simd_update);
         }
-        core::setBidKernelMode(core::BidKernelMode::Auto);
         best_update_ns.push_back(best_seconds * 1e9 / updates);
     }
     bench::emitTable(kernels, "scaling_users");
     std::cout << "\nns/bid-update counts one proportional-response "
-                 "update of one (user, job) bid through the "
-                 "bid-update kernel alone (the solver's chunked call "
-                 "pattern against fixed posted prices); solve (ms) "
-                 "is a full fixed-iteration solve including the "
-                 "price gather and convergence test, which are the "
-                 "same code in both rows. The identity verdict "
-                 "compares full-solve prices, bids, and allocations "
-                 "bit for bit. Best of " << reps << " reps, 1 thread. "
+                 "update of one (user, job) bid through the named "
+                 "kernel alone (the solver's chunked call pattern "
+                 "against fixed posted prices). The identity verdict "
+                 "compares the two kernels' bids after the timed "
+                 "rounds bit for bit. solve (ms) is one full "
+                 "fixed-iteration solve per size, including the "
+                 "price gather and convergence test, through the "
+                 "kernel the CPU picks. Best of " << reps
+              << " reps, 1 thread. "
               << (simd_available
                       ? "SIMD rows use the AVX2 kernel."
-                      : "SIMD kernel not compiled in or not "
-                        "supported by this host; scalar rows only.")
+                      : "This host has no AVX2; scalar rows only.")
               << "\n\n";
     bench::emitJson(kernels, "scaling_users");
 
@@ -475,50 +478,6 @@ main()
     bench::emitTable(roofline, "scaling_roofline");
     std::cout << "\n\n";
     bench::emitJson(roofline, "scaling_roofline");
-
-    // ---- 5. Grain sweep: a performance knob, never a semantic one. -
-    TablePrinter grains;
-    grains.addColumn("grain");
-    grains.addColumn("time (ms)");
-    grains.addColumn("identical", TablePrinter::Align::Left);
-    {
-        const int users = sizes.size() > 1 ? sizes[1] : sizes[0];
-        const auto market = syntheticMarket(
-            users, serversFor(users), jobs_per_user, kSeed + users);
-        core::BiddingOptions opts;
-        opts.priceTolerance = 1e-300;
-        opts.maxIterations = iterations;
-
-        core::BiddingResult reference;
-        for (const std::size_t grain : {std::size_t{32},
-                                        std::size_t{8},
-                                        std::size_t{128},
-                                        std::size_t{512}}) {
-            exec::setBidUpdateGrain(grain);
-            core::BiddingResult result;
-            const double seconds = bestSeconds(reps, result, [&] {
-                return core::solveAmdahlBidding(market, opts);
-            });
-            bool identical = true;
-            if (grain == 32)
-                reference = result;
-            else
-                identical = sameResult(result, reference);
-            all_identical = all_identical && identical;
-            grains.beginRow()
-                .cell(static_cast<long long>(grain))
-                .cell(seconds * 1e3, 2)
-                .cell(grain == 32 ? "ref"
-                                  : (identical ? "yes" : "NO"));
-        }
-        exec::setBidUpdateGrain(0);
-    }
-    bench::emitTable(grains, "scaling_grain");
-    std::cout << "\nEvery users-per-chunk grain must produce "
-                 "byte-identical results (AMDAHL_BID_GRAIN / "
-                 "exec::setBidUpdateGrain is a performance knob "
-                 "only).\n\n";
-    bench::emitJson(grains, "scaling_grain");
 
     exec::setThreadCount(previous_threads);
 

@@ -25,6 +25,24 @@ namespace amdahl::core {
 
 namespace {
 
+/** Anderson's Tikhonov regularization scale for the normal
+ *  equations, relative to the Gram matrix trace. */
+constexpr double kAndersonRidge = 1e-10;
+
+/**
+ * Cap on the l1 norm of Anderson's mixing weights (gamma is rescaled
+ * when it exceeds this). Near the fixed point the residual window
+ * becomes nearly collinear and the unconstrained least-squares
+ * extrapolation factor grows like 1/(1 - rate) — thousands for a
+ * slowly-mixing market — landing the candidate far outside the
+ * locally-linear region, where it is rejected every round and the
+ * acceleration stalls. Bounding the weights trades one giant
+ * (useless) jump for a sequence of large (accepted) ones; empirically
+ * tens of times fewer rounds than plain proportional response on
+ * contended markets.
+ */
+constexpr double kAndersonMaxMixWeight = 30.0;
+
 /**
  * Anderson acceleration state over the proportional-response map
  * (DESIGN.md §16). Keeps up to depth+1 (iterate, update) pairs with
@@ -37,8 +55,6 @@ namespace {
 struct AndersonState
 {
     int depth;
-    double ridge;
-    double maxMixWeight;
     std::deque<std::vector<double>> xs;
     std::deque<std::vector<double>> gs;
     std::deque<std::vector<double>> fs; // residuals g - x
@@ -124,7 +140,7 @@ struct AndersonState
         }
         if (!(trace > 0.0) || !std::isfinite(trace))
             return false;
-        const double reg = ridge * trace;
+        const double reg = kAndersonRidge * trace;
         for (std::size_t a = 0; a < mm; ++a)
             A[a * mm + a] += reg;
 
@@ -168,13 +184,13 @@ struct AndersonState
         // Bounded extrapolation: an ill-conditioned window asks for
         // an enormous jump that overshoots the locally-linear region
         // and gets rejected; a capped jump in the same direction is
-        // accepted and compounds (AccelOptions::maxMixWeight).
+        // accepted and compounds (kAndersonMaxMixWeight).
         double gsum = 0.0;
         for (std::size_t a = 0; a < mm; ++a)
             gsum += std::abs(gamma[a]);
-        if (gsum > maxMixWeight) {
+        if (gsum > kAndersonMaxMixWeight) {
             for (auto &g : gamma)
-                g *= maxMixWeight / gsum;
+                g *= kAndersonMaxMixWeight / gsum;
         }
 
         // out = g_last + sum_i gamma_i (g_i - g_last).
@@ -463,14 +479,6 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
         if (opts.accel.depth < 1 || opts.accel.depth > 8)
             fatal("acceleration depth must be in [1, 8], got ",
                   opts.accel.depth);
-        if (!(opts.accel.ridge >= 0.0) ||
-            !std::isfinite(opts.accel.ridge))
-            fatal("acceleration ridge must be finite and non-negative, "
-                  "got ", opts.accel.ridge);
-        if (!(opts.accel.maxMixWeight > 0.0) ||
-            !std::isfinite(opts.accel.maxMixWeight))
-            fatal("acceleration mix-weight cap must be finite and "
-                  "positive, got ", opts.accel.maxMixWeight);
     }
 
     const std::size_t n = market.userCount();
@@ -547,15 +555,8 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
         lost.assign(n, 0);
     std::uint64_t lost_messages = 0;
 
-    // The user grain is a config/env knob (bench sweeps it); the
-    // price-block size is not, so the canonical fold — and with it
-    // every result byte — is identical at any grain.
-    const std::size_t userGrain =
-        exec::bidUpdateGrain(detail::kUserGrain);
-
     const bool accel = opts.accel.enabled;
-    AndersonState anderson{opts.accel.depth, opts.accel.ridge,
-                           opts.accel.maxMixWeight, {}, {}, {}, {}};
+    AndersonState anderson{opts.accel.depth, {}, {}, {}, {}};
     std::vector<double> accel_prev;
     std::vector<double> accel_mix;
     std::vector<double> accel_candidate;
@@ -639,7 +640,7 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
                     if (accel)
                         accel_prev = kernel.bids;
                     exec::parallelFor(
-                        0, n, userGrain,
+                        0, n, detail::kUserGrain,
                         [&](std::size_t ulo, std::size_t uhi) {
                             if (!lossy) {
                                 detail::updateUsersRange(
@@ -687,7 +688,7 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
                 detail::gatherPrices(kernel, accel_prices);
                 accel_candidate = kernel.bids;
                 exec::parallelFor(
-                    0, n, userGrain,
+                    0, n, detail::kUserGrain,
                     [&](std::size_t ulo, std::size_t uhi) {
                         detail::updateUsersRange(kernel, ulo, uhi,
                                                  accel_prices,

@@ -129,24 +129,6 @@ struct AccelOptions
     /** History window: past (iterate, update) pairs kept, in [1, 8].
      *  The least-squares system has at most this many unknowns. */
     int depth = 3;
-
-    /** Tikhonov regularization scale for the normal equations,
-     *  relative to the Gram matrix trace. */
-    double ridge = 1e-10;
-
-    /**
-     * Cap on the l1 norm of the mixing weights (gamma is rescaled
-     * when it exceeds this). Near the fixed point the residual
-     * window becomes nearly collinear and the unconstrained
-     * least-squares extrapolation factor grows like 1/(1 - rate) —
-     * thousands for a slowly-mixing market — landing the candidate
-     * far outside the locally-linear region, where it is rejected
-     * every round and the acceleration stalls. Bounding the weights
-     * trades one giant (useless) jump for a sequence of large
-     * (accepted) ones; empirically tens of times fewer rounds than
-     * plain proportional response on contended markets.
-     */
-    double maxMixWeight = 30.0;
 };
 
 struct KernelCache;

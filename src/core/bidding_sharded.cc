@@ -46,7 +46,6 @@
 #include "common/logging.hh"
 #include "core/bidding.hh"
 #include "core/bidding_kernel.hh"
-#include "exec/parallelism.hh"
 #include "exec/thread_pool.hh"
 #include "net/fault_model.hh"
 #include "net/options.hh"
@@ -233,16 +232,14 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
             // One fan-out per batch tick, full span, fixed grain:
             // in the sound case the single batch covers every
             // user and this is bit- and task-identical to the
-            // in-process Synchronous update. Same grain source as
-            // the in-process update, so exec.tasks agrees across
-            // the determinism bridge at any AMDAHL_BID_GRAIN
-            // setting. The per-user loop stays scalar: users in one
-            // chunk may sit in different shards with different
-            // posted prices, and both kernels are bit-identical
-            // anyway.
+            // in-process Synchronous update, so exec.tasks agrees
+            // across the determinism bridge. The per-user loop
+            // stays scalar: users in one chunk may sit in different
+            // shards with different posted prices, and both kernels
+            // are bit-identical anyway.
             obs::ScopedTimer update_timer(updateHist);
             exec::parallelFor(
-                0, n, exec::bidUpdateGrain(kUserGrain),
+                0, n, kUserGrain,
                 [&](std::size_t ulo, std::size_t uhi) {
                     for (std::size_t i = ulo; i < uhi; ++i) {
                         if (!mask[i] || (!lost.empty() && lost[i]))

@@ -12,8 +12,9 @@
  * the price fold (untouched; gatherPrices is shared). FMA is
  * deliberately absent from the target attribute — contraction of
  * a*b+c into one rounding *would* change results — and no other
- * translation unit sees AVX2 codegen, so an AMDAHL_SIMD build differs
- * from the default build only inside this file.
+ * translation unit sees AVX2 codegen. Every build compiles this file;
+ * on x86-64 the CPU decides at run time whether the kernel runs, and
+ * elsewhere the file reduces to the scalar loop it stands in for.
  *
  * Shape of the kernel: two passes per chunk, not one fused per-user
  * loop. The propensity pass is purely elementwise, so it spans user
@@ -29,8 +30,9 @@
  * would stream another 16 bytes per job per round through memory
  * (write-allocate plus writeback) for values that are dead
  * microseconds later. The stack buffer is L1-resident between the
- * passes at any realistic chunk grain; oversized chunks spill to
- * kernel.scratch and stay correct.
+ * passes; a chunk of kUserGrain users whose rows average more than
+ * kChunkBuffer / kUserGrain = 64 jobs spills to kernel.scratch and
+ * stays correct.
  *
  * This is the one translation unit allowed to use vector intrinsics
  * (amdahl_lint DET-simd pins the boundary).
@@ -38,10 +40,13 @@
 
 #include "core/bidding_simd.hh"
 
+#include <cstddef>
+
+#if defined(__x86_64__)
+
 #include <immintrin.h>
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 
 #include "common/check.hh"
@@ -54,8 +59,7 @@ static_assert(sizeof(std::uint32_t) == 4,
 bool
 simdKernelSupported()
 {
-    static const bool supported = __builtin_cpu_supports("avx2") != 0;
-    return supported;
+    return __builtin_cpu_supports("avx2") != 0;
 }
 
 namespace {
@@ -127,8 +131,8 @@ updateUsersRangeSimd(BidKernel &kernel, std::size_t ulo,
     const __m256d keep = _mm256_set1_pd(1.0 - damping);
     const __m256d move = _mm256_set1_pd(damping);
 
-    // The chunk's propensity rows: stack-resident unless the chunk is
-    // oversized (a grain override beyond any realistic setting).
+    // The chunk's propensity rows: stack-resident unless the chunk's
+    // rows are wide (more than kChunkBuffer jobs in all).
     const std::size_t jlo = kernel.userOffset[ulo];
     const std::size_t jhi = kernel.userOffset[uhi];
     constexpr std::size_t kChunkBuffer = 2048;
@@ -218,3 +222,27 @@ updateUsersRangeSimd(BidKernel &kernel, std::size_t ulo,
 }
 
 } // namespace amdahl::core::detail
+
+#else // !defined(__x86_64__)
+
+namespace amdahl::core::detail {
+
+bool
+simdKernelSupported()
+{
+    return false;
+}
+
+// Never dispatched here; the scalar loop keeps direct callers correct.
+void
+updateUsersRangeSimd(BidKernel &kernel, std::size_t ulo,
+                     std::size_t uhi,
+                     const std::vector<double> &posted, double damping)
+{
+    for (std::size_t i = ulo; i < uhi; ++i)
+        updateOneUser(kernel, i, posted, damping);
+}
+
+} // namespace amdahl::core::detail
+
+#endif // defined(__x86_64__)

@@ -13,35 +13,6 @@ namespace {
 /** 0 = not yet resolved from the environment. */
 std::atomic<int> configuredThreads{0};
 
-/** 0 = no explicit override; fall through to the environment. */
-std::atomic<std::size_t> configuredBidGrain{0};
-
-/** -1 = environment not yet read; 0 = unset/invalid. */
-std::atomic<long long> envBidGrain{-1};
-
-std::size_t
-resolveBidGrainFromEnvironment()
-{
-    const long long cached = envBidGrain.load(std::memory_order_relaxed);
-    if (cached >= 0)
-        return static_cast<std::size_t>(cached);
-    const char *value = std::getenv("AMDAHL_BID_GRAIN");
-    long long parsed = 0;
-    if (value != nullptr && *value != '\0') {
-        char *end = nullptr;
-        const long long candidate = std::strtoll(value, &end, 10);
-        if (end != nullptr && *end == '\0' && candidate > 0) {
-            parsed = candidate;
-        } else {
-            warn("ignoring invalid AMDAHL_BID_GRAIN='", value,
-                 "' (want a positive integer); using the default "
-                 "grain");
-        }
-    }
-    envBidGrain.store(parsed, std::memory_order_relaxed);
-    return static_cast<std::size_t>(parsed);
-}
-
 int
 resolveFromEnvironment()
 {
@@ -92,48 +63,6 @@ setThreadCount(int n)
         configuredThreads.exchange(effective, std::memory_order_relaxed);
     // A set before the first query reports the default, not "unset".
     return previous > 0 ? previous : 1;
-}
-
-std::size_t
-bidUpdateGrain(std::size_t fallback)
-{
-    const std::size_t explicitGrain =
-        configuredBidGrain.load(std::memory_order_relaxed);
-    if (explicitGrain > 0)
-        return explicitGrain;
-    const std::size_t env = resolveBidGrainFromEnvironment();
-    return env > 0 ? env : fallback;
-}
-
-std::size_t
-setBidUpdateGrain(std::size_t n)
-{
-    return configuredBidGrain.exchange(n, std::memory_order_relaxed);
-}
-
-int
-bidKernelOverride()
-{
-    // -2 = not yet resolved.
-    static std::atomic<int> cached{-2};
-    const int current = cached.load(std::memory_order_relaxed);
-    if (current != -2)
-        return current;
-    const char *value = std::getenv("AMDAHL_KERNEL");
-    int resolved = -1;
-    if (value != nullptr && *value != '\0') {
-        const std::string text(value);
-        if (text == "scalar") {
-            resolved = 0;
-        } else if (text == "simd") {
-            resolved = 1;
-        } else if (text != "auto") {
-            warn("ignoring invalid AMDAHL_KERNEL='", value,
-                 "' (want scalar, simd, or auto)");
-        }
-    }
-    cached.store(resolved, std::memory_order_relaxed);
-    return resolved;
 }
 
 int

@@ -34,7 +34,6 @@
 #ifndef AMDAHL_EXEC_PARALLELISM_HH
 #define AMDAHL_EXEC_PARALLELISM_HH
 
-#include <cstddef>
 #include <string>
 
 namespace amdahl::exec {
@@ -57,35 +56,6 @@ int setThreadCount(int n);
 
 /** @return The hardware concurrency (>= 1 even when unknown). */
 int hardwareThreads();
-
-/**
- * @return The users-per-chunk grain of the Synchronous bid-update
- * fan-out (>= 1). Defaults to @p fallback (the solvers pass their
- * compiled-in constant); AMDAHL_BID_GRAIN overrides it, and
- * setBidUpdateGrain overrides both. Like the thread count this is a
- * *performance* knob, never a results knob: the canonical price fold
- * runs over fixed-size price blocks regardless of the update grain,
- * so bids/prices/allocations are byte-identical at any setting (only
- * the exec.tasks counter shifts away from the default).
- */
-std::size_t bidUpdateGrain(std::size_t fallback);
-
-/**
- * Set the process-wide bid-update grain.
- *
- * @param n Users per chunk; 0 restores the solver default (and
- *          re-enables the AMDAHL_BID_GRAIN override).
- * @return The previous explicit setting (0 = was default).
- */
-std::size_t setBidUpdateGrain(std::size_t n);
-
-/**
- * The AMDAHL_KERNEL environment override for the bid-update kernel,
- * resolved here because exec/ owns environment probes (DET-exec):
- * @return -1 when unset (or unrecognized, with a warning), 0 for
- * "scalar", 1 for "simd". core/bidding_simd.hh interprets the value.
- */
-int bidKernelOverride();
 
 /**
  * Parse a `--threads` style value: a non-negative integer or "auto"

@@ -87,6 +87,36 @@ bridgeMarket(int users = 288, int servers = 12)
     return market;
 }
 
+/**
+ * The kernel suite's ragged market (tests/core/test_bidding_simd.cc,
+ * testMarket(192, 16)): rows of 1-4 jobs, so its update chunks mix
+ * full vectors with scalar tails.
+ */
+FisherMarket
+raggedMarket(int users = 192, int servers = 16)
+{
+    Rng rng(0x51b7d);
+    std::vector<double> capacities(static_cast<std::size_t>(servers),
+                                   16.0);
+    FisherMarket market(std::move(capacities));
+    for (int i = 0; i < users; ++i) {
+        MarketUser user;
+        user.name = "u" + std::to_string(i);
+        user.budget = rng.uniform(0.5, 2.0);
+        const int jobs = 1 + static_cast<int>(rng.uniformInt(0, 3));
+        for (int k = 0; k < jobs; ++k) {
+            JobSpec job;
+            job.server = static_cast<std::size_t>(
+                rng.uniformInt(0, servers - 1));
+            job.parallelFraction = rng.uniform(0.05, 0.999);
+            job.weight = rng.uniform(0.5, 2.0);
+            user.jobs.push_back(job);
+        }
+        market.addUser(std::move(user));
+    }
+    return market;
+}
+
 /** Exact (bitwise) agreement of two bidding results. */
 void
 expectIdentical(const BiddingResult &a, const BiddingResult &b,
@@ -211,30 +241,47 @@ expectPinned(const Observed &run, Pin expected, const std::string &what)
 
 TEST(ShardedBridge, SoundNetworkReproducesInProcessByteForByte)
 {
-    const auto market = bridgeMarket();
-    BiddingOptions opts;
-    const Observed reference = observe(market, opts, nullptr, 1);
-    ASSERT_TRUE(reference.result.converged);
-    EXPECT_NE(reference.trace.find("bidding_iter"), std::string::npos);
+    // The sharded exchange always runs the scalar update, while the
+    // in-process one lets the CPU pick its kernel: on AVX2 hosts each
+    // input is also a whole-solve check that the SIMD kernel
+    // reproduces the scalar one.
+    struct Input
+    {
+        const char *name;
+        FisherMarket market;
+        double damping;
+    };
+    const Input inputs[] = {{"bridge", bridgeMarket(), 1.0},
+                            {"ragged", raggedMarket(), 1.0},
+                            {"ragged damped", raggedMarket(), 0.7}};
+    for (const Input &input : inputs) {
+        const auto &market = input.market;
+        BiddingOptions opts;
+        opts.damping = input.damping;
+        const Observed reference = observe(market, opts, nullptr, 1);
+        ASSERT_TRUE(reference.result.converged) << input.name;
+        EXPECT_NE(reference.trace.find("bidding_iter"),
+                  std::string::npos);
 
-    for (std::size_t shards : {std::size_t{1}, std::size_t{2},
-                               std::size_t{8}}) {
-        net::ShardedOptions sharded;
-        sharded.shards = shards;
-        for (int threads : {1, 8}) {
-            const std::string what = "shards=" +
-                                     std::to_string(shards) +
-                                     " threads=" +
-                                     std::to_string(threads);
-            const Observed run =
-                observe(market, opts, &sharded, threads);
-            expectIdentical(run.result, reference.result, what);
-            EXPECT_EQ(run.trace, reference.trace) << what;
-            EXPECT_EQ(run.metrics, reference.metrics) << what;
-            // Sound-mode invisibility: the simulated network leaves
-            // no metrics footprint at all.
-            EXPECT_EQ(run.metrics.find("net."), std::string::npos)
-                << what;
+        for (std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{8}}) {
+            net::ShardedOptions sharded;
+            sharded.shards = shards;
+            for (int threads : {1, 8}) {
+                const std::string what =
+                    std::string(input.name) +
+                    " shards=" + std::to_string(shards) +
+                    " threads=" + std::to_string(threads);
+                const Observed run =
+                    observe(market, opts, &sharded, threads);
+                expectIdentical(run.result, reference.result, what);
+                EXPECT_EQ(run.trace, reference.trace) << what;
+                EXPECT_EQ(run.metrics, reference.metrics) << what;
+                // Sound-mode invisibility: the simulated network
+                // leaves no metrics footprint at all.
+                EXPECT_EQ(run.metrics.find("net."), std::string::npos)
+                    << what;
+            }
         }
     }
 }

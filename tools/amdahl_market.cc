@@ -104,11 +104,6 @@
  *                            kernels (default 1, or AMDAHL_THREADS;
  *                            "auto" = hardware concurrency). Results
  *                            are byte-identical at any thread count.
- *   --kernel <mode>          Bid-update kernel: scalar, simd, or auto
- *                            (default auto, or AMDAHL_KERNEL). The
- *                            two kernels are bit-identical; asking
- *                            for simd in a build without it (or on a
- *                            CPU without AVX2) is a hard error.
  *
  * `solve` also accepts:
  *
@@ -137,7 +132,6 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/bidding.hh"
-#include "core/bidding_simd.hh"
 #include "core/market_io.hh"
 #include "core/rounding.hh"
 #include "eval/characterization.hh"
@@ -198,8 +192,7 @@ usage()
         << "global flags: [--trace-out path] [--metrics-out path]"
         << " [--timing] [--span-trace]\n"
         << "              [--log-level quiet|warn|info]"
-        << " [--threads n|auto]"
-        << " [--kernel scalar|simd|auto]\n";
+        << " [--threads n|auto]\n";
     return 2;
 }
 
@@ -1130,8 +1123,7 @@ extractGlobalFlags(std::vector<std::string> &raw)
         }
         if (name != "--trace-out" && name != "--metrics-out" &&
             name != "--log-level" && name != "--timing" &&
-            name != "--span-trace" && name != "--threads" &&
-            name != "--kernel") {
+            name != "--span-trace" && name != "--threads") {
             kept.push_back(arg);
             continue;
         }
@@ -1168,16 +1160,6 @@ extractGlobalFlags(std::vector<std::string> &raw)
             // thread count, so this is purely a speed knob.
             try {
                 exec::setThreadCount(exec::parseThreadCount(value));
-            } catch (const FatalError &err) {
-                bad(err.what());
-                return flags;
-            }
-        } else if (name == "--kernel") {
-            // Same contract as --threads: the scalar and SIMD kernels
-            // are bit-identical, so this only moves speed. Asking for
-            // an unavailable SIMD kernel is a configuration error.
-            try {
-                core::setBidKernelMode(core::parseBidKernelMode(value));
             } catch (const FatalError &err) {
                 bad(err.what());
                 return flags;

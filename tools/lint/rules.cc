@@ -60,7 +60,7 @@ const RuleScope kScopeDetUnordered{
 // the bit-identity argument — elementwise correctly-rounded ops, no
 // FMA, serial semantic folds — is written down and tested. An
 // intrinsic anywhere else has no such contract and silently breaks
-// the default build's byte-identity across -DAMDAHL_SIMD values.
+// byte-identity between CPUs with and without AVX2.
 const RuleScope kScopeDetSimd{{"src/", "bench/"},
                               {"src/core/bidding_simd."}};
 const RuleScope kScopeTrustThrow{{"src/", "tools/"},
