@@ -10,8 +10,10 @@ namespace {
 
 /**
  * Emit one xfer span for a message copy. The span covers the wire
- * interval send → arrival ("delivered"/"duplicate"); dropped copies
- * ("lost", "partition_drop") are zero-width at the send tick. The
+ * interval send → arrival; dropped copies ("lost", "partition_drop")
+ * are zero-width at the send tick. Of a duplicated frame's two copies,
+ * the one that arrives first is "delivered" and the other
+ * "duplicate"; the span ID keeps the copy index either way. The
  * (edge, round, attempt) triple in the fields is exactly the fault
  * substream coordinate the NetFaultModel drew from, so the analyzer
  * can replay any realization question offline.
@@ -97,17 +99,23 @@ VirtualTransport::send(Message msg, std::uint64_t edge, std::size_t shard,
     delivery.wire = encodeMessage(msg);
     const std::uint64_t seq = msg.seq;
     const bool dup = model_->duplicated(edge, g, attempt);
+    const Ticks copyAt =
+        dup ? now + model_->duplicateDelay(edge, g, attempt) : delivery.at;
+    // The receiver applies whichever copy arrives first and suppresses
+    // the other, so the outcome labels follow arrival order; at equal
+    // ticks copy 0 pops first, as the heap orders them.
+    const bool copyFirst = copyAt < delivery.at;
     if (spans)
         emitXferSpan(*spans, edge, shard, g, attempt, 0, now,
-                     delivery.at, "delivered");
+                     delivery.at, copyFirst ? "duplicate" : "delivered");
     if (dup) {
         if (inst_)
             inst_->duplicated->add();
         Delivery copy = delivery;
-        copy.at = now + model_->duplicateDelay(edge, g, attempt);
+        copy.at = copyAt;
         if (spans)
             emitXferSpan(*spans, edge, shard, g, attempt, 1, now,
-                         copy.at, "duplicate");
+                         copy.at, copyFirst ? "delivered" : "duplicate");
         enqueue(std::move(copy), seq, 1);
     }
     enqueue(std::move(delivery), seq, 0);

@@ -6,8 +6,8 @@
  * epoch, a fallback-ladder rung, a clearing round, its barrier wait,
  * a compute batch, a price fold, or one message transfer (send →
  * delivery) on a transport edge. Spans form a DAG through parent
- * links, so an analyzer (tools/trace_analyze.py, `amdahl_market trace
- * analyze`) can reconstruct the per-round critical path and attribute
+ * links, so the analyzer (`amdahl_market trace analyze`) can
+ * reconstruct the per-round critical path and attribute
  * every tick of round latency to a cause: compute, network delay,
  * retransmit backoff, partition wait, or quorum wait.
  *

@@ -20,8 +20,10 @@
  *
  * Event schema: every line carries "seq" (monotonic from 1) and "ev"
  * (the event type); remaining fields are per-type. DESIGN.md §10
- * documents the full schema; tools/check_trace_schema.py validates a
- * captured trace against it.
+ * documents the full schema; tools/check_trace_schema.py checks each
+ * line of a captured trace against it, and `amdahl_market trace
+ * analyze` checks the span events across lines. Both read back what
+ * common/json.hh writes.
  */
 
 #ifndef AMDAHL_OBS_TRACE_HH

@@ -8,6 +8,9 @@
  * (profile_*.csv). The contract under test: each produces a
  * *structured* error — classified kind, diagnostic message — and
  * never a crash, an uncaught exception, or a silently accepted value.
+ * The corrupted span traces there (trace_*.jsonl) go through
+ * `amdahl_market trace analyze` instead, as ctest cases defined in
+ * tools/CMakeLists.txt.
  *
  * A prefix-truncation fuzz pass complements the corpus: every byte
  * prefix of a known-good document must either parse cleanly or fail

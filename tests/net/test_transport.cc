@@ -10,14 +10,19 @@
  */
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "net/fault_model.hh"
 #include "net/message.hh"
 #include "net/session.hh"
 #include "net/transport.hh"
+#include "obs/span.hh"
+#include "obs/trace.hh"
 
 namespace amdahl::net {
 namespace {
@@ -200,6 +205,83 @@ TEST(NetTransport, DuplicationEnqueuesACopyWithTheSameSeq)
     EXPECT_EQ(decodeMessage(a.wire).take().seq,
               decodeMessage(b.wire).take().seq);
     EXPECT_LE(a.at, b.at); // delivery order is sorted by arrival
+}
+
+/** The xfer spans one duplicated send emits, parsed, in emission order. */
+std::vector<JsonObject>
+duplicatedSendSpans(const NetFaultModel &model, std::uint64_t round,
+                    Delivery &first)
+{
+    std::ostringstream stream;
+    obs::TraceSink sink(stream);
+    {
+        obs::TraceGuard traceGuard(sink);
+        const bool previous = obs::setSpanTracingEnabled(true);
+        NetSession sess = sessionFor(1);
+        VirtualTransport transport(model, sess, nullptr);
+        transport.send(bidMsg(0, round), bidEdge(0), 0, round, round, 0);
+        obs::setSpanTracingEnabled(previous);
+        EXPECT_TRUE(transport.popNext(100, first));
+    }
+    std::vector<JsonObject> spans;
+    std::istringstream lines(stream.str());
+    for (std::string line; std::getline(lines, line);)
+        spans.push_back(parseJsonObject(line).take());
+    return spans;
+}
+
+TEST(NetTransport, DuplicateLabelsFollowArrivalOrder)
+{
+    // The two copies of a duplicated frame draw independent delays, so
+    // the copy sent second can land first. The receiver applies the
+    // first arrival and suppresses the other, so that copy's span is
+    // the "delivered" one; on a tie the heap pops copy 0 first. Span
+    // IDs keep the copy index.
+    NetFaultOptions dup;
+    dup.duplicationRate = 0.9;
+    dup.delayMin = 1;
+    dup.delayMax = 9;
+    dup.seed = 5;
+    const NetFaultModel model(dup, {});
+    const std::uint64_t edge = bidEdge(0);
+    std::uint64_t overtaken = 0;
+    std::uint64_t tied = 0;
+    for (std::uint64_t g = 1; g < 64 && (overtaken == 0 || tied == 0);
+         ++g) {
+        if (!model.duplicated(edge, g, 0))
+            continue;
+        const Ticks delay = model.delay(edge, g, 0);
+        const Ticks copyDelay = model.duplicateDelay(edge, g, 0);
+        if (copyDelay < delay && overtaken == 0)
+            overtaken = g;
+        if (copyDelay == delay && tied == 0)
+            tied = g;
+    }
+    ASSERT_NE(overtaken, 0u);
+    ASSERT_NE(tied, 0u);
+
+    const auto outcome = [](const JsonObject &span) {
+        return *span.get<std::string>("outcome");
+    };
+    const auto copyId = [&](std::uint64_t g, std::uint64_t copy) {
+        return obs::spanId(obs::SpanKind::Xfer, edge, g, copy);
+    };
+    Delivery first;
+    auto spans = duplicatedSendSpans(model, overtaken, first);
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(*spans[0].get<std::uint64_t>("id"), copyId(overtaken, 0));
+    EXPECT_EQ(outcome(spans[0]), "duplicate");
+    EXPECT_EQ(*spans[1].get<std::uint64_t>("id"), copyId(overtaken, 1));
+    EXPECT_EQ(outcome(spans[1]), "delivered");
+    EXPECT_EQ(*spans[1].get<std::uint64_t>("t1"),
+              model.duplicateDelay(edge, overtaken, 0));
+    EXPECT_EQ(first.at, model.duplicateDelay(edge, overtaken, 0));
+
+    spans = duplicatedSendSpans(model, tied, first);
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(*spans[0].get<std::uint64_t>("id"), copyId(tied, 0));
+    EXPECT_EQ(outcome(spans[0]), "delivered");
+    EXPECT_EQ(outcome(spans[1]), "duplicate");
 }
 
 TEST(NetTransport, FramesSurviveTheWireIntact)

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/random.hh"
 #include "core/bidding.hh"
 #include "core/market.hh"
@@ -110,15 +111,13 @@ spanLines(const std::string &trace)
     return count;
 }
 
-/** Extract an unsigned field from a flat JSON line; -1 if absent. */
+/** An unsigned field of one trace line; -1 if absent. */
 std::int64_t
 fieldOf(const std::string &line, const std::string &key)
 {
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
-        return -1;
-    return std::stoll(line.substr(pos + needle.size()));
+    const auto *value =
+        parseJsonObject(line).take().get<std::uint64_t>(key);
+    return value == nullptr ? -1 : static_cast<std::int64_t>(*value);
 }
 
 TEST(SpanTracing, IdsArePureOddAndCollisionResistant)

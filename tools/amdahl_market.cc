@@ -49,10 +49,15 @@
  *                            --span-trace stream: per-round critical-
  *                            path attribution (compute / net delay /
  *                            retransmit / partition / quorum), round
- *                            latency p50/p99 in ticks, and transfer
- *                            outcome counts. Verifies that per-cause
- *                            ticks sum exactly to each round's
- *                            latency (exit 1 on violation).
+ *                            latency p50/p99/max in ticks, degraded
+ *                            rounds, and transfer outcome counts.
+ *                            Exit 1 on any violation: a line that is
+ *                            not one flat JSON object, a duplicate,
+ *                            orphaned or time-inverted span, a child
+ *                            that begins before its parent, a round
+ *                            whose causes do not sum to its latency,
+ *                            or a fresh round whose charges its
+ *                            transfer spans do not reproduce.
  *       --chrome <path>      Also export Chrome trace_event JSON for
  *                            chrome://tracing / Perfetto.
  *       --seed <n>           Scenario seed (default 0x0517e5).
@@ -98,7 +103,7 @@
  *   --span-trace             Emit causal `span` events (virtual-time
  *                            rounds, barriers, transfers, rungs,
  *                            epochs) into the trace stream for
- *                            `trace analyze` / tools/trace_analyze.py.
+ *                            `trace analyze`.
  *   --log-level <level>      stderr verbosity: quiet, warn, or info.
  *   --threads <n|auto>       Worker threads for the parallel clearing
  *                            kernels (default 1, or AMDAHL_THREADS;
@@ -119,6 +124,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -126,9 +132,12 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "alloc/fallback_policy.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/bidding.hh"
@@ -455,66 +464,169 @@ finishTraceSink(std::optional<obs::TraceSink> &sink,
     return status;
 }
 
-/**
- * One parsed `span` event. The sink emits spans with a fixed flat
- * shape (string name/cause/outcome fields, unsigned numeric fields,
- * no escapes in any enum token), so targeted key extraction is exact
- * without a general JSON parser.
- */
+/** Round-span cost fields, in the order the attribution table prints. */
+constexpr std::array<const char *, 5> kRoundCosts = {
+    "c_compute", "c_delay", "c_retransmit", "c_partition", "c_quorum"};
+constexpr std::array<const char *, 5> kCauseLabels = {
+    "compute", "net_delay", "retransmit", "partition_wait", "quorum_wait"};
+
+/** One `span` event with the fields the analyzer reads, typed. */
 struct SpanRecord
 {
+    int line = 0;
     std::string name;
     std::uint64_t id = 0;
     std::uint64_t parent = 0;
     std::uint64_t t0 = 0;
     std::uint64_t t1 = 0;
-    std::uint64_t round = 0;
-    bool hasRound = false;
-    std::uint64_t shard = 0;
-    bool hasShard = false;
+    std::optional<std::uint64_t> shard;
+    std::optional<std::uint64_t> round;
+    std::optional<std::uint64_t> attempt;
+    std::optional<std::uint64_t> epoch;
     std::string cause;
     std::string outcome;
+    // Round spans only.
+    bool fresh = true;
+    std::uint64_t closer = 0;
     std::uint64_t ticks = 0;
-    std::uint64_t cDelay = 0;
-    std::uint64_t cRetransmit = 0;
-    std::uint64_t cPartition = 0;
-    std::uint64_t cQuorum = 0;
+    std::array<std::uint64_t, kRoundCosts.size()> costs{};
 };
 
-bool
-extractU64(const std::string &line, const std::string &key,
-           std::uint64_t &out)
+/**
+ * Type one parsed span event. Every field the analyzer reads must
+ * have its emitted type, and a round span must carry all of them.
+ */
+Status
+readSpan(const JsonObject &event, int line, SpanRecord &s)
 {
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    std::size_t i = pos + needle.size();
-    if (i >= line.size() || line[i] < '0' || line[i] > '9')
-        return false;
-    std::uint64_t v = 0;
-    while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-        v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-        ++i;
+    std::string_view bad; // first missing or mistyped field
+    const auto u64 = [&](std::string_view key) {
+        const auto *v = event.get<std::uint64_t>(key);
+        if (v == nullptr && bad.empty())
+            bad = key;
+        return v == nullptr ? 0 : *v;
+    };
+    const auto optU64 = [&](std::string_view key) {
+        return event.find(key) == nullptr
+                   ? std::nullopt
+                   : std::optional<std::uint64_t>(u64(key));
+    };
+    const auto text = [&](std::string_view key, bool required) {
+        const auto *v = event.get<std::string>(key);
+        if (v == nullptr && (required || event.find(key) != nullptr) &&
+            bad.empty())
+            bad = key;
+        return v == nullptr ? std::string() : *v;
+    };
+    s.line = line;
+    s.name = text("name", true);
+    s.id = u64("id");
+    s.parent = u64("parent");
+    s.t0 = u64("t0");
+    s.t1 = u64("t1");
+    s.shard = optU64("shard");
+    s.round = optU64("round");
+    s.attempt = optU64("attempt");
+    s.epoch = optU64("epoch");
+    s.outcome = text("outcome", false);
+    if (s.name == "round") {
+        s.cause = text("cause", true);
+        const auto *fresh = event.get<bool>("fresh");
+        if (fresh == nullptr && bad.empty())
+            bad = "fresh";
+        s.fresh = fresh == nullptr || *fresh;
+        s.closer = u64("closer");
+        s.ticks = u64("ticks");
+        for (std::size_t k = 0; k < kRoundCosts.size(); ++k)
+            s.costs[k] = u64(kRoundCosts[k]);
+    } else {
+        s.cause = text("cause", false);
     }
-    out = v;
-    return true;
+    if (!bad.empty())
+        return Status::error(ErrorKind::DomainError, line, "span field \"",
+                             bad, "\" is missing or has the wrong type");
+    return Status::ok();
 }
 
+using SpanChildren =
+    std::unordered_map<std::uint64_t, std::vector<std::size_t>>;
+
+/**
+ * The fresh-round critical-path cross-check. A fresh round's latency
+ * runs along its closing chain: the price broadcast to the closer
+ * shard, then the bid transfer from that shard which closed the
+ * barrier. Some delivered pair of those transfers under the round's
+ * barrier must reproduce the round's c_delay (both transits) and
+ * c_retransmit (the gap between them); otherwise the emitter and the
+ * DAG disagree about what closed the barrier.
+ */
 bool
-extractToken(const std::string &line, const std::string &key,
-             std::string &out)
+closingChainMatches(const SpanRecord &round,
+                    const std::vector<SpanRecord> &spans,
+                    const SpanChildren &children)
 {
-    const std::string needle = "\"" + key + "\":\"";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos)
+    const auto under = [&](std::uint64_t parent, std::string_view name) {
+        std::vector<const SpanRecord *> out;
+        if (const auto it = children.find(parent); it != children.end())
+            for (std::size_t i : it->second)
+                if (spans[i].name == name)
+                    out.push_back(&spans[i]);
+        return out;
+    };
+    const auto closing = [&](const SpanRecord *x) {
+        return x->shard == round.closer && x->outcome == "delivered";
+    };
+    const std::uint64_t delay = round.costs[1];      // c_delay
+    const std::uint64_t retransmit = round.costs[2]; // c_retransmit
+    const auto barriers = under(round.id, "barrier");
+    if (barriers.empty())
         return false;
-    const auto start = pos + needle.size();
-    const auto end = line.find('"', start);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(start, end - start);
-    return true;
+    const auto bids = under(barriers.front()->id, "bid_xfer");
+    for (const SpanRecord *p : under(barriers.front()->id, "price_xfer")) {
+        if (!closing(p) || p->t0 != round.t0)
+            continue;
+        for (const SpanRecord *b : bids)
+            if (closing(b) && b->t1 == round.t1 && b->t0 >= p->t1 &&
+                (p->t1 - p->t0) + (b->t1 - b->t0) == delay &&
+                b->t0 - p->t1 == retransmit)
+                return true;
+    }
+    return false;
+}
+
+/** Write every span as a Chrome trace_event complete ("X") event. */
+bool
+writeChromeTrace(const std::string &path,
+                 const std::vector<SpanRecord> &spans)
+{
+    std::ofstream out(path);
+    out << "{\"traceEvents\":[";
+    bool first = true;
+    for (const SpanRecord &s : spans) {
+        if (!first)
+            out << ",";
+        first = false;
+        out << "{\"name\":" << jsonEscape(s.name)
+            << ",\"cat\":\"amdahl\",\"ph\":\"X\",\"ts\":" << s.t0
+            << ",\"dur\":" << (s.t1 - s.t0) << ",\"pid\":1"
+            << ",\"tid\":" << (s.shard ? *s.shard + 1 : 0)
+            << ",\"args\":{\"id\":\"" << s.id << "\",\"parent\":\""
+            << s.parent << "\"";
+        if (s.round)
+            out << ",\"round\":" << *s.round;
+        if (!s.cause.empty())
+            out << ",\"cause\":" << jsonEscape(s.cause);
+        if (!s.outcome.empty())
+            out << ",\"outcome\":" << jsonEscape(s.outcome);
+        if (s.attempt)
+            out << ",\"attempt\":" << *s.attempt;
+        if (s.epoch)
+            out << ",\"epoch\":" << *s.epoch;
+        out << "}}";
+    }
+    out << "],\"displayTimeUnit\":\"ms\"}\n";
+    out.flush();
+    return out.good();
 }
 
 int
@@ -542,181 +654,160 @@ cmdTraceAnalyze(const std::vector<std::string> &args)
         return 1;
     }
 
+    // Pass one: every line must parse; span events are kept, typed.
+    // Parents may be emitted after their children (a round closes
+    // after its transfers), so every graph check waits for pass two.
+    std::vector<Status> errors;
     std::vector<SpanRecord> spans;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("\"ev\":\"span\"") == std::string::npos)
+    std::string text;
+    for (int line = 1; std::getline(in, text); ++line) {
+        if (text.find_first_not_of(" \t\r") == std::string::npos)
+            continue;
+        auto event = parseJsonObject(text, line);
+        if (!event.ok()) {
+            errors.push_back(event.status());
+            continue;
+        }
+        const auto *ev = event.value().get<std::string>("ev");
+        if (ev == nullptr || *ev != "span")
             continue;
         SpanRecord s;
-        if (!extractToken(line, "name", s.name) ||
-            !extractU64(line, "id", s.id) ||
-            !extractU64(line, "t0", s.t0) ||
-            !extractU64(line, "t1", s.t1)) {
-            std::cerr << "malformed span line: " << line << "\n";
-            return 1;
-        }
-        (void)extractU64(line, "parent", s.parent);
-        s.hasRound = extractU64(line, "round", s.round);
-        s.hasShard = extractU64(line, "shard", s.shard);
-        (void)extractToken(line, "cause", s.cause);
-        (void)extractToken(line, "outcome", s.outcome);
-        (void)extractU64(line, "ticks", s.ticks);
-        (void)extractU64(line, "c_delay", s.cDelay);
-        (void)extractU64(line, "c_retransmit", s.cRetransmit);
-        (void)extractU64(line, "c_partition", s.cPartition);
-        (void)extractU64(line, "c_quorum", s.cQuorum);
-        spans.push_back(std::move(s));
+        if (Status st = readSpan(event.value(), line, s); !st.isOk())
+            errors.push_back(std::move(st));
+        else
+            spans.push_back(std::move(s));
     }
-    if (spans.empty()) {
+    if (errors.empty() && spans.empty()) {
         std::cerr << "no span events in '" << path
                   << "' (captured without --span-trace?)\n";
         return 1;
+    }
+
+    const auto violation = [&](const SpanRecord &s, auto &&...parts) {
+        errors.push_back(
+            Status::error(ErrorKind::SemanticError, s.line, parts...));
+    };
+    std::unordered_map<std::uint64_t, std::size_t> byId;
+    SpanChildren children;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const SpanRecord &s = spans[i];
+        if (s.t0 > s.t1)
+            violation(s, "time inversion: span ", s.id, " has t0 ", s.t0,
+                      " > t1 ", s.t1);
+        if (const auto [first, fresh] = byId.emplace(s.id, i); !fresh)
+            violation(s, "duplicate span id ", s.id, " (first on line ",
+                      spans[first->second].line, ")");
+        children[s.parent].push_back(i);
+    }
+    for (const SpanRecord &s : spans) {
+        if (s.parent == 0)
+            continue;
+        const auto it = byId.find(s.parent);
+        if (it == byId.end())
+            violation(s, "orphaned span ", s.id, ": parent ", s.parent,
+                      " never emitted");
+        else if (spans[it->second].t0 > s.t0)
+            violation(s, "span ", s.id, " begins at t0 ", s.t0,
+                      " before its parent ", s.parent, " at t0 ",
+                      spans[it->second].t0);
     }
 
     // Per-round attribution audit: the per-cause breakdown must sum
     // exactly to the round's virtual-time latency — an analyzer that
     // "mostly" accounts for a round cannot support an SLO post-mortem.
     std::vector<std::uint64_t> latencies;
+    std::array<std::uint64_t, kRoundCosts.size()> totals{};
     std::uint64_t totalTicks = 0;
-    std::uint64_t cDelay = 0;
-    std::uint64_t cRetransmit = 0;
-    std::uint64_t cPartition = 0;
-    std::uint64_t cQuorum = 0;
-    std::uint64_t freshRounds = 0;
-    std::uint64_t sumViolations = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t lost = 0;
-    std::uint64_t partitionDrops = 0;
-    std::uint64_t duplicates = 0;
+    std::uint64_t degraded = 0;
+    std::array<std::uint64_t, 4> transfers{};
+    constexpr std::array<std::string_view, 4> kOutcomes = {
+        "delivered", "lost", "partition_drop", "duplicate"};
     for (const SpanRecord &s : spans) {
-        if (s.t1 < s.t0) {
-            std::cerr << "span " << s.id << " (" << s.name
-                      << ") is time-inverted: t0 " << s.t0 << " > t1 "
-                      << s.t1 << "\n";
-            return 1;
+        if (s.name == "price_xfer" || s.name == "bid_xfer") {
+            const auto k = static_cast<std::size_t>(
+                std::find(kOutcomes.begin(), kOutcomes.end(),
+                          s.outcome) -
+                kOutcomes.begin());
+            if (k == kOutcomes.size())
+                violation(s, "unknown transfer outcome \"", s.outcome,
+                          "\"");
+            else
+                ++transfers[k];
         }
-        if (s.name == "round") {
-            const std::uint64_t latency = s.t1 - s.t0;
-            const std::uint64_t sum =
-                s.cDelay + s.cRetransmit + s.cPartition + s.cQuorum;
-            if (latency != s.ticks || sum != latency) {
-                std::cerr << "round " << s.round
-                          << ": cause ticks sum to " << sum
-                          << " but latency is " << latency << "\n";
-                ++sumViolations;
-            }
-            latencies.push_back(latency);
-            totalTicks += latency;
-            cDelay += s.cDelay;
-            cRetransmit += s.cRetransmit;
-            cPartition += s.cPartition;
-            cQuorum += s.cQuorum;
-            if (s.cause == "compute")
-                ++freshRounds;
-        } else if (s.name == "price_xfer" || s.name == "bid_xfer") {
-            if (s.outcome == "delivered")
-                ++delivered;
-            else if (s.outcome == "lost")
-                ++lost;
-            else if (s.outcome == "partition_drop")
-                ++partitionDrops;
-            else if (s.outcome == "duplicate")
-                ++duplicates;
+        if (s.name != "round" || s.t0 > s.t1)
+            continue;
+        const std::uint64_t latency = s.t1 - s.t0;
+        std::uint64_t sum = 0;
+        bool overflow = false;
+        for (std::size_t k = 0; k < kRoundCosts.size(); ++k) {
+            overflow |= __builtin_add_overflow(sum, s.costs[k], &sum);
+            totals[k] += s.costs[k];
         }
+        if (overflow || sum != latency || s.ticks != latency)
+            violation(s, "cause sum mismatch: round ", s.round.value_or(0),
+                      " has latency ", latency, " (ticks field ", s.ticks,
+                      ") but its causes sum to ",
+                      overflow ? std::string("more than 2^64")
+                               : std::to_string(sum));
+        if ((s.cause == "net_delay" || s.cause == "retransmit") &&
+            !closingChainMatches(s, spans, children))
+            violation(s, "critical path mismatch: round ",
+                      s.round.value_or(0),
+                      ": no delivered price/bid transfer chain to closer "
+                      "shard ",
+                      s.closer, " reproduces c_delay ", s.costs[1],
+                      " + c_retransmit ", s.costs[2]);
+        latencies.push_back(latency);
+        totalTicks += latency;
+        degraded += s.fresh ? 0 : 1;
+    }
+    if (!errors.empty()) {
+        for (const Status &st : errors)
+            std::cerr << path << ": " << st.toString() << "\n";
+        std::cerr << errors.size() << " violation(s)\n";
+        return 1;
     }
 
-    const auto percentile = [&](double p) -> std::uint64_t {
-        if (latencies.empty())
-            return 0;
+    std::sort(latencies.begin(), latencies.end());
+    const auto percentile = [&](double p) {
         const auto idx = static_cast<std::size_t>(
             p * static_cast<double>(latencies.size() - 1));
         return latencies[idx];
     };
-    std::sort(latencies.begin(), latencies.end());
-
     std::cout << spans.size() << " span(s), " << latencies.size()
-              << " round(s)";
+              << " round(s), " << degraded << " degraded";
     if (!latencies.empty())
         std::cout << ", round latency p50 " << percentile(0.5)
-                  << " / p99 " << percentile(0.99) << " tick(s)";
+                  << " / p99 " << percentile(0.99) << " / max "
+                  << latencies.back() << " tick(s)";
     std::cout << "\n"
-              << "transfers: " << delivered << " delivered, " << lost
-              << " lost, " << partitionDrops << " partition-dropped, "
-              << duplicates << " duplicated\n\n";
+              << "transfers: " << transfers[0] << " delivered, "
+              << transfers[1] << " lost, " << transfers[2]
+              << " partition-dropped, " << transfers[3]
+              << " duplicated\n\n";
 
     TablePrinter attribution;
     attribution.addColumn("Cause", TablePrinter::Align::Left);
     attribution.addColumn("Ticks");
     attribution.addColumn("Share");
-    const auto share = [&](std::uint64_t t) {
-        return totalTicks == 0
-                   ? std::string("-")
-                   : formatDouble(100.0 * static_cast<double>(t) /
-                                      static_cast<double>(totalTicks),
-                                  1) +
-                         "%";
-    };
-    const std::uint64_t cCompute = 0;
-    attribution.beginRow().cell("compute").cell(cCompute).cell(
-        totalTicks == 0 ? "100.0%" : share(cCompute));
-    attribution.beginRow().cell("net_delay").cell(cDelay).cell(
-        share(cDelay));
-    attribution.beginRow()
-        .cell("retransmit")
-        .cell(cRetransmit)
-        .cell(share(cRetransmit));
-    attribution.beginRow()
-        .cell("partition_wait")
-        .cell(cPartition)
-        .cell(share(cPartition));
-    attribution.beginRow()
-        .cell("quorum_wait")
-        .cell(cQuorum)
-        .cell(share(cQuorum));
+    for (std::size_t k = 0; k < kRoundCosts.size(); ++k) {
+        std::string share = k == 0 ? "100.0%" : "-";
+        if (totalTicks > 0)
+            share = formatDouble(100.0 * static_cast<double>(totals[k]) /
+                                     static_cast<double>(totalTicks),
+                                 1) +
+                    "%";
+        attribution.beginRow().cell(kCauseLabels[k]).cell(totals[k]).cell(
+            share);
+    }
     attribution.print(std::cout);
 
     if (!chromeOut.empty()) {
-        std::ofstream out(chromeOut);
-        if (!out) {
-            std::cerr << "cannot open chrome export '" << chromeOut
-                      << "'\n";
-            return 1;
-        }
-        out << "{\"traceEvents\":[";
-        bool first = true;
-        for (const SpanRecord &s : spans) {
-            if (!first)
-                out << ",";
-            first = false;
-            out << "{\"name\":\"" << s.name
-                << "\",\"cat\":\"amdahl\",\"ph\":\"X\",\"ts\":" << s.t0
-                << ",\"dur\":" << (s.t1 - s.t0) << ",\"pid\":1"
-                << ",\"tid\":" << (s.hasShard ? s.shard + 1 : 0)
-                << ",\"args\":{\"id\":\"" << s.id
-                << "\",\"parent\":\"" << s.parent << "\"";
-            if (s.hasRound)
-                out << ",\"round\":" << s.round;
-            if (!s.cause.empty())
-                out << ",\"cause\":\"" << s.cause << "\"";
-            if (!s.outcome.empty())
-                out << ",\"outcome\":\"" << s.outcome << "\"";
-            out << "}}";
-        }
-        out << "],\"displayTimeUnit\":\"ms\"}\n";
-        out.flush();
-        if (!out.good()) {
-            std::cerr << "chrome export '" << chromeOut
-                      << "': stream failed\n";
+        if (!writeChromeTrace(chromeOut, spans)) {
+            std::cerr << "chrome export '" << chromeOut << "' failed\n";
             return 1;
         }
         std::cerr << "wrote " << chromeOut << "\n";
-    }
-
-    if (sumViolations > 0) {
-        std::cerr << "\n"
-                  << sumViolations
-                  << " round(s) with attribution-sum violations\n";
-        return 1;
     }
     std::cout << "\nattribution: causes sum to round latency in "
               << latencies.size() << "/" << latencies.size()
