@@ -36,7 +36,7 @@ class AmdahlBiddingPolicy : public AllocationPolicy
         const core::BidTransportFaults &faults) const override;
 
     /** Full clearing context: faults plus the delta re-clearing
-     *  plumbing (warm-start bids, kernel cache). Sharded clearing
+     *  plumbing (seed bids, kernel cache). Sharded clearing
      *  still requires the fallback ladder — this adapter serves the
      *  in-process procedure only and fatals on a sharded context. */
     AllocationResult allocate(

@@ -108,11 +108,11 @@ FallbackPolicy::ladder(const core::FisherMarket &market,
 {
     core::BiddingOptions opts = primary;
     opts.transport = ctx.transport;
-    // Delta re-clearing plumbing: a previous equilibrium seeds the
-    // bids, and the kernel cache skips the CSR rebuild when the market
-    // structure is unchanged. Both are bitwise-invisible to the
-    // equilibrium contract — the warm start changes the trajectory,
-    // never the invariants.
+    // Delta re-clearing plumbing: a mean-field seed starts the bids,
+    // and the kernel cache skips the CSR rebuild when the market
+    // structure is unchanged. Neither touches the equilibrium
+    // contract — the seed changes the trajectory, never the
+    // invariants.
     if (ctx.initialBids != nullptr)
         opts.initialBids = *ctx.initialBids;
     opts.kernelCache = ctx.kernelCache;

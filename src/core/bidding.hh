@@ -228,8 +228,8 @@ struct ClearingContext
     const net::ShardedOptions *sharding = nullptr;
     /** Persistent transport state; may be null for a one-shot solve. */
     net::NetSession *session = nullptr;
-    /** Non-null seeds bidding from a previous equilibrium (delta
-     *  re-clearing); shape must match the market. */
+    /** Non-null seeds bidding (the online runtime passes
+     *  meanFieldSeedBids); shape must match the market. */
     const JobMatrix *initialBids = nullptr;
     /** Non-null enables cross-epoch CSR reuse (bitwise invisible). */
     KernelCache *kernelCache = nullptr;

@@ -98,7 +98,7 @@ emitRunStart(const OnlineOptions &opts, const std::string &policyName)
 }
 
 /** Layout version of encodeOnlineState; bump on any field change. */
-constexpr std::uint32_t kStateVersion = 3;
+constexpr std::uint32_t kStateVersion = 4;
 
 void
 putJob(durability::ByteWriter &w, const OnlineJob &job)
@@ -256,7 +256,6 @@ onlineStateFingerprint(const OnlineOptions &opts,
     d.updateU64(opts.net.faults.seed);
     d.updateU32(opts.delta.reuseKernel ? 1 : 0);
     d.updateU32(opts.delta.warmStartBids ? 1 : 0);
-    d.updateF64(opts.delta.maxChurnFraction);
     d.updateU64(opts.net.partitions.size());
     for (const auto &w : opts.net.partitions) {
         d.updateU64(static_cast<std::uint64_t>(w.shard));
@@ -323,7 +322,6 @@ encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
     w.putU64(s.metrics.netQuorumCollapses);
     // The kernel cache is deliberately absent: it is bitwise invisible
     // (a recovered run rebuilds it and stays on the same trajectory).
-    w.putF64Vector(s.lastBids);
     return w.take();
 }
 
@@ -399,7 +397,6 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
     s.metrics.netStaleBidRounds = r.readU64();
     s.metrics.netRetransmits = r.readU64();
     s.metrics.netQuorumCollapses = r.readU64();
-    s.lastBids = r.readF64Vector();
     r.expectEnd();
     if (!r.ok())
         return r.status();
@@ -446,11 +443,19 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
                              "snapshot history length does not match "
                              "its epoch count ", s.epoch);
     }
-    if (s.lastBids.size() > s.jobs.size()) {
+    // runEpoch indexes tenant, server and workload tables with these.
+    const std::size_t workloads = sim::workloadLibrary().size();
+    const auto bad_job = [&](const OnlineJob &job) {
+        return job.user >= users || job.workloadIndex >= workloads ||
+               (job.server >= servers && !job.unplaced());
+    };
+    if (std::any_of(s.jobs.begin(), s.jobs.end(), bad_job) ||
+        std::any_of(s.waitQueue.begin(), s.waitQueue.end(), bad_job)) {
         return Status::error(ErrorKind::SemanticError, 0,
-                             "snapshot carries ", s.lastBids.size(),
-                             " warm-start bids for a ", s.jobs.size(),
-                             "-entry job log");
+                             "snapshot job names a user, server or "
+                             "workload outside ", users, " users, ",
+                             servers, " servers and ", workloads,
+                             " workloads");
     }
     return s;
 }
@@ -857,51 +862,14 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         transport.seed = injector.bidSeed(epoch);
     }
 
-    // Delta re-clearing: seed this epoch's bids from the previous
-    // equilibrium. Surviving jobs restart at their last-cleared bid,
-    // new jobs at an even split of their tenant's (possibly
-    // compensated) budget; a cold start, or churn above the
-    // threshold, falls back to the analytic mean-field seed. The
-    // solver renormalizes and floors whatever seed it is given, so
-    // this is a trajectory hint, never a feasibility obligation.
-    const bool delta = opts_.delta.enabled();
-    core::JobMatrix warm;
-    if (delta && opts_.delta.warmStartBids) {
-        std::size_t warm_jobs = 0;
-        std::size_t total_jobs = 0;
-        warm.resize(user_job_ids.size());
-        for (std::size_t ui = 0; ui < user_job_ids.size(); ++ui) {
-            warm[ui].assign(user_job_ids[ui].size(), -1.0);
-            for (std::size_t kk = 0; kk < user_job_ids[ui].size();
-                 ++kk) {
-                const std::size_t k = user_job_ids[ui][kk];
-                if (k < s.lastBids.size() && s.lastBids[k] >= 0.0) {
-                    warm[ui][kk] = s.lastBids[k];
-                    ++warm_jobs;
-                }
-                ++total_jobs;
-            }
-        }
-        const double churn =
-            1.0 - static_cast<double>(warm_jobs) /
-                      static_cast<double>(total_jobs);
-        if (warm_jobs == 0 || churn > opts_.delta.maxChurnFraction) {
-            warm = core::meanFieldSeedBids(market);
-            obs::metrics()
-                .counter("online.delta.meanfield_epochs")
-                .add();
-        } else {
-            for (auto ui = std::size_t{0}; ui < warm.size(); ++ui) {
-                const double even =
-                    market.user(ui).budget /
-                    static_cast<double>(warm[ui].size());
-                for (double &b : warm[ui]) {
-                    if (b < 0.0)
-                        b = even;
-                }
-            }
-            obs::metrics().counter("online.delta.warm_epochs").add();
-        }
+    // Delta re-clearing: seed this epoch's bids from the analytic
+    // mean-field estimate of this epoch's market. The solver
+    // renormalizes and floors whatever seed it is given, so this is a
+    // trajectory hint, never a feasibility obligation.
+    core::JobMatrix seed;
+    if (opts_.delta.warmStartBids) {
+        seed = core::meanFieldSeedBids(market);
+        obs::metrics().counter("online.delta.meanfield_epochs").add();
     }
 
     // One clearing context for every policy: the bid-loss model, plus
@@ -918,8 +886,8 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         ctx.sharding = &opts_.net;
         ctx.session = &s.net;
     }
-    if (!warm.empty())
-        ctx.initialBids = &warm;
+    if (!seed.empty())
+        ctx.initialBids = &seed;
     if (opts_.delta.reuseKernel) {
         if (!s.kernelCache)
             s.kernelCache = std::make_shared<core::KernelCache>();
@@ -927,27 +895,6 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
     }
     const auto result = policy.allocate(market, ctx);
 
-    // Record the equilibrium bids for the next epoch's warm start.
-    // Shape-guarded: fallback rungs (proportional share) and
-    // non-market policies publish no bids — those epochs leave the
-    // previous record standing rather than poisoning it.
-    if (delta) {
-        const auto &bids = result.outcome.bids;
-        bool shaped = bids.size() == user_job_ids.size();
-        for (std::size_t ui = 0; shaped && ui < bids.size(); ++ui)
-            shaped = bids[ui].size() == user_job_ids[ui].size();
-        if (shaped) {
-            s.lastBids.assign(jobs.size(), -1.0);
-            for (std::size_t ui = 0; ui < user_job_ids.size();
-                 ++ui) {
-                for (std::size_t kk = 0;
-                     kk < user_job_ids[ui].size(); ++kk) {
-                    s.lastBids[user_job_ids[ui][kk]] =
-                        bids[ui][kk];
-                }
-            }
-        }
-    }
     metrics.netDegradedRounds += result.outcome.net.degradedRounds;
     metrics.netStaleBidRounds += result.outcome.net.staleBidRounds;
     metrics.netRetransmits += result.outcome.net.retransmits;

@@ -118,10 +118,9 @@ struct AdmissionOptions
  *
  * Successive epochs clear nearly-identical markets: the tenant
  * population is fixed, and most jobs survive from one epoch to the
- * next. Delta re-clearing exploits that continuity two ways, both
- * bitwise-invisible to the equilibrium contract (the solver's
- * invariants, convergence test, and audit are unchanged — only the
- * starting point and the CSR build cost move):
+ * next. Two knobs act on that; neither touches the equilibrium
+ * contract (the solver's invariants, convergence test, and audit are
+ * unchanged — only the CSR build cost and the starting point move):
  *
  *  - `reuseKernel` keeps the solver's CSR kernel alive across epochs
  *    in OnlineRunState and patches only the rows whose users changed,
@@ -129,14 +128,11 @@ struct AdmissionOptions
  *    mismatches are detected by exact comparison (never hashing), so
  *    a reused kernel is byte-for-byte the kernel a cold build would
  *    produce.
- *  - `warmStartBids` seeds each epoch's bids from the previous
- *    equilibrium: surviving jobs restart at their last-cleared bids,
- *    new jobs at an even split of their tenant's budget. When the
- *    fraction of jobs with no previous bid exceeds
- *    `maxChurnFraction` (or on a cold start), the seed falls back to
- *    the analytic mean-field estimate (core::meanFieldSeedBids),
- *    which beats both an even split and stale bids when most of the
- *    market is new.
+ *  - `warmStartBids` seeds every epoch's bids from the analytic
+ *    mean-field estimate of that epoch's market
+ *    (core::meanFieldSeedBids, passed as ClearingContext::initialBids).
+ *    The seed depends on the market alone, never on earlier epochs,
+ *    so it adds nothing to the run state.
  *
  * Disabled by default, in which case the run is bit-identical to a
  * build without the feature.
@@ -146,18 +142,8 @@ struct DeltaClearingOptions
     /** Keep (and patch) the bid kernel across epochs. */
     bool reuseKernel = false;
 
-    /** Seed bids from the previous epoch's equilibrium. */
+    /** Seed each epoch's bids from core::meanFieldSeedBids. */
     bool warmStartBids = false;
-
-    /**
-     * Warm-start churn threshold: when more than this fraction of the
-     * epoch's jobs have no previous-equilibrium bid, warm bids are
-     * judged stale and the mean-field seed is used instead.
-     */
-    double maxChurnFraction = 0.5;
-
-    /** @return true when any delta mechanism is on. */
-    bool enabled() const { return reuseKernel || warmStartBids; }
 };
 
 /** Scenario knobs. */
@@ -426,21 +412,14 @@ struct OnlineRunState
      *  crash mid-partition recovers onto the same network timeline. */
     net::NetSession net;
     /**
-     * Previous equilibrium's bid per job-log entry (indexed like
-     * `jobs`; -1 marks a job with no cleared bid — done, unplaced, or
-     * arrived after the last clearing). Empty until the first cleared
-     * epoch of a delta-enabled run, and always empty otherwise, so a
-     * delta-off state encodes byte-identically to one from a build
-     * without the feature's data. Persisted: a recovered run warm
-     * starts exactly where the original would have.
-     */
-    std::vector<double> lastBids;
-    /**
      * Cross-epoch bid-kernel cache (DeltaClearingOptions::reuseKernel).
      * Deliberately *not* serialized: a cached kernel is bitwise
      * invisible (exact compare-and-patch reproduces the cold build
      * byte for byte), so a recovered run simply rebuilds it on first
-     * use and stays on the original's trajectory.
+     * use and stays on the original's trajectory. It is the only
+     * solver state carried across epochs: the mean-field bid seed
+     * (DeltaClearingOptions::warmStartBids) is recomputed from each
+     * epoch's market.
      */
     std::shared_ptr<core::KernelCache> kernelCache;
     /** Partial accumulators; aggregates are computed by finalize(). */

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "alloc/amdahl_bidding_policy.hh"
 #include "alloc/fallback_policy.hh"
 #include "alloc/proportional_share.hh"
 #include "common/logging.hh"
+#include "core/bidding.hh"
+#include "core/market.hh"
 #include "eval/online.hh"
+#include "obs/metrics.hh"
 
 namespace amdahl::eval {
 namespace {
@@ -262,9 +268,9 @@ TEST(Online, KernelReuseIsBitwiseInvisible)
 {
     // reuseKernel is a pure structural cache: the run with it on must
     // be byte-identical to the plain run — same equilibria, same job
-    // log, same histories. (warmStartBids legitimately changes
-    // low-order equilibrium bits, so it gets determinism tests, not
-    // an identity test.)
+    // log, same histories. (warmStartBids' mean-field seed
+    // legitimately changes low-order equilibrium bits, so it gets
+    // determinism and certification tests, not an identity test.)
     CharacterizationCache cache;
     OnlineSimulator plain(cache, smallScenario());
     const alloc::AmdahlBiddingPolicy ab;
@@ -291,9 +297,9 @@ TEST(Online, DeltaRunsAreBitIdenticalGivenSeed)
 
 TEST(Online, DeltaRunCompletesComparableWork)
 {
-    // Warm starts change which equilibrium bits the solver lands on,
-    // never the economics: the delta run must complete the same jobs
-    // to within the usual cross-policy slack.
+    // The mean-field seed changes which equilibrium bits the solver
+    // lands on, never the economics: the delta run must complete the
+    // same jobs to within the usual cross-policy slack.
     CharacterizationCache cache;
     OnlineSimulator plain(cache, smallScenario());
     const alloc::AmdahlBiddingPolicy ab;
@@ -307,6 +313,92 @@ TEST(Online, DeltaRunCompletesComparableWork)
     EXPECT_EQ(delta.jobsArrived, reference.jobsArrived);
     EXPECT_NEAR(delta.workCompleted, reference.workCompleted,
                 0.02 * reference.workCompleted);
+}
+
+/**
+ * Forwards every allocation to AB and checks each epoch that ran the
+ * bidding loop: it converged, and its outcome is a certified
+ * equilibrium (every residual within 1e-3).
+ */
+class CertifyingPolicy : public alloc::AllocationPolicy
+{
+  public:
+    std::string name() const override { return ab_.name(); }
+
+    alloc::AllocationResult
+    allocate(const core::FisherMarket &market) const override
+    {
+        return certify(market, ab_.allocate(market));
+    }
+
+    alloc::AllocationResult
+    allocate(const core::FisherMarket &market,
+             const core::BidTransportFaults &faults) const override
+    {
+        return certify(market, ab_.allocate(market, faults));
+    }
+
+    alloc::AllocationResult
+    allocate(const core::FisherMarket &market,
+             const core::ClearingContext &ctx) const override
+    {
+        return certify(market, ab_.allocate(market, ctx));
+    }
+
+    /** Epochs that ran at least one bidding round. */
+    int solvedEpochs() const { return solved_; }
+
+  private:
+    alloc::AllocationResult
+    certify(const core::FisherMarket &market,
+            alloc::AllocationResult result) const
+    {
+        if (result.outcome.iterations > 0) {
+            ++solved_;
+            EXPECT_TRUE(result.outcome.converged)
+                << "after " << result.outcome.iterations << " rounds";
+            const auto check =
+                core::verifyEquilibrium(market, result.outcome);
+            EXPECT_TRUE(check.pass(1e-3))
+                << "optimality gap " << check.maxOptimalityGap;
+        }
+        return result;
+    }
+
+    alloc::AmdahlBiddingPolicy ab_;
+    mutable int solved_ = 0;
+};
+
+TEST(Online, MeanFieldSeededEpochsCertify)
+{
+    // The seed is a trajectory hint, never a shortcut: at every churn
+    // level, each seeded epoch must end converged and certified, the
+    // way a cold start does.
+    CharacterizationCache cache;
+    for (std::uint64_t seed : {1, 2, 3, 404}) {
+        for (double rate : {0.1, 0.5, 2.0}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", rate " +
+                         std::to_string(rate));
+            OnlineOptions opts;
+            opts.seed = seed;
+            opts.users = 64;
+            opts.servers = 16;
+            opts.epochSeconds = 60.0;
+            opts.horizonSeconds = 40 * 60.0;
+            opts.arrivalsPerServerEpoch = rate;
+            opts.delta.reuseKernel = true;
+            opts.delta.warmStartBids = true;
+            OnlineSimulator sim(cache, opts);
+            const CertifyingPolicy policy;
+            auto &seeded =
+                obs::metrics().counter("online.delta.meanfield_epochs");
+            const std::uint64_t before = seeded.value();
+            sim.run(policy, FractionSource::Estimated);
+            EXPECT_GT(policy.solvedEpochs(), 0);
+            EXPECT_EQ(seeded.value() - before,
+                      static_cast<std::uint64_t>(policy.solvedEpochs()));
+        }
+    }
 }
 
 TEST(Online, IdenticalArrivalStreamAcrossPoliciesUnderFaults)

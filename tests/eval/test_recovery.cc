@@ -180,6 +180,45 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
         std::string_view(encoded).substr(0, encoded.size() / 2), opts,
         ab.name());
     EXPECT_FALSE(truncated.ok());
+
+    // A job record whose user, server or workload index is out of
+    // range would index past runEpoch's tables: the decoder refuses
+    // it even though the bytes are well formed.
+    const robustness::FaultInjector injector(
+        opts.faults, static_cast<std::size_t>(opts.servers),
+        sim.epochCount());
+    OnlineRunState ran = sim.initState(ab);
+    for (int e = 0; e < 3; ++e)
+        sim.runEpoch(ran, ab, FractionSource::Estimated, injector);
+    ASSERT_FALSE(ran.jobs.empty());
+    const auto tampered = [&](auto &&edit) {
+        OnlineRunState bad = ran;
+        edit(bad);
+        return decodeOnlineState(encodeOnlineState(bad, opts), opts,
+                                 ab.name());
+    };
+    const std::size_t huge = 1000000;
+    const Result<OnlineRunState> cases[] = {
+        tampered([&](OnlineRunState &st) { st.jobs[0].user = huge; }),
+        tampered([&](OnlineRunState &st) { st.jobs[0].server = huge; }),
+        tampered([&](OnlineRunState &st) {
+            st.jobs[0].workloadIndex = huge;
+        }),
+        tampered([&](OnlineRunState &st) {
+            st.waitQueue.push_back(st.jobs[0]);
+            st.waitQueue.back().user = huge;
+        }),
+    };
+    for (const auto &bad : cases) {
+        EXPECT_FALSE(bad.ok());
+        EXPECT_EQ(bad.status().kind(), ErrorKind::SemanticError);
+    }
+    // kUnplaced is the one legal server index past the cluster: a
+    // total outage parks jobs there.
+    auto parked = tampered([](OnlineRunState &st) {
+        st.jobs[0].server = OnlineJob::kUnplaced;
+    });
+    EXPECT_TRUE(parked.ok()) << parked.status().toString();
 }
 
 TEST(Recovery, ReplayOfTheSameEpochsIsBitIdentical)
@@ -330,11 +369,12 @@ deltaScenario()
     return opts;
 }
 
-TEST(Recovery, DeltaStateRoundTripsWithItsWarmStartBids)
+TEST(Recovery, DeltaStateRoundTripsAndResumes)
 {
-    // Delta re-clearing makes the previous equilibrium part of the
-    // run state (OnlineRunState::lastBids): the encoding must carry
-    // it, and a decoded state must resume bit-identically.
+    // Delta re-clearing adds nothing to the persisted run state (the
+    // kernel cache is rebuilt, the mean-field seed recomputed): the
+    // encoding must be a fixed point of decode, and a decoded state
+    // must resume bit-identically.
     CharacterizationCache cache;
     const OnlineOptions opts = deltaScenario();
     OnlineSimulator sim(cache, opts);
@@ -346,12 +386,13 @@ TEST(Recovery, DeltaStateRoundTripsWithItsWarmStartBids)
     OnlineRunState state = sim.initState(ab);
     for (int e = 0; e < 4; ++e)
         sim.runEpoch(state, ab, FractionSource::Estimated, injector);
-    EXPECT_FALSE(state.lastBids.empty());
 
     const std::string encoded = encodeOnlineState(state, opts);
+    // Pins the state layout. The literal changes only together with
+    // kStateVersion (src/eval/online.cc).
+    EXPECT_EQ(crc32(encoded), 0x2a423ac6u);
     auto decoded = decodeOnlineState(encoded, opts, ab.name());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
-    EXPECT_EQ(decoded.value().lastBids, state.lastBids);
     EXPECT_EQ(encodeOnlineState(decoded.value(), opts), encoded);
 
     // Resuming the decoded state must match the uninterrupted drive.
@@ -364,9 +405,10 @@ TEST(Recovery, DeltaStateRoundTripsWithItsWarmStartBids)
 
 TEST(Recovery, KillMidRunRecoversTheDeltaOutcome)
 {
-    // The crash-recovery oracle with delta re-clearing on: warm-start
-    // bids survive the crash through the journal, so the recovered
-    // run must land on the uninterrupted outcome exactly.
+    // The crash-recovery oracle with delta re-clearing on: the
+    // recovered run rebuilds its kernel cache and recomputes its
+    // mean-field seeds, so it must land on the uninterrupted outcome
+    // exactly.
     CharacterizationCache cache;
     OnlineSimulator sim(cache, deltaScenario());
     const alloc::AmdahlBiddingPolicy ab;
