@@ -9,6 +9,8 @@
  *     loose thresholds.
  * (b) Damping: the plain proportional update (d = 1) against damped
  *     variants, measuring iterations to the same tolerance.
+ * (c) Warm start: re-clearing a perturbed market from the previous
+ *     equilibrium's bids against a cold even-split start.
  */
 
 #include <cmath>
@@ -129,43 +131,7 @@ main()
     }
 
     {
-        TablePrinter table;
-        table.addColumn("schedule", TablePrinter::Align::Left);
-        table.addColumn("iterations");
-        table.addColumn("max |x - x*| (cores)");
-        const std::vector<core::UpdateSchedule> schedules{
-            core::UpdateSchedule::Synchronous,
-            core::UpdateSchedule::GaussSeidel};
-        std::vector<core::BiddingResult> results(schedules.size());
-        exec::parallelFor(
-            0, schedules.size(), 1,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t s = lo; s < hi; ++s) {
-                    core::BiddingOptions opts;
-                    opts.priceTolerance = 1e-6;
-                    opts.maxIterations = 200000;
-                    opts.schedule = schedules[s];
-                    results[s] = core::solveAmdahlBidding(market, opts);
-                }
-            });
-        for (std::size_t s = 0; s < schedules.size(); ++s) {
-            table.beginRow()
-                .cell(schedules[s] == core::UpdateSchedule::Synchronous
-                          ? "synchronous"
-                          : "gauss-seidel")
-                .cell(results[s].iterations)
-                .cell(allocation_error(results[s]), 4);
-        }
-        std::cout << "(c) update schedule (epsilon = 1e-6)\n";
-        table.print(std::cout);
-        std::cout << "\nGauss-Seidel (a centralized coordinator's "
-                     "natural order) reaches the same equilibrium; "
-                     "synchronous updates model the distributed "
-                     "deployment where users bid in parallel.\n\n";
-    }
-
-    {
-        // (d) warm start: an epoch-based deployment re-clears a
+        // (c) warm start: an epoch-based deployment re-clears a
         // slightly perturbed market; last epoch's bids are nearly
         // right. Perturb every parallel fraction by a few percent and
         // re-solve cold vs warm.
@@ -196,7 +162,7 @@ main()
             cold_run.iterations);
         table.beginRow().cell("warm (previous equilibrium)").cell(
             warm_run.iterations);
-        std::cout << "(d) warm start on a +/-3%-perturbed market "
+        std::cout << "(c) warm start on a +/-3%-perturbed market "
                      "(epsilon = 1e-6)\n";
         table.print(std::cout);
         std::cout << "\nRe-clearing from the previous epoch's bids "

@@ -17,6 +17,9 @@ namespace amdahl::alloc {
 
 namespace {
 
+/** The damped retry's damping is the primary damping times this. */
+constexpr double kRetryDampingFactor = 0.5;
+
 /**
  * Why this serve fell off the primary path, derived from the attempt
  * that failed. The ordering is a severity ladder: a quorum collapse is
@@ -73,9 +76,6 @@ FallbackPolicy::FallbackPolicy(core::BiddingOptions primary_opts,
                                FallbackOptions fallback)
     : primary(std::move(primary_opts)), fb(fallback)
 {
-    if (fb.retryDampingFactor <= 0.0 || fb.retryDampingFactor >= 1.0)
-        fatal("retry damping factor must be in (0, 1), got ",
-              fb.retryDampingFactor);
     if (fb.retryMaxIterations < 0)
         fatal("retry iteration budget must be non-negative");
 }
@@ -152,11 +152,9 @@ FallbackPolicy::ladder(const core::FisherMarket &market,
     AllocationResult result;
     result.policyName = name();
 
-    // Rung 1: the configured procedure. With the ladder disabled the
-    // attempt is served verbatim — including an expired-deadline
-    // anytime state, which still surfaces via outcome.deadlineExpired.
+    // Rung 1: the configured procedure.
     auto attempt = solve(opts, 0);
-    if (attempt.converged || !fb.enabled) {
+    if (attempt.converged) {
         result.outcome = std::move(attempt);
         result.cores = core::roundOutcome(market, result.outcome);
         recordServe(result.mode, result.outcome);
@@ -184,7 +182,7 @@ FallbackPolicy::ladder(const core::FisherMarket &market,
     // a partition window scheduled across the retry stays in force).
     core::BiddingOptions retry = opts;
     retry.damping =
-        std::max(1e-3, opts.damping * fb.retryDampingFactor);
+        std::max(1e-3, opts.damping * kRetryDampingFactor);
     retry.initialBids = attempt.bids;
     if (fb.retryMaxIterations > 0)
         retry.maxIterations = fb.retryMaxIterations;

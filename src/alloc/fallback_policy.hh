@@ -38,15 +38,6 @@ namespace amdahl::alloc {
 /** Knobs of the degraded-mode ladder. */
 struct FallbackOptions
 {
-    /** When false the primary result is served verbatim, converged or
-     *  not (the pre-ladder behavior; non-convergence still surfaces
-     *  via MarketOutcome::converged and the online counter). */
-    bool enabled = true;
-
-    /** The retry's damping is the primary damping times this factor
-     *  (in (0, 1)); smaller is more conservative. */
-    double retryDampingFactor = 0.5;
-
     /** Iteration budget of the retry; 0 inherits the primary's. */
     int retryMaxIterations = 0;
 };

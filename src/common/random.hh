@@ -60,8 +60,8 @@ class SplitMix64
  * draws other (a', b') consumers made, or in what order: realizations
  * are a pure function of the coordinates. The fault-injection layers
  * use this so a bid-loss decision for user u in round r is identical
- * whether users are processed serially, in parallel, or in a
- * different schedule (Synchronous vs GaussSeidel).
+ * whether users are processed serially, in parallel, or by either
+ * price exchange (in process or sharded).
  */
 
 /** @return SplitMix64 finalizer of @p x (stateless hash). */
@@ -75,7 +75,7 @@ mix64(std::uint64_t x)
 }
 
 /** @return An independent 64-bit seed for coordinates (@p a, @p b)
- *  under @p seed. Pure function — schedule- and order-independent. */
+ *  under @p seed. Pure function — order-independent. */
 inline std::uint64_t
 substreamSeed(std::uint64_t seed, std::uint64_t a, std::uint64_t b)
 {

@@ -433,13 +433,17 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
             const net::ShardedOptions *sharded, net::NetSession *session)
 {
     market.validate();
-    if (opts.priceTolerance <= 0.0)
-        fatal("price tolerance must be positive");
+    // Each check negates the valid range, so NaN fails it too.
+    if (!(opts.priceTolerance > 0.0 &&
+          std::isfinite(opts.priceTolerance)))
+        fatal("price tolerance must be positive and finite, got ",
+              opts.priceTolerance);
     if (opts.maxIterations < 1)
         fatal("need at least one iteration");
-    if (opts.damping <= 0.0 || opts.damping > 1.0)
+    if (!(opts.damping > 0.0 && opts.damping <= 1.0))
         fatal("damping must be in (0, 1], got ", opts.damping);
-    if (opts.transport.lossRate < 0.0 || opts.transport.lossRate > 1.0)
+    if (!(opts.transport.lossRate >= 0.0 &&
+          opts.transport.lossRate <= 1.0))
         fatal("bid loss rate must be in [0, 1], got ",
               opts.transport.lossRate);
     if (opts.deadline.wallClockSeconds < 0.0 ||
@@ -457,8 +461,6 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
         if (const Status st = net::validateShardedOptions(*sharded);
             !st.isOk())
             fatal("invalid sharded clearing options: ", st.toString());
-        if (opts.schedule == UpdateSchedule::GaussSeidel)
-            fatal("sharded clearing requires the Synchronous schedule");
         if (opts.deadline.wallClockSeconds > 0.0)
             fatal("sharded clearing runs in virtual time; wall-clock "
                   "deadlines are not supported (use iterationBudget)");
@@ -468,10 +470,6 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
                   "bid vectors, which no shard owns");
     }
     if (opts.accel.enabled) {
-        if (opts.schedule == UpdateSchedule::GaussSeidel)
-            fatal("Anderson acceleration requires the Synchronous "
-                  "schedule (the accelerated iterate must respond to "
-                  "one posted price vector)");
         if (opts.transport.lossRate > 0.0)
             fatal("Anderson acceleration requires a sound transport; "
                   "under message loss the fixed-point map changes "
@@ -496,10 +494,6 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
         obs::TraceEvent(*sink, "bidding_start")
             .field("users", n)
             .field("servers", m)
-            .field("schedule",
-                   opts.schedule == UpdateSchedule::GaussSeidel
-                       ? "gauss_seidel"
-                       : "synchronous")
             .field("damping", opts.damping)
             .field("warm_start", !opts.initialBids.empty())
             .field("deadline_armed", opts.deadline.enabled());
@@ -545,10 +539,10 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
 
     // Lossy transport: each (user, round) loss decision comes from its
     // own counter-based substream — a pure function of (seed, user,
-    // round) — so realizations are identical under either schedule,
-    // either exchange and at any thread count. The mask is
-    // materialized serially before the round's fan-out; with a sound
-    // transport (the default) nothing is ever drawn.
+    // round) — so realizations are identical under either exchange
+    // and at any thread count. The mask is materialized serially
+    // before the round's fan-out; with a sound transport (the
+    // default) nothing is ever drawn.
     const bool lossy = opts.transport.lossRate > 0.0;
     std::vector<unsigned char> lost;
     if (lossy)
@@ -568,7 +562,6 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
     }
 
     std::vector<double> new_prices(m);
-    std::vector<double> live_prices;
     // A fresh round is one whose prices answer every user's bids;
     // only sharded rounds that served stale aggregates are not.
     bool fresh = true;
@@ -605,58 +598,30 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
         } else {
             {
                 obs::ScopedTimer update_timer(update_hist);
-                if (opts.schedule == UpdateSchedule::GaussSeidel) {
-                    // Inherently sequential: each user responds to
-                    // prices that already reflect earlier users' new
-                    // bids.
-                    live_prices = result.prices;
-                    for (std::size_t i = 0; i < n; ++i) {
-                        if (lossy && lost[i])
-                            continue;
-                        const std::size_t lo = kernel.userOffset[i];
-                        const std::size_t hi = kernel.userOffset[i + 1];
-                        // Fold the bid change into prices immediately
-                        // so later users in this round see it.
-                        std::vector<double> previous(
-                            kernel.bids.begin() +
-                                static_cast<std::ptrdiff_t>(lo),
-                            kernel.bids.begin() +
-                                static_cast<std::ptrdiff_t>(hi));
-                        detail::updateOneUser(kernel, i, live_prices,
-                                              opts.damping);
-                        for (std::size_t e = lo; e < hi; ++e) {
-                            const std::size_t j = kernel.server[e];
-                            live_prices[j] +=
-                                (kernel.bids[e] - previous[e - lo]) /
-                                kernel.capacity[j];
+                // Every user responds to the same posted prices and
+                // writes only her own bid slots — disjoint per chunk,
+                // so the fan-out commutes bitwise. The accelerator
+                // needs the pre-update iterate to form the residual
+                // g(x) - x.
+                if (accel)
+                    accel_prev = kernel.bids;
+                exec::parallelFor(
+                    0, n, detail::kUserGrain,
+                    [&](std::size_t ulo, std::size_t uhi) {
+                        if (!lossy) {
+                            detail::updateUsersRange(
+                                kernel, ulo, uhi, result.prices,
+                                opts.damping);
+                            return;
                         }
-                    }
-                } else {
-                    // Synchronous: every user responds to the same
-                    // posted prices and writes only her own bid slots
-                    // — disjoint per chunk, so the fan-out commutes
-                    // bitwise. The accelerator needs the pre-update
-                    // iterate to form the residual g(x) - x.
-                    if (accel)
-                        accel_prev = kernel.bids;
-                    exec::parallelFor(
-                        0, n, detail::kUserGrain,
-                        [&](std::size_t ulo, std::size_t uhi) {
-                            if (!lossy) {
-                                detail::updateUsersRange(
-                                    kernel, ulo, uhi, result.prices,
-                                    opts.damping);
-                                return;
-                            }
-                            for (std::size_t i = ulo; i < uhi; ++i) {
-                                if (lost[i])
-                                    continue;
-                                detail::updateOneUser(kernel, i,
-                                                      result.prices,
-                                                      opts.damping);
-                            }
-                        });
-                }
+                        for (std::size_t i = ulo; i < uhi; ++i) {
+                            if (lost[i])
+                                continue;
+                            detail::updateOneUser(kernel, i,
+                                                  result.prices,
+                                                  opts.damping);
+                        }
+                    });
             }
             obs::ScopedTimer prices_timer(prices_hist);
             detail::gatherPrices(kernel, new_prices);
@@ -721,8 +686,6 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
         checkRoundInvariants(market, kernel, new_prices, result.bids);
         result.prices = new_prices;
         result.iterations = it + 1;
-        if (opts.trackHistory)
-            result.priceDeltaHistory.push_back(max_delta);
         if (auto *sink = obs::traceSink()) {
             obs::TraceEvent(*sink, "bidding_iter")
                 .field("iter", it + 1)

@@ -31,20 +31,8 @@ struct NetSession;
 
 namespace amdahl::core {
 
-/** How users' bid updates are interleaved within one iteration. */
-enum class UpdateSchedule
-{
-    /** All users respond to the same posted prices (the paper's
-     *  distributed deployment: bids computed in parallel). */
-    Synchronous,
-    /** Users update one at a time against prices that already reflect
-     *  earlier users' new bids (a centralized coordinator's natural
-     *  order; typically converges in fewer iterations). */
-    GaussSeidel,
-};
-
 /**
- * Transport faults of the distributed (Synchronous) deployment: each
+ * Transport faults of the distributed deployment: each
  * user's bid update is an independent message to the price coordinator
  * and may be lost. A lost update leaves the user's previous bids
  * standing for that round — exactly the effect of a delayed message —
@@ -62,8 +50,8 @@ struct BidTransportFaults
      *  drawn from its own counter-based substream keyed by
      *  (seed, user, round) — see substreamSeed in common/random.hh —
      *  so the realization is a pure function of those coordinates:
-     *  identical under either schedule, at any thread count, and
-     *  independent of how many draws other users made. */
+     *  identical under either price exchange, at any thread count,
+     *  and independent of how many draws other users made. */
     std::uint64_t seed = 0;
 };
 
@@ -118,8 +106,8 @@ struct DeadlineOptions
  * it *is* undamped proportional response.
  *
  * Off (the default) the solve path is bit-identical to a build
- * without this feature. Incompatible with the GaussSeidel schedule,
- * lossy transports, and sharded clearing (fatal).
+ * without this feature. Incompatible with lossy transports and
+ * sharded clearing (fatal).
  */
 struct AccelOptions
 {
@@ -152,12 +140,6 @@ struct BiddingOptions
      */
     double damping = 1.0;
 
-    /** Record the price trajectory (for convergence studies, Fig 13). */
-    bool trackHistory = false;
-
-    /** Bid-update interleaving. */
-    UpdateSchedule schedule = UpdateSchedule::Synchronous;
-
     /**
      * Warm start: initial bids from a previous equilibrium (an
      * epoch-based deployment re-clears a barely changed market, so
@@ -168,8 +150,7 @@ struct BiddingOptions
      */
     JobMatrix initialBids;
 
-    /** Bid-message loss model (meaningful under Synchronous; under
-     *  GaussSeidel a lost message skips the user's turn). */
+    /** Bid-message loss model. */
     BidTransportFaults transport;
 
     /** Anytime deadline budget; disabled by default, in which case the
@@ -195,9 +176,6 @@ struct BiddingOptions
 /** Outcome of the bidding procedure plus convergence diagnostics. */
 struct BiddingResult : MarketOutcome
 {
-    /** Relative price change after each iteration (if tracked). */
-    std::vector<double> priceDeltaHistory;
-
     /** Anderson steps accepted / rejected (zero unless accel is on). */
     int accelAccepted = 0;
     int accelRejected = 0;
@@ -261,13 +239,13 @@ JobMatrix meanFieldSeedBids(const FisherMarket &market);
  * same thing here. Determinism bridge: with every fault rate zero and
  * no scheduled partitions, the result — traces, metrics (modulo
  * exec.steal), bids, prices, allocations — is byte-identical to
- * solveAmdahlBidding at any shard count. Requires the Synchronous
- * schedule, no wall-clock deadline (virtual time only) and no
- * Anderson acceleration; fatals otherwise.
+ * solveAmdahlBidding at any shard count. Requires no wall-clock
+ * deadline (virtual time only) and no Anderson acceleration; fatals
+ * otherwise.
  *
  * @param market  The allocation problem (validated internally).
- * @param opts    Termination/damping options (schedule must be
- *                Synchronous; wallClockSeconds must be 0).
+ * @param opts    Termination/damping options (wallClockSeconds must
+ *                be 0).
  * @param sharded Shard/barrier/fault configuration; must be enabled()
  *                and pass validateShardedOptions (fatal otherwise).
  * @param session Cross-epoch transport state, or nullptr to use a

@@ -54,7 +54,7 @@
 
 namespace amdahl::core::detail {
 
-/** Users per parallelFor chunk in the Synchronous bid-update kernel.
+/** Users per parallelFor chunk in the bid-update kernel.
  *  Fixed (never derived from the thread count) so the chunk layout —
  *  and with it exec.tasks and every reduction tree — is identical at
  *  any thread count. */
@@ -296,7 +296,7 @@ foldPriceTable(const std::vector<double> &table, std::size_t blockCount,
  * One proportional-response update for user @p i against @p posted
  * prices, writing the (damped) next bids in place. Bitwise identical
  * to updateUserBids + the solver's damping blend; shared by both
- * schedules and both price exchanges so they cannot drift apart.
+ * price exchanges so they cannot drift apart.
  */
 inline void
 updateOneUser(BidKernel &kernel, std::size_t i,

@@ -58,6 +58,21 @@
 
 namespace amdahl::core::detail {
 
+namespace {
+
+/** A shard that has not heard a newer price broadcast retransmits its
+ *  bid aggregate at send + kRetransmitBase * 2^(k-1) ticks for attempts
+ *  k = 1..kMaxRetransmits (deterministic exponential backoff). */
+constexpr net::Ticks kRetransmitBase = 8;
+constexpr std::uint32_t kMaxRetransmits = 3;
+
+/** Damping multiplier applied (on top of BiddingOptions::damping) to a
+ *  shard's first bid update after it missed one or more price
+ *  broadcasts, so a healed shard cannot yank prices. */
+constexpr double kReentryDamping = 0.5;
+
+} // namespace
+
 ShardedExchange::ShardedExchange(BidKernel &kernel_, double damping_,
                                  const net::ShardedOptions &sharded_,
                                  net::NetSession *session,
@@ -146,9 +161,9 @@ ShardedExchange::sendShardBid(std::size_t s, std::uint64_t forRound,
     }
     lastBid[s] = bm;
     transport.send(bm, net::bidEdge(s), s, forRound, partitionRound, at);
-    for (std::uint32_t k = 1; k <= sharded.maxRetransmits; ++k) {
+    for (std::uint32_t k = 1; k <= kMaxRetransmits; ++k) {
         RetransmitTimer t;
-        t.tick = at + sharded.retransmitBase * (net::Ticks{1} << (k - 1));
+        t.tick = at + kRetransmitBase * (net::Ticks{1} << (k - 1));
         t.shard = s;
         t.round = forRound;
         t.attempt = k;
@@ -215,7 +230,7 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
         for (const auto &[s, healed] : batch) {
             dampShard[s] = damping;
             if (healed) {
-                dampShard[s] *= sharded.reentryDamping;
+                dampShard[s] *= kReentryDamping;
                 ++stats.healedReentries;
                 if (inst)
                     inst->healedReentries->add();
@@ -232,7 +247,7 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
             // One fan-out per batch tick, full span, fixed grain:
             // in the sound case the single batch covers every
             // user and this is bit- and task-identical to the
-            // in-process Synchronous update, so exec.tasks agrees
+            // in-process update, so exec.tasks agrees
             // across the determinism bridge. The per-user loop
             // stays scalar: users in one chunk may sit in different
             // shards with different posted prices, and both kernels

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 implementation of the Synchronous bid update.
+ * AVX2 implementation of the bid update.
  *
  * Bit-identity argument (DESIGN.md §16): every per-job operation in
  * the propensity and normalization passes — divide, sqrt, multiply,

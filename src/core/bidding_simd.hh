@@ -4,7 +4,7 @@
  *
  * DESIGN.md §16 carries the full contract; the short form:
  *
- * The Synchronous bid update is embarrassingly parallel over users and
+ * The bid update is embarrassingly parallel over users and
  * elementwise over jobs, and every operation in the propensity
  * U = sqrt(f w) * sqrt(p) * s(x) — divide, sqrt, multiply, add,
  * compare — is correctly rounded under IEEE 754. A vector lane that
@@ -22,7 +22,7 @@
  * Every build compiles the kernel; the CPU picks it. Scalar
  * updateOneUser remains the reference the kernel is pinned against
  * (tests/core), the path on CPUs without AVX2 and on non-x86 targets,
- * and the update the sharded, Gauss-Seidel and lossy paths run.
+ * and the update the sharded and lossy paths run.
  */
 
 #ifndef AMDAHL_CORE_BIDDING_SIMD_HH
@@ -48,7 +48,7 @@ void updateUsersRangeSimd(BidKernel &kernel, std::size_t ulo,
                           double damping);
 
 /**
- * The Synchronous bid update for users [ulo, uhi) against the same
+ * The bid update for users [ulo, uhi) against the same
  * posted prices — the one dispatch point between the scalar and SIMD
  * kernels, used by the in-process price exchange (the sharded one
  * updates user by user: a chunk may span shards with different posted

@@ -26,13 +26,23 @@ OnlineSimulator::OnlineSimulator(CharacterizationCache &cache,
         opts_.coresPerServer < 1) {
         fatal("online scenario needs users, servers, and cores");
     }
-    if (opts_.epochSeconds <= 0.0 || opts_.horizonSeconds <= 0.0)
-        fatal("epoch and horizon must be positive");
-    if (opts_.arrivalsPerServerEpoch < 0.0)
-        fatal("arrival rate must be non-negative");
-    if (opts_.workScaleMin <= 0.0 ||
-        opts_.workScaleMax < opts_.workScaleMin) {
-        fatal("invalid work-scale range");
+    // Each check negates the valid range, so NaN fails it too.
+    if (!(opts_.epochSeconds > 0.0 && std::isfinite(opts_.epochSeconds) &&
+          opts_.horizonSeconds > 0.0 &&
+          std::isfinite(opts_.horizonSeconds))) {
+        fatal("epoch and horizon must be positive and finite, got ",
+              opts_.epochSeconds, " and ", opts_.horizonSeconds);
+    }
+    if (!(opts_.arrivalsPerServerEpoch >= 0.0 &&
+          std::isfinite(opts_.arrivalsPerServerEpoch))) {
+        fatal("arrival rate must be non-negative and finite, got ",
+              opts_.arrivalsPerServerEpoch);
+    }
+    if (!(opts_.workScaleMin > 0.0 &&
+          opts_.workScaleMax >= opts_.workScaleMin &&
+          std::isfinite(opts_.workScaleMax))) {
+        fatal("invalid work-scale range [", opts_.workScaleMin, ", ",
+              opts_.workScaleMax, "]");
     }
     if (opts_.minBudget < 1 || opts_.maxBudget < opts_.minBudget)
         fatal("invalid budget class range");
@@ -69,6 +79,9 @@ OnlineSimulator::OnlineSimulator(CharacterizationCache &cache,
 }
 
 namespace {
+
+/** Cap on the deficit-compensation budget multiplier. */
+constexpr double kMaxCompensation = 3.0;
 
 /** Cores of server j under the options' cluster shape. */
 int
@@ -220,7 +233,6 @@ onlineStateFingerprint(const OnlineOptions &opts,
     d.updateU64(static_cast<std::uint64_t>(opts.maxBudget));
     d.updateU32(static_cast<std::uint32_t>(opts.placement));
     d.updateU32(opts.deficitCompensation ? 1 : 0);
-    d.updateF64(opts.maxCompensation);
     d.updateU32(opts.faults.enabled ? 1 : 0);
     d.updateU64(opts.faults.seed);
     d.updateF64(opts.faults.crashRatePerServerEpoch);
@@ -241,14 +253,10 @@ onlineStateFingerprint(const OnlineOptions &opts,
     d.updateF64(opts.admission.maxLoadFactor);
     d.updateU64(
         static_cast<std::uint64_t>(opts.admission.maxQueueLength));
-    d.updateU32(opts.admission.shedByEntitlement ? 1 : 0);
     d.updateU64(static_cast<std::uint64_t>(opts.net.shards));
     d.updateU64(opts.net.barrierDeadline);
-    d.updateU64(opts.net.retransmitBase);
-    d.updateU32(opts.net.maxRetransmits);
     d.updateF64(opts.net.quorumFloor);
     d.updateU64(opts.net.maxStaleRounds);
-    d.updateF64(opts.net.reentryDamping);
     d.updateF64(opts.net.faults.lossRate);
     d.updateU64(opts.net.faults.delayMin);
     d.updateU64(opts.net.faults.delayMax);
@@ -730,9 +738,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
             ++in_flight;
         } else {
             // Backpressure: over-cap arrivals wait. A full queue
-            // sheds one job — the earliest lowest-budget one under
-            // entitlement shedding, the arrival itself under tail
-            // drop.
+            // sheds one job: the earliest lowest-budget one.
             wait_queue.push_back(job);
             ++metrics.jobsQueued;
             trace_arrival("queue");
@@ -740,13 +746,10 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
                 static_cast<std::size_t>(
                     opts_.admission.maxQueueLength)) {
                 std::size_t victim = wait_queue.size() - 1;
-                if (opts_.admission.shedByEntitlement) {
-                    for (std::size_t q = 0; q < wait_queue.size();
-                         ++q) {
-                        if (budgets[wait_queue[q].user] <
-                            budgets[wait_queue[victim].user]) {
-                            victim = q;
-                        }
+                for (std::size_t q = 0; q < wait_queue.size(); ++q) {
+                    if (budgets[wait_queue[q].user] <
+                        budgets[wait_queue[victim].user]) {
+                        victim = q;
                     }
                 }
                 if (auto *sink = obs::traceSink()) {
@@ -828,7 +831,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
                 const double boost = std::clamp(
                     entitled[jobs[k].user] /
                         granted[jobs[k].user],
-                    1.0, opts_.maxCompensation);
+                    1.0, kMaxCompensation);
                 user.budget *= boost;
             }
             market_users.push_back(std::move(user));

@@ -86,10 +86,10 @@ struct OnlineJob
  * admission control on, the simulator caps the number of admitted
  * in-flight jobs at `maxLoadFactor` per live server; arrivals beyond
  * the cap wait in a bounded FIFO queue (backpressure) and, when the
- * queue is full, one job is shed — by entitlement class when
- * `shedByEntitlement` is set, so the cheapest tenant's work is
- * sacrificed first and a high-budget tenant's arrival is never turned
- * away while a lower class waits.
+ * queue is full, one job is shed by entitlement class: the earliest
+ * queued job of the lowest-budget tenant, so the cheapest tenant's
+ * work is sacrificed first and a high-budget tenant's arrival is never
+ * turned away while a lower class waits.
  *
  * Arrival generation itself never changes: the same seed draws the
  * same job stream whether admission control is on or off (and across
@@ -106,11 +106,6 @@ struct AdmissionOptions
     /** Bound on the wait queue; 0 sheds every over-cap arrival
      *  immediately. */
     int maxQueueLength = 64;
-
-    /** Shed the queued job whose tenant has the lowest budget
-     *  (earliest among ties); off drops the arriving job instead
-     *  (plain tail drop). */
-    bool shedByEntitlement = true;
 };
 
 /**
@@ -186,14 +181,11 @@ struct OnlineOptions
      * unlucky in *which* epochs her jobs ran. With compensation on,
      * each epoch a tenant's effective budget is scaled by the ratio
      * of her cumulative entitled core-seconds to her cumulative
-     * granted core-seconds (clamped to [1, maxCompensation]), so
+     * granted core-seconds (clamped to [1, 3]), so
      * under-served tenants bid with extra weight until they catch
      * up — deficit round-robin's idea expressed in market terms.
      */
     bool deficitCompensation = false;
-
-    /** Cap on the compensation multiplier. */
-    double maxCompensation = 3.0;
 
     /**
      * Fault schedule (robustness/fault_injector.hh): server churn,

@@ -2,8 +2,8 @@
  * @file
  * Global parallelism configuration for the execution layer.
  *
- * The paper's Synchronous schedule is *defined* as a distributed
- * deployment where bids are computed in parallel (§V-E); this module
+ * The paper's bid update is *defined* as a distributed deployment
+ * where bids are computed in parallel (§V-E); this module
  * decides how many threads the reproduction actually uses for that
  * fan-out. One process-wide thread count governs every pool section
  * (bid-update kernels, price gathers, scenario fan-outs); it defaults

@@ -32,15 +32,9 @@ validateShardedOptions(const ShardedOptions &opts)
                    opts.shards);
     if (opts.barrierDeadline == 0)
         return bad("--barrier-deadline must be positive");
-    if (opts.retransmitBase == 0)
-        return bad("retransmit base delay must be positive");
     if (!(opts.quorumFloor > 0.0) || opts.quorumFloor > 1.0 ||
         !std::isfinite(opts.quorumFloor))
         return bad("--quorum must be in (0, 1], got ", opts.quorumFloor);
-    if (!(opts.reentryDamping > 0.0) || opts.reentryDamping > 1.0 ||
-        !std::isfinite(opts.reentryDamping))
-        return bad("re-entry damping must be in (0, 1], got ",
-                   opts.reentryDamping);
     const NetFaultOptions &f = opts.faults;
     if (!(f.lossRate >= 0.0) || f.lossRate >= 1.0 ||
         !std::isfinite(f.lossRate))

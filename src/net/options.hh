@@ -9,7 +9,7 @@
  *    point — but deterministically: realizations are pure functions
  *    of (seed, edge, round, attempt).
  *  - ShardedOptions describe the *protocol* (shard count, barrier
- *    deadline, retransmit policy, quorum floor). With all fault rates
+ *    deadline, quorum floor, staleness bound). With all fault rates
  *    zero, none of them may change results: any shard count must
  *    reproduce the in-process kernel byte for byte (the determinism
  *    bridge, enforced by tests/net/test_sharded_bidding.cc).
@@ -89,14 +89,6 @@ struct ShardedOptions
     Ticks barrierDeadline = 64;
 
     /**
-     * A shard that has not heard a newer price broadcast retransmits
-     * its bid aggregate at send + base * 2^(k-1) for attempts
-     * k = 1..maxRetransmits (deterministic exponential backoff).
-     */
-    Ticks retransmitBase = 8;
-    std::uint32_t maxRetransmits = 3;
-
-    /**
      * Minimum usable-shard fraction for a degraded round, in (0, 1].
      * A round with fewer than ceil(quorumFloor * shards) usable
      * shards (fresh or within maxStaleRounds) aborts the solve as a
@@ -110,14 +102,6 @@ struct ShardedOptions
      * toward quorum.
      */
     std::uint64_t maxStaleRounds = 8;
-
-    /**
-     * Damping multiplier applied (on top of BiddingOptions::damping)
-     * to a shard's first bid update after it missed one or more
-     * price broadcasts — the damped warm-start re-entry that keeps a
-     * healed shard from yanking prices. In (0, 1].
-     */
-    double reentryDamping = 0.5;
 
     NetFaultOptions faults;
     std::vector<PartitionWindow> partitions;

@@ -85,8 +85,9 @@ PerformancePredictor::modeledCoreCounts() const
 double
 PerformancePredictor::predictSeconds(double datasetGB, int cores) const
 {
-    if (datasetGB <= 0.0)
-        fatal("dataset size must be positive, got ", datasetGB);
+    if (!(datasetGB > 0.0 && std::isfinite(datasetGB)))
+        fatal("dataset size must be positive and finite, got ",
+              datasetGB);
     if (cores < 1)
         fatal("core count must be >= 1, got ", cores);
 

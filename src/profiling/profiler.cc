@@ -78,6 +78,11 @@ Profiler::profile(const sim::WorkloadSpec &workload,
 {
     if (datasetsGB.empty())
         fatal("no dataset sizes to profile");
+    // Checked before the sort: NaN has no place in a strict weak order.
+    for (double gb : datasetsGB) {
+        if (!(gb > 0.0 && std::isfinite(gb)))
+            fatal("dataset size must be positive and finite, got ", gb);
+    }
 
     WorkloadProfile result;
     result.workloadName = workload.name;
@@ -86,8 +91,6 @@ Profiler::profile(const sim::WorkloadSpec &workload,
     std::sort(result.datasetsGB.begin(), result.datasetsGB.end());
 
     for (double gb : result.datasetsGB) {
-        if (gb <= 0.0)
-            fatal("dataset size must be positive, got ", gb);
         for (int x : cores_) {
             ProfilePoint pt;
             pt.datasetGB = gb;

@@ -35,8 +35,9 @@ recordSchedule(const std::vector<CrashEvent> &events)
 void
 validateFaultOptions(const FaultOptions &opts)
 {
-    if (opts.crashRatePerServerEpoch < 0.0 ||
-        opts.crashRatePerServerEpoch > 1.0) {
+    // Each check negates the valid range, so NaN fails it too.
+    if (!(opts.crashRatePerServerEpoch >= 0.0 &&
+          opts.crashRatePerServerEpoch <= 1.0)) {
         fatal("crash rate must be in [0, 1], got ",
               opts.crashRatePerServerEpoch);
     }
@@ -45,11 +46,14 @@ validateFaultOptions(const FaultOptions &opts)
     if (opts.checkpointEpochs < 1)
         fatal("checkpointEpochs must be >= 1, got ",
               opts.checkpointEpochs);
-    if (opts.bidLossRate < 0.0 || opts.bidLossRate > 1.0)
+    if (!(opts.bidLossRate >= 0.0 && opts.bidLossRate <= 1.0))
         fatal("bid loss rate must be in [0, 1], got ",
               opts.bidLossRate);
-    if (opts.fractionNoiseStddev < 0.0)
-        fatal("fraction noise stddev must be non-negative");
+    if (!(opts.fractionNoiseStddev >= 0.0 &&
+          std::isfinite(opts.fractionNoiseStddev))) {
+        fatal("fraction noise stddev must be non-negative and finite, "
+              "got ", opts.fractionNoiseStddev);
+    }
     if (opts.staleRefreshEpochs < 1)
         fatal("staleRefreshEpochs must be >= 1, got ",
               opts.staleRefreshEpochs);

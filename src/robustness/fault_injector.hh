@@ -18,9 +18,9 @@
  *    c (plus any uncheckpointed earlier progress) is lost. The server
  *    is excluded from clearings c+1 .. recoverEpoch-1 and rejoins the
  *    market at recoverEpoch.
- *  - Bid-message loss perturbs the proportional-response iteration of
- *    the Synchronous schedule (see BiddingOptions::transport); the
- *    injector supplies a distinct deterministic seed per epoch.
+ *  - Bid-message loss perturbs the proportional-response iteration
+ *    (see BiddingOptions::transport); the injector supplies a
+ *    distinct deterministic seed per epoch.
  *  - Profile staleness perturbs the f estimates the market is built
  *    from; noise is re-drawn every staleRefreshEpochs so estimates
  *    stay wrong in a correlated way, as stale profiles do.

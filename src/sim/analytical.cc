@@ -19,8 +19,9 @@ AnalyticalModel::executionSeconds(const WorkloadSpec &workload,
                                   double datasetGB, int cores) const
 {
     workload.validate();
-    if (datasetGB <= 0.0)
-        fatal("dataset size must be positive, got ", datasetGB);
+    if (!(datasetGB > 0.0 && std::isfinite(datasetGB)))
+        fatal("dataset size must be positive and finite, got ",
+              datasetGB);
     if (cores < 1 || cores > config.cores())
         fatal("core count ", cores, " outside [1, ", config.cores(),
               "]");

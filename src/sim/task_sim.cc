@@ -36,7 +36,7 @@ TaskSimulator::TaskSimulator(ServerConfig server) : config(std::move(server))
 void
 TaskSimulator::setInterferenceSlowdown(double factor)
 {
-    if (factor < 1.0)
+    if (!(factor >= 1.0 && std::isfinite(factor)))
         fatal("interference slowdown must be >= 1, got ", factor);
     interference = factor;
 }
@@ -44,7 +44,7 @@ TaskSimulator::setInterferenceSlowdown(double factor)
 void
 TaskSimulator::setTaskFailureRate(double probability)
 {
-    if (probability < 0.0 || probability >= 1.0)
+    if (!(probability >= 0.0 && probability < 1.0))
         fatal("task failure rate must be in [0, 1), got ", probability);
     failureRate = probability;
 }
@@ -54,8 +54,9 @@ TaskSimulator::execute(const WorkloadSpec &workload, double datasetGB,
                        int cores) const
 {
     workload.validate();
-    if (datasetGB <= 0.0)
-        fatal("dataset size must be positive, got ", datasetGB);
+    if (!(datasetGB > 0.0 && std::isfinite(datasetGB)))
+        fatal("dataset size must be positive and finite, got ",
+              datasetGB);
     if (cores < 1)
         fatal("core count must be >= 1, got ", cores);
     if (cores > config.cores()) {

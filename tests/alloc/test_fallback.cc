@@ -89,23 +89,6 @@ TEST(Fallback, ProportionalFallbackWhenBothMarketAttemptsFail)
     EXPECT_LE(perServer[1], 24);
 }
 
-TEST(Fallback, DisabledLadderServesPrimaryVerbatim)
-{
-    const auto market = smallMarket();
-    core::BiddingOptions primary;
-    primary.maxIterations = 2;
-    primary.priceTolerance = 1e-15;
-    FallbackOptions ladder;
-    ladder.enabled = false;
-    const FallbackPolicy fb(primary, ladder);
-    const auto result = fb.allocate(market);
-    // Pre-ladder behavior: the unconverged primary result, with
-    // non-convergence still visible to the caller.
-    EXPECT_EQ(result.mode, ServeMode::Primary);
-    EXPECT_FALSE(result.outcome.converged);
-    EXPECT_EQ(result.outcome.iterations, 2);
-}
-
 TEST(Fallback, TotalMessageLossFallsThroughToProportional)
 {
     const auto market = smallMarket();
@@ -133,11 +116,6 @@ TEST(Fallback, ServeModeNames)
 TEST(Fallback, ValidatesOptions)
 {
     FallbackOptions bad;
-    bad.retryDampingFactor = 0.0;
-    EXPECT_THROW(FallbackPolicy({}, bad), FatalError);
-    bad.retryDampingFactor = 1.0;
-    EXPECT_THROW(FallbackPolicy({}, bad), FatalError);
-    bad = FallbackOptions{};
     bad.retryMaxIterations = -1;
     EXPECT_THROW(FallbackPolicy({}, bad), FatalError);
 }

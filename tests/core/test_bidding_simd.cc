@@ -364,9 +364,6 @@ TEST(Acceleration, ValidatesItsOptions)
     bad = accelOptions();
     bad.accel.depth = 9;
     EXPECT_THROW(solveAmdahlBidding(market, bad), FatalError);
-    bad = accelOptions();
-    bad.schedule = UpdateSchedule::GaussSeidel;
-    EXPECT_THROW(solveAmdahlBidding(market, bad), FatalError);
 }
 
 // ---------------------------------------------------------------------

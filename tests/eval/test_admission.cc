@@ -51,7 +51,6 @@ TEST(Admission, DisabledFeatureIsBitIdentical)
     // while enabled stays false cannot perturb the run.
     knobs_changed.admission.maxLoadFactor = 1.0;
     knobs_changed.admission.maxQueueLength = 0;
-    knobs_changed.admission.shedByEntitlement = false;
 
     const auto a = runWith(base);
     const auto b = runWith(knobs_changed);
@@ -140,7 +139,7 @@ TEST(Admission, ZeroQueueShedsEveryOverCapArrival)
     EXPECT_GT(m.jobsShed, 0);
 }
 
-TEST(Admission, SheddingDisciplinesBothConserve)
+TEST(Admission, EntitlementSheddingConserves)
 {
     auto opts = overloadScenario();
     opts.admission.enabled = true;
@@ -149,14 +148,11 @@ TEST(Admission, SheddingDisciplinesBothConserve)
     opts.minBudget = 1;
     opts.maxBudget = 5;
 
-    auto tail = opts;
-    tail.admission.shedByEntitlement = false;
-    for (const auto &m : {runWith(opts), runWith(tail)}) {
-        EXPECT_GT(m.jobsShed, 0);
-        EXPECT_EQ(static_cast<int>(m.jobs.size()) +
-                      m.jobsQueuedAtHorizon + m.jobsShed,
-                  m.jobsArrived);
-    }
+    const auto m = runWith(opts);
+    EXPECT_GT(m.jobsShed, 0);
+    EXPECT_EQ(static_cast<int>(m.jobs.size()) + m.jobsQueuedAtHorizon +
+                  m.jobsShed,
+              m.jobsArrived);
 }
 
 TEST(Admission, InvalidOptionsThrow)

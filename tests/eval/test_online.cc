@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "alloc/amdahl_bidding_policy.hh"
@@ -574,6 +575,22 @@ TEST(Online, ValidatesOptions)
     opts = smallScenario();
     opts.arrivalsPerServerEpoch = -1.0;
     EXPECT_THROW(OnlineSimulator(cache, opts), FatalError);
+}
+
+TEST(Online, ValidationRejectsNaN)
+{
+    // Range checks written as `x <= 0` let NaN through (and a NaN
+    // horizon makes epochCount() cast ceil(NaN) to int).
+    CharacterizationCache cache;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double OnlineOptions::*field :
+         {&OnlineOptions::epochSeconds, &OnlineOptions::horizonSeconds,
+          &OnlineOptions::arrivalsPerServerEpoch,
+          &OnlineOptions::workScaleMin, &OnlineOptions::workScaleMax}) {
+        auto opts = smallScenario();
+        opts.*field = nan;
+        EXPECT_THROW(OnlineSimulator(cache, opts), FatalError);
+    }
 }
 
 } // namespace

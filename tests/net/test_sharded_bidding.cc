@@ -444,7 +444,7 @@ TEST(ShardedBridge, FaultedBudgetedRunMatchesPinnedBytes)
         const Observed run = observe(market, opts, &sharded, threads);
         EXPECT_GT(run.result.net.degradedRounds, 0u);
         EXPECT_TRUE(run.result.net.partitionDegraded);
-        expectPinned(run, {0x21f79ac4u, 0xbf9d004au},
+        expectPinned(run, {0xd78447dbu, 0xbf9d004au},
                      "faulted threads=" + std::to_string(threads));
     }
 }
@@ -466,7 +466,7 @@ TEST(ShardedBridge, CollapsedQuorumMatchesPinnedBytes)
     const Observed run = observe(market, opts, &sharded, 2);
     EXPECT_TRUE(run.result.net.quorumCollapsed);
     EXPECT_FALSE(run.result.converged);
-    expectPinned(run, {0x69a0c329u, 0xc866d031u}, "collapsed");
+    expectPinned(run, {0xf60ceb4cu, 0xc866d031u}, "collapsed");
 }
 
 } // namespace

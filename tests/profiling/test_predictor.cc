@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "profiling/predictor.hh"
 #include "profiling/profiler.hh"
@@ -160,6 +162,14 @@ TEST(Predictor, ValidatesPredictArguments)
     EXPECT_THROW(predictor.predictSeconds(0.0, 4), FatalError);
     EXPECT_THROW(predictor.predictSeconds(1.0, 0), FatalError);
     EXPECT_THROW(predictor.modelForCores(999), FatalError);
+}
+
+TEST(Predictor, ValidationRejectsNaN)
+{
+    const auto predictor = fitFor("vips");
+    EXPECT_THROW(predictor.predictSeconds(
+                     std::numeric_limits<double>::quiet_NaN(), 4),
+                 FatalError);
 }
 
 TEST(Predictor, MorCoresPredictsFasterExecution)

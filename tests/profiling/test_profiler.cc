@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "profiling/profiler.hh"
 #include "sim/workload_library.hh"
@@ -85,6 +87,15 @@ TEST(Profiler, RejectsEmptyOrInvalidDatasets)
     const auto &w = sim::findWorkload("vips");
     EXPECT_THROW(profiler.profile(w, {}), FatalError);
     EXPECT_THROW(profiler.profile(w, {-1.0}), FatalError);
+}
+
+TEST(Profiler, ValidationRejectsNaN)
+{
+    const Profiler profiler((sim::TaskSimulator()));
+    const auto &w = sim::findWorkload("vips");
+    EXPECT_THROW(
+        profiler.profile(w, {1.0, std::numeric_limits<double>::quiet_NaN()}),
+        FatalError);
 }
 
 TEST(Profiler, DatasetsAreSortedInProfile)

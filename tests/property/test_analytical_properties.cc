@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -88,6 +89,15 @@ TEST(Analytical, ValidatesArguments)
     EXPECT_THROW(model.executionSeconds(w, 0.0, 1), FatalError);
     EXPECT_THROW(model.executionSeconds(w, 1.0, 0), FatalError);
     EXPECT_THROW(model.executionSeconds(w, 1.0, 25), FatalError);
+}
+
+TEST(Analytical, ValidationRejectsNaN)
+{
+    const AnalyticalModel model;
+    const auto &w = workloadLibrary().front();
+    EXPECT_THROW(model.executionSeconds(
+                     w, std::numeric_limits<double>::quiet_NaN(), 1),
+                 FatalError);
 }
 
 TEST(Analytical, QuadraticExtensionWorkloadTracks)

@@ -93,8 +93,6 @@ TEST(InvariantProperty, BiddingStatesSatisfyEveryChecker)
         BiddingOptions opts;
         opts.priceTolerance = 1e-8;
         opts.maxIterations = 100000;
-        opts.schedule = trial % 2 == 0 ? UpdateSchedule::Synchronous
-                                       : UpdateSchedule::GaussSeidel;
         if (trial % 3 == 0)
             opts.damping = 0.7;
         const auto r = solveAmdahlBidding(market, opts);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "robustness/fault_injector.hh"
 
@@ -186,6 +188,19 @@ TEST(FaultInjector, ValidatesOptionRanges)
         o.scriptedCrashes = {{0, 5, 5}};
     });
     validateFaultOptions(FaultOptions{}); // defaults are valid
+}
+
+TEST(FaultInjector, ValidationRejectsNaN)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double FaultOptions::*field :
+         {&FaultOptions::crashRatePerServerEpoch,
+          &FaultOptions::bidLossRate,
+          &FaultOptions::fractionNoiseStddev}) {
+        FaultOptions opts;
+        opts.*field = nan;
+        EXPECT_THROW(validateFaultOptions(opts), FatalError);
+    }
 }
 
 TEST(FaultInjector, PerturbFractionIsIdentityWhenDisabled)

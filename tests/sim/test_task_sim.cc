@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 #include "core/amdahl.hh"
@@ -312,6 +313,16 @@ TEST(TaskSim, ValidatesArguments)
     EXPECT_THROW(sim.executionSeconds(w, 1.0, 0), FatalError);
     EXPECT_THROW(sim.executionSeconds(w, 1.0, 25), FatalError);
     EXPECT_THROW(sim.setInterferenceSlowdown(0.9), FatalError);
+}
+
+TEST(TaskSim, ValidationRejectsNaN)
+{
+    TaskSimulator sim;
+    const auto w = cleanWorkload(1.0, 9.0);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(sim.executionSeconds(w, nan, 1), FatalError);
+    EXPECT_THROW(sim.setInterferenceSlowdown(nan), FatalError);
+    EXPECT_THROW(sim.setTaskFailureRate(nan), FatalError);
 }
 
 TEST(TaskSim, StageBreakdownIsConsistent)

@@ -10,7 +10,6 @@
  *       --epsilon <e>        Price-change termination threshold
  *                            (default 1e-6).
  *       --max-iterations <n> Iteration cap (default 10000).
- *       --gauss-seidel       Use the Gauss-Seidel update schedule.
  *       --fractional         Skip Hamilton rounding in the output.
  *       --deadline-iterations <n>
  *                            Anytime iteration budget: serve the best
@@ -90,7 +89,6 @@
  *   stats <file> [options]   Solve a market file with phase timing
  *                            enabled and dump the metrics registry
  *                            (counters, gauges, timing histograms).
- *       --gauss-seidel       Use the Gauss-Seidel update schedule.
  *       --json               Emit the registry as JSON instead of text.
  *
  * Global flags (any subcommand, before or after it):
@@ -125,6 +123,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -133,6 +132,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -164,13 +165,36 @@ namespace {
 
 using namespace amdahl;
 
+/**
+ * Parse all of @p text as a base-10 T (int, an unsigned integer type
+ * or double) for the flag named @p flag. Unlike std::stoi and
+ * friends, nothing may follow the number, and an unsigned flag
+ * rejects a sign instead of wrapping "-1" to its maximum.
+ * @throws FatalError naming the flag and the text it got.
+ */
+template <typename T>
+T
+parseNumber(std::string_view flag, const std::string &text)
+{
+    T value{};
+    const char *last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+    if (!text.empty() && ec == std::errc() && ptr == last)
+        return value;
+    if (ec == std::errc::result_out_of_range && ptr == last)
+        fatal(flag, " value '", text, "' is out of range");
+    const char *want = std::is_floating_point_v<T> ? "a number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "a non-negative integer";
+    fatal(flag, " expects ", want, ", got '", text, "'");
+}
+
 int
 usage()
 {
     std::cerr
         << "usage: amdahl_market solve <file> [--epsilon e]\n"
-        << "                     [--max-iterations n] [--gauss-seidel]"
-        << " [--fractional]\n"
+        << "                     [--max-iterations n] [--fractional]\n"
         << "                     [--deadline-iterations n]"
         << " [--deadline-seconds s]\n"
         << "                     [--accel] [--accel-depth n]\n"
@@ -196,8 +220,7 @@ usage()
         << " [--quorum f] [--max-stale n]\n"
         << "       amdahl_market trace analyze <trace.jsonl>"
         << " [--chrome out.json]\n"
-        << "       amdahl_market stats <file> [--gauss-seidel]"
-        << " [--json]\n"
+        << "       amdahl_market stats <file> [--json]\n"
         << "global flags: [--trace-out path] [--metrics-out path]"
         << " [--timing] [--span-trace]\n"
         << "              [--log-level quiet|warn|info]"
@@ -214,23 +237,22 @@ cmdSolve(const std::vector<std::string> &args)
     for (std::size_t a = 0; a < args.size(); ++a) {
         const std::string &arg = args[a];
         if (arg == "--epsilon" && a + 1 < args.size()) {
-            opts.priceTolerance = std::stod(args[++a]);
+            opts.priceTolerance = parseNumber<double>(arg, args[++a]);
         } else if (arg == "--max-iterations" && a + 1 < args.size()) {
-            opts.maxIterations = std::stoi(args[++a]);
-        } else if (arg == "--gauss-seidel") {
-            opts.schedule = core::UpdateSchedule::GaussSeidel;
+            opts.maxIterations = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--fractional") {
             fractional = true;
         } else if (arg == "--deadline-iterations" &&
                    a + 1 < args.size()) {
-            opts.deadline.iterationBudget = std::stoi(args[++a]);
+            opts.deadline.iterationBudget = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--deadline-seconds" && a + 1 < args.size()) {
-            opts.deadline.wallClockSeconds = std::stod(args[++a]);
+            opts.deadline.wallClockSeconds =
+                parseNumber<double>(arg, args[++a]);
         } else if (arg == "--accel") {
             opts.accel.enabled = true;
         } else if (arg == "--accel-depth" && a + 1 < args.size()) {
             opts.accel.enabled = true;
-            opts.accel.depth = std::stoi(args[++a]);
+            opts.accel.depth = parseNumber<int>(arg, args[++a]);
         } else if (path.empty() && !arg.empty() && arg[0] != '-') {
             path = arg;
         } else {
@@ -408,9 +430,10 @@ cmdSimulate(const std::vector<std::string> &args)
     if (args.size() < 2 || args.size() > 3)
         return usage();
     const auto &workload = sim::findWorkload(args[0]);
-    const int cores = std::stoi(args[1]);
-    const double gb =
-        args.size() == 3 ? std::stod(args[2]) : workload.datasetGB;
+    const int cores = parseNumber<int>("simulate <cores>", args[1]);
+    const double gb = args.size() == 3
+                          ? parseNumber<double>("simulate <gb>", args[2])
+                          : workload.datasetGB;
 
     const sim::TaskSimulator sim;
     const auto result = sim.execute(workload, gb, cores);
@@ -832,15 +855,15 @@ cmdTrace(const std::vector<std::string> &args,
     for (std::size_t a = 0; a < args.size(); ++a) {
         const std::string &arg = args[a];
         if (arg == "--seed" && a + 1 < args.size()) {
-            opts.seed = std::stoull(args[++a]);
+            opts.seed = parseNumber<std::uint64_t>(arg, args[++a]);
         } else if (arg == "--users" && a + 1 < args.size()) {
-            opts.users = std::stoi(args[++a]);
+            opts.users = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--servers" && a + 1 < args.size()) {
-            opts.servers = std::stoi(args[++a]);
+            opts.servers = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--cores" && a + 1 < args.size()) {
-            opts.coresPerServer = std::stoi(args[++a]);
+            opts.coresPerServer = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--epochs" && a + 1 < args.size()) {
-            epochs = std::stoi(args[++a]);
+            epochs = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--faults") {
             opts.faults.enabled = true;
             opts.faults.crashRatePerServerEpoch = 0.02;
@@ -851,26 +874,25 @@ cmdTrace(const std::vector<std::string> &args,
             dur.stateDir = args[++a];
             durable = true;
         } else if (arg == "--snapshot-every" && a + 1 < args.size()) {
-            dur.snapshotEvery = std::stoi(args[++a]);
+            dur.snapshotEvery = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--keep-snapshots" && a + 1 < args.size()) {
-            dur.keepSnapshots = std::stoi(args[++a]);
+            dur.keepSnapshots = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--recover") {
             recover = true;
         } else if (arg == "--io-fault-rate" && a + 1 < args.size()) {
-            dur.ioFaults.failureRate = std::stod(args[++a]);
+            dur.ioFaults.failureRate = parseNumber<double>(arg, args[++a]);
             dur.ioFaults.enabled = dur.ioFaults.failureRate > 0.0;
             io_knobs = true;
         } else if (arg == "--io-fault-seed" && a + 1 < args.size()) {
-            dur.ioFaults.seed = std::stoull(args[++a]);
+            dur.ioFaults.seed = parseNumber<std::uint64_t>(arg, args[++a]);
             io_knobs = true;
         } else if (arg == "--io-max-retries" && a + 1 < args.size()) {
-            dur.ioFaults.maxRetries = std::stoi(args[++a]);
+            dur.ioFaults.maxRetries = parseNumber<int>(arg, args[++a]);
             io_knobs = true;
         } else if (arg == "--shards" && a + 1 < args.size()) {
-            opts.net.shards =
-                static_cast<std::size_t>(std::stoull(args[++a]));
+            opts.net.shards = parseNumber<std::size_t>(arg, args[++a]);
         } else if (arg == "--net-loss" && a + 1 < args.size()) {
-            opts.net.faults.lossRate = std::stod(args[++a]);
+            opts.net.faults.lossRate = parseNumber<double>(arg, args[++a]);
         } else if (arg == "--net-delay" && a + 1 < args.size()) {
             if (Status st =
                     net::parseDelaySpec(args[++a], opts.net.faults);
@@ -879,9 +901,10 @@ cmdTrace(const std::vector<std::string> &args,
                 return 2;
             }
         } else if (arg == "--net-dup" && a + 1 < args.size()) {
-            opts.net.faults.duplicationRate = std::stod(args[++a]);
+            opts.net.faults.duplicationRate =
+                parseNumber<double>(arg, args[++a]);
         } else if (arg == "--net-seed" && a + 1 < args.size()) {
-            opts.net.faults.seed = std::stoull(args[++a]);
+            opts.net.faults.seed = parseNumber<std::uint64_t>(arg, args[++a]);
         } else if (arg == "--net-partition" && a + 1 < args.size()) {
             auto window = net::parsePartitionWindow(args[++a]);
             if (!window.ok()) {
@@ -891,11 +914,13 @@ cmdTrace(const std::vector<std::string> &args,
             }
             opts.net.partitions.push_back(window.take());
         } else if (arg == "--barrier-deadline" && a + 1 < args.size()) {
-            opts.net.barrierDeadline = std::stoull(args[++a]);
+            opts.net.barrierDeadline =
+                parseNumber<std::uint64_t>(arg, args[++a]);
         } else if (arg == "--quorum" && a + 1 < args.size()) {
-            opts.net.quorumFloor = std::stod(args[++a]);
+            opts.net.quorumFloor = parseNumber<double>(arg, args[++a]);
         } else if (arg == "--max-stale" && a + 1 < args.size()) {
-            opts.net.maxStaleRounds = std::stoull(args[++a]);
+            opts.net.maxStaleRounds =
+                parseNumber<std::uint64_t>(arg, args[++a]);
         } else if (arg == "--kill-point" && a + 1 < args.size()) {
             kill_spec = args[++a];
         } else if (arg == "--list-kill-points") {
@@ -1123,11 +1148,8 @@ cmdStats(const std::vector<std::string> &args)
 {
     std::string path;
     bool json = false;
-    core::BiddingOptions opts;
     for (const std::string &arg : args) {
-        if (arg == "--gauss-seidel") {
-            opts.schedule = core::UpdateSchedule::GaussSeidel;
-        } else if (arg == "--json") {
+        if (arg == "--json") {
             json = true;
         } else if (path.empty() && !arg.empty() && arg[0] != '-') {
             path = arg;
@@ -1150,7 +1172,7 @@ cmdStats(const std::vector<std::string> &args)
     // work already recorded so the dump attributes to the solve alone.
     obs::setTimingEnabled(true);
     obs::metrics().reset();
-    const auto result = core::solveAmdahlBidding(market, opts);
+    const auto result = core::solveAmdahlBidding(market);
     core::verifyEquilibrium(market, result);
     core::roundOutcome(market, result);
 

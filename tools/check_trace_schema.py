@@ -33,8 +33,8 @@ REQUIRED = {
     "run_end": set(),
     "epoch_start": {"epoch", "now"},
     "epoch_end": {"epoch", "in_system", "idle"},
-    "bidding_start": {"users", "servers", "schedule", "damping",
-                      "warm_start", "deadline_armed"},
+    "bidding_start": {"users", "servers", "damping", "warm_start",
+                      "deadline_armed"},
     "bidding_iter": {"iter", "max_delta"},
     "bidding_accel": {"iter", "plain_delta", "accel_delta",
                       "accepted"},

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code lines in src/, per subdirectory and in total.
+"""Count the code lines and option fields in src/, per subdirectory and in total.
 
 A code line is a line of a .cc or .hh file that is neither blank nor a
 comment line: once stripped, it does not start with ``//``, ``/*`` or
@@ -7,14 +7,25 @@ comment line: once stripped, it does not start with ``//``, ``/*`` or
 the rule the "net lines in src/ go down" goal is measured by, so two
 commits compare by running this script on each.
 
+An option field is a data member of a ``struct <Name>Options`` defined
+in a .hh file: one per declaration statement in the struct body, not
+counting member functions, nested types, ``using`` and ``static``
+declarations. Every field is one more configuration that tests and
+benchmarks must cover, so the count is printed next to the lines.
+
 Usage: src_lines.py [--repo-root DIR]
 """
 
 import argparse
 import pathlib
+import re
 
 SOURCE_SUFFIXES = {".cc", ".hh"}
 COMMENT_PREFIXES = ("//", "/*", "*")
+OPTIONS_STRUCT = re.compile(r"\bstruct\s+\w*Options\b[^;{]*\{")
+COMMENTS = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+NOT_FIELDS = ("using ", "static ", "struct ", "class ", "enum ",
+              "union ", "friend ", "typedef ", "template")
 
 
 def code_lines(path):
@@ -26,6 +37,44 @@ def code_lines(path):
     return count
 
 
+def option_fields(path):
+    """Data members of every ``struct *Options`` body in @p path."""
+    text = COMMENTS.sub("", path.read_text(encoding="utf-8"))
+    count = 0
+    for match in OPTIONS_STRUCT.finditer(text):
+        # Walk the body at brace depth 1, one statement at a time. A
+        # brace block that follows a parameter list is a function body
+        # and ends the statement; any other block (a brace initializer
+        # or a nested type) stays part of it.
+        statement = ""
+        depth = 1
+        pos = match.end()
+        while depth > 0:
+            ch = text[pos]
+            pos += 1
+            if ch == "{":
+                if depth == 1 and "(" in statement.split("=")[0]:
+                    statement = ""
+                    skip = 1
+                    while skip > 0:
+                        skip += {"{": 1, "}": -1}.get(text[pos], 0)
+                        pos += 1
+                    continue
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+            if depth == 1 and ch == ";":
+                decl = " ".join(statement.split())
+                decl = re.sub(r"^(public|private|protected):\s*", "", decl)
+                if decl and "(" not in decl.split("=")[0] and \
+                        not decl.startswith(NOT_FIELDS):
+                    count += 1
+                statement = ""
+            elif depth >= 1 and ch != "}":
+                statement += ch
+    return count
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo-root", default=".",
@@ -33,17 +82,21 @@ def main():
     args = parser.parse_args()
 
     src = pathlib.Path(args.repo_root) / "src"
-    per_dir = {}
+    lines = {}
+    options = {}
     for path in sorted(src.rglob("*")):
         if path.is_file() and path.suffix in SOURCE_SUFFIXES:
             # Files directly under src/ are listed as "src/".
             parents = path.relative_to(src).parent.parts
             key = parents[0] if parents else ""
-            per_dir[key] = per_dir.get(key, 0) + code_lines(path)
+            lines[key] = lines.get(key, 0) + code_lines(path)
+            fields = option_fields(path) if path.suffix == ".hh" else 0
+            options[key] = options.get(key, 0) + fields
 
-    for key in sorted(per_dir):
-        print(f"{per_dir[key]:7d}  src/{key}")
-    print(f"{sum(per_dir.values()):7d}  total")
+    print("  lines  options")
+    for key in sorted(lines):
+        print(f"{lines[key]:7d}  {options[key]:7d}  src/{key}")
+    print(f"{sum(lines.values()):7d}  {sum(options.values()):7d}  total")
 
 
 if __name__ == "__main__":
