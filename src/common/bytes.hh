@@ -1,0 +1,243 @@
+/**
+ * @file
+ * The one binary codec: fixed-width little-endian values in a byte
+ * string.
+ *
+ * Snapshots, journal records and network frames are byte strings
+ * produced by ByteWriter and consumed by ByteReader. The format is
+ * deliberately primitive: fixed-width little-endian integers, doubles
+ * by IEEE-754 bit pattern, and length-prefixed byte strings. No
+ * varints, no alignment, no endianness probes — the encoding of a
+ * value sequence is the same on every platform, which is what makes
+ * snapshot bytes comparable across runs (the recovery-equivalence
+ * oracle diffs them directly).
+ *
+ * Values are assembled with shifts; on a little-endian target the
+ * compiler turns the shifts into a single load or store, and elsewhere
+ * into a byte swap, so no code path depends on the host byte order.
+ *
+ * Readers treat the input as untrusted (a crashed process or a lossy
+ * wire may have left arbitrary bytes): every read is bounds-checked,
+ * length prefixes are capped by the bytes actually present, and the
+ * first failure is latched as a Status the caller checks once at the
+ * end — the trust-boundary pattern from common/status.hh applied to
+ * binary input.
+ */
+
+#ifndef AMDAHL_COMMON_BYTES_HH
+#define AMDAHL_COMMON_BYTES_HH
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/status.hh"
+
+namespace amdahl {
+
+namespace detail {
+
+/** Store the low @p N bytes of @p v at @p out, least significant first. */
+template <std::size_t N>
+inline void
+storeLe(char *out, std::uint64_t v)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        out[i] = static_cast<char>(v >> (8 * i));
+}
+
+/** @return The @p N little-endian bytes at @p in as an integer. */
+template <std::size_t N>
+inline std::uint64_t
+loadLe(const char *in)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < N; ++i)
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[i]))
+             << (8 * i);
+    return v;
+}
+
+} // namespace detail
+
+/**
+ * Appends primitive values to a byte buffer (little-endian).
+ *
+ * Fixed-width values are stored into a small staging block and
+ * appended to the buffer one block at a time, so a field costs a
+ * store, not a call into the string; strings and vectors go straight
+ * to the buffer after the block is flushed.
+ */
+class ByteWriter
+{
+  public:
+    /** Reserve room for @p n bytes in total. */
+    void reserve(std::size_t n) { buf.reserve(n); }
+
+    /** Fold one byte. */
+    void putU8(std::uint8_t v) { put<1>(v); }
+
+    /** Fold one unsigned 32-bit value. */
+    void putU32(std::uint32_t v) { put<4>(v); }
+
+    /** Fold one unsigned 64-bit value. */
+    void putU64(std::uint64_t v) { put<8>(v); }
+
+    /** Fold a double by bit pattern (exact round trip). */
+    void putF64(double v) { putU64(std::bit_cast<std::uint64_t>(v)); }
+
+    /** Fold a byte string with a u64 length prefix. */
+    void putString(std::string_view s);
+
+    /** Fold a vector of doubles with a u64 count prefix. */
+    void putF64Vector(const std::vector<double> &v);
+
+    /** Fold a vector of u64 with a u64 count prefix. */
+    void putU64Vector(const std::vector<std::uint64_t> &v);
+
+    /** Overwrite the u32 written at byte @p offset (a field such as a
+     *  checksum that is known only after the bytes that follow it). */
+    void patchU32(std::size_t offset, std::uint32_t v);
+
+    /** @return The accumulated bytes. */
+    const std::string &
+    bytes()
+    {
+        flush();
+        return buf;
+    }
+
+    /** @return The accumulated bytes, moved out. */
+    std::string
+    take()
+    {
+        flush();
+        return std::move(buf);
+    }
+
+  private:
+    template <std::size_t N>
+    void
+    put(std::uint64_t v)
+    {
+        if (staged + N > sizeof stage)
+            flush();
+        detail::storeLe<N>(stage + staged, v);
+        staged += N;
+    }
+
+    /** Append the staged bytes to the buffer. */
+    void flush();
+
+    /**
+     * Grow the buffer by @p n bytes and @return where they start.
+     * Capacity doubles from the current one, so a large vector does
+     * not reset the growth to an exact fit: that would round the final
+     * capacity of a large state up from an arbitrary base and raise
+     * its peak memory.
+     */
+    char *extend(std::size_t n);
+
+    std::string buf;
+    char stage[256];
+    std::size_t staged = 0;
+};
+
+/**
+ * Bounds-checked reader over an encoded byte string.
+ *
+ * On underrun or an implausible length prefix the reader latches a
+ * ParseError and every subsequent read returns a zero value; callers
+ * check status() once after decoding instead of after every field.
+ */
+class ByteReader
+{
+  public:
+    explicit ByteReader(std::string_view data) : in(data) {}
+
+    /** @return The next byte, or 0 after a latched failure. */
+    std::uint8_t
+    readU8()
+    {
+        if (!need(1, "u8"))
+            return 0;
+        return static_cast<std::uint8_t>(in[pos++]);
+    }
+
+    /** @return The next u32, or 0 after a latched failure. */
+    std::uint32_t
+    readU32()
+    {
+        if (!need(4, "u32"))
+            return 0;
+        const auto v = static_cast<std::uint32_t>(
+            detail::loadLe<4>(in.data() + pos));
+        pos += 4;
+        return v;
+    }
+
+    /** @return The next u64, or 0 after a latched failure. */
+    std::uint64_t
+    readU64()
+    {
+        if (!need(8, "u64"))
+            return 0;
+        const std::uint64_t v = detail::loadLe<8>(in.data() + pos);
+        pos += 8;
+        return v;
+    }
+
+    /** @return The next double, or 0.0 after a latched failure. */
+    double readF64() { return std::bit_cast<double>(readU64()); }
+
+    /** @return The next length-prefixed byte string, or "" on failure. */
+    std::string readString();
+
+    /** @return The next count-prefixed double vector ({} on failure). */
+    std::vector<double> readF64Vector();
+
+    /** @return The next count-prefixed u64 vector ({} on failure). */
+    std::vector<std::uint64_t> readU64Vector();
+
+    /** @return Bytes not yet consumed. */
+    std::size_t remaining() const { return in.size() - pos; }
+
+    /** @return true when no read has failed so far. */
+    bool ok() const { return st.isOk(); }
+
+    /** @return The latched first failure, or Status::ok(). */
+    const Status &status() const { return st; }
+
+    /**
+     * Require that every input byte was consumed; trailing garbage
+     * latches a ParseError (a well-formed record decodes exactly).
+     */
+    void expectEnd();
+
+  private:
+    /** @return true when @p n more bytes may be consumed. */
+    bool
+    need(std::size_t n, const char *what)
+    {
+        return (st.isOk() && in.size() - pos >= n) || fail(n, what);
+    }
+
+    /** Latch the underrun of a @p n-byte @p what (unless a failure is
+     *  already latched); @return false. */
+    bool fail(std::size_t n, const char *what);
+
+    /** @return The next count prefix of 8-byte elements, latching a
+     *  ParseError when fewer than that many elements remain. */
+    std::uint64_t readCount8(const char *what);
+
+    std::string_view in;
+    std::size_t pos = 0;
+    Status st = Status::ok();
+};
+
+} // namespace amdahl
+
+#endif // AMDAHL_COMMON_BYTES_HH

@@ -17,10 +17,12 @@
 #ifndef AMDAHL_COMMON_CRC32_HH
 #define AMDAHL_COMMON_CRC32_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string_view>
+
+#include "common/bytes.hh"
 
 namespace amdahl {
 
@@ -64,9 +66,8 @@ class Crc32
     void
     updateU64(std::uint64_t v)
     {
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
+        char b[8];
+        detail::storeLe<8>(b, v);
         update(b, sizeof b);
     }
 
@@ -74,21 +75,13 @@ class Crc32
     void
     updateU32(std::uint32_t v)
     {
-        unsigned char b[4];
-        for (int i = 0; i < 4; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
+        char b[4];
+        detail::storeLe<4>(b, v);
         update(b, sizeof b);
     }
 
     /** Fold a double by its IEEE-754 bit pattern (exact, no rounding). */
-    void
-    updateF64(double v)
-    {
-        std::uint64_t bits;
-        static_assert(sizeof bits == sizeof v);
-        std::memcpy(&bits, &v, sizeof bits);
-        updateU64(bits);
-    }
+    void updateF64(double v) { updateU64(std::bit_cast<std::uint64_t>(v)); }
 
     /** @return The digest over everything folded so far. */
     std::uint32_t value() const { return crc_; }

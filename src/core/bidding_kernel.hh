@@ -30,7 +30,11 @@
  * non-negative partials bids produce), so the streaming in-process
  * fold over present blocks and the dense table fold over all blocks
  * agree bit for bit — at any shard count, including the legacy
- * single-fold result for markets of at most one block.
+ * single-fold result for markets of at most one block. The same
+ * argument lets a shard leave its zero partials off the wire: every
+ * aggregate covers all of its shard's blocks, so the coordinator
+ * zeroes those rows and writes what arrived (applyShardBid), and the
+ * table it folds is the dense one cell for cell.
  */
 
 #ifndef AMDAHL_CORE_BIDDING_KERNEL_HH
@@ -268,6 +272,35 @@ accumulateBlockPartials(const BidKernel &kernel, std::size_t blockLo,
         for (std::size_t e = kernel.userOffset[uLo];
              e < kernel.userOffset[uHi]; ++e)
             row[kernel.server[e]] += kernel.bids[e];
+    }
+}
+
+/**
+ * Apply shard @p s's bid aggregate to the coordinator's dense
+ * block x server table of @p m columns: zero the shard's rows
+ * [blockLo[s], blockLo[s + 1]), then write the partials @p bid
+ * carries. The aggregate is decoded wire input, so every index is
+ * checked before it addresses the table; a mismatch is a protocol
+ * bug and panics.
+ */
+inline void
+applyShardBid(const net::BidMsg &bid, std::size_t s,
+              const std::vector<std::size_t> &blockLo, std::size_t m,
+              std::vector<double> &table)
+{
+    ensure(bid.shard == s, "bid aggregate names shard ", bid.shard,
+           " on shard ", s, "'s edge");
+    const std::size_t lo = blockLo[s];
+    const std::size_t hi = blockLo[s + 1];
+    std::fill(table.begin() + static_cast<std::ptrdiff_t>(lo * m),
+              table.begin() + static_cast<std::ptrdiff_t>(hi * m), 0.0);
+    for (const net::BlockPartial &p : bid.partials) {
+        ensure(p.block >= lo && p.block < hi, "shard ", s,
+               " sent a partial for block ", p.block, " outside its "
+               "blocks [", lo, ", ", hi, ")");
+        ensure(p.server < m, "shard ", s, " sent a partial for server ",
+               p.server, " of ", m);
+        table[p.block * m + p.server] = p.partial;
     }
 }
 
@@ -634,7 +667,8 @@ class ShardedExchange
     // Coordinator state: the dense partial table, seeded from the
     // initial bids (every shard "fresh as of round base - 1"). The
     // scratch table is the *shard-side* staging area: a shard
-    // recomputes its rows there and ships them as a BidMsg, and the
+    // recomputes its rows there and ships their nonzero cells as a
+    // BidMsg (applied by applyShardBid), and the
     // coordinator's table only changes when that message is actually
     // delivered — a lost aggregate leaves the coordinator genuinely
     // stale.

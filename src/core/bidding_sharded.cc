@@ -6,10 +6,11 @@
  * Users are grouped into shards of whole price blocks. Each round the
  * coordinator broadcasts a PriceMsg per shard; a shard that receives
  * it updates its users' bids (proportional response, shared kernel),
- * ships its per-(server, block) partials back as a BidMsg, and arms
- * retransmit timers with deterministic exponential backoff. The
- * coordinator overwrites its dense block x server partial table from
- * every applied aggregate and waits on a virtual-time barrier: the
+ * ships its nonzero per-(server, block) partials back as a BidMsg, and
+ * arms retransmit timers with deterministic exponential backoff. The
+ * coordinator overwrites the sender's rows of its dense block x
+ * server partial table from every applied aggregate (applyShardBid)
+ * and waits on a virtual-time barrier: the
  * round closes when every shard's round-r aggregate has arrived, or
  * at the barrier deadline, whichever is first. A deadline expiry
  * clears a partial-quorum degraded round on the stale table — counted,
@@ -149,18 +150,18 @@ ShardedExchange::sendShardBid(std::size_t s, std::uint64_t forRound,
     bm.attempt = 0;
     bm.bid.shard = static_cast<std::uint32_t>(s);
     bm.bid.round = forRound;
-    bm.bid.partials.reserve((blockLo[s + 1] - blockLo[s]) * m);
+    // Only the nonzero partials travel: applyShardBid zeroes the
+    // shard's rows before writing them (bidding_kernel.hh).
     for (std::size_t b = blockLo[s]; b < blockLo[s + 1]; ++b) {
         for (std::size_t j = 0; j < m; ++j) {
-            net::BlockPartial p;
-            p.server = static_cast<std::uint32_t>(j);
-            p.block = b;
-            p.partial = scratch[b * m + j];
-            bm.bid.partials.push_back(p);
+            if (scratch[b * m + j] != 0.0)
+                bm.bid.partials.push_back(
+                    {static_cast<std::uint32_t>(j), b, scratch[b * m + j]});
         }
     }
-    lastBid[s] = bm;
-    transport.send(bm, net::bidEdge(s), s, forRound, partitionRound, at);
+    lastBid[s] = std::move(bm);
+    transport.send(lastBid[s], net::bidEdge(s), s, forRound,
+                   partitionRound, at);
     for (std::uint32_t k = 1; k <= kMaxRetransmits; ++k) {
         RetransmitTimer t;
         t.tick = at + kRetransmitBase * (net::Ticks{1} << (k - 1));
@@ -345,8 +346,7 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
                     inst->dupSuppressed->add();
                 continue;
             }
-            for (const net::BlockPartial &p : msg.bid.partials)
-                table[p.block * m + p.server] = p.partial;
+            applyShardBid(msg.bid, s, blockLo, m, table);
             lastApplied[s] = rb;
             if (rb == static_cast<std::int64_t>(g)) {
                 ++freshCount;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 
+#include "common/bytes.hh"
 #include "common/check.hh"
 #include "common/crc32.hh"
 #include "common/logging.hh"
@@ -13,7 +14,6 @@
 #include "obs/span.hh"
 #include "obs/timer.hh"
 #include "obs/trace.hh"
-#include "robustness/durability/codec.hh"
 #include "sim/workload_library.hh"
 
 namespace amdahl::eval {
@@ -114,7 +114,7 @@ emitRunStart(const OnlineOptions &opts, const std::string &policyName)
 constexpr std::uint32_t kStateVersion = 4;
 
 void
-putJob(durability::ByteWriter &w, const OnlineJob &job)
+putJob(ByteWriter &w, const OnlineJob &job)
 {
     w.putU64(static_cast<std::uint64_t>(job.user));
     w.putU64(static_cast<std::uint64_t>(job.server));
@@ -128,7 +128,7 @@ putJob(durability::ByteWriter &w, const OnlineJob &job)
 }
 
 OnlineJob
-readJob(durability::ByteReader &r)
+readJob(ByteReader &r)
 {
     OnlineJob job;
     job.user = static_cast<std::size_t>(r.readU64());
@@ -144,7 +144,7 @@ readJob(durability::ByteReader &r)
 }
 
 void
-putStats(durability::ByteWriter &w, const OnlineStatsState &st)
+putStats(ByteWriter &w, const OnlineStatsState &st)
 {
     w.putU64(static_cast<std::uint64_t>(st.n));
     w.putF64(st.m);
@@ -154,7 +154,7 @@ putStats(durability::ByteWriter &w, const OnlineStatsState &st)
 }
 
 OnlineStatsState
-readStats(durability::ByteReader &r)
+readStats(ByteReader &r)
 {
     OnlineStatsState st;
     st.n = static_cast<std::size_t>(r.readU64());
@@ -166,20 +166,20 @@ readStats(durability::ByteReader &r)
 }
 
 void
-putCharVector(durability::ByteWriter &w, const std::vector<char> &v)
+putCharVector(ByteWriter &w, const std::vector<char> &v)
 {
     w.putString(std::string_view(v.data(), v.size()));
 }
 
 std::vector<char>
-readCharVector(durability::ByteReader &r)
+readCharVector(ByteReader &r)
 {
     const std::string s = r.readString();
     return {s.begin(), s.end()};
 }
 
 void
-putIntVector(durability::ByteWriter &w, const std::vector<int> &v)
+putIntVector(ByteWriter &w, const std::vector<int> &v)
 {
     w.putU64(v.size());
     for (int x : v)
@@ -188,7 +188,7 @@ putIntVector(durability::ByteWriter &w, const std::vector<int> &v)
 }
 
 std::vector<int>
-readIntVector(durability::ByteReader &r)
+readIntVector(ByteReader &r)
 {
     const std::vector<std::uint64_t> raw = r.readU64Vector();
     std::vector<int> out;
@@ -199,13 +199,13 @@ readIntVector(durability::ByteReader &r)
 }
 
 void
-putCount(durability::ByteWriter &w, int v)
+putCount(ByteWriter &w, int v)
 {
     w.putU64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
 }
 
 int
-readCount(durability::ByteReader &r)
+readCount(ByteReader &r)
 {
     return static_cast<int>(static_cast<std::int64_t>(r.readU64()));
 }
@@ -277,7 +277,7 @@ onlineStateFingerprint(const OnlineOptions &opts,
 std::string
 encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
 {
-    durability::ByteWriter w;
+    ByteWriter w;
     w.putU32(kStateVersion);
     w.putU32(onlineStateFingerprint(opts, s.metrics.policyName));
     w.putU64(static_cast<std::uint64_t>(s.epoch));
@@ -321,9 +321,7 @@ encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
     w.putF64Vector(s.metrics.speedupHistory);
     w.putU64(s.net.ticks);
     w.putU64(s.net.globalRound);
-    w.putU64(s.net.edgeSeq.size());
-    for (std::uint64_t seq : s.net.edgeSeq)
-        w.putU64(seq);
+    w.putU64Vector(s.net.edgeSeq);
     w.putU64(s.metrics.netDegradedRounds);
     w.putU64(s.metrics.netStaleBidRounds);
     w.putU64(s.metrics.netRetransmits);
@@ -337,7 +335,7 @@ Result<OnlineRunState>
 decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
                   std::string_view policyName)
 {
-    durability::ByteReader r(payload);
+    ByteReader r(payload);
     const std::uint32_t version = r.readU32();
     if (r.ok() && version != kStateVersion) {
         return Status::error(ErrorKind::SemanticError, 0,
@@ -398,9 +396,7 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
     s.metrics.speedupHistory = r.readF64Vector();
     s.net.ticks = r.readU64();
     s.net.globalRound = r.readU64();
-    const std::uint64_t edge_count = r.readU64();
-    for (std::uint64_t i = 0; r.ok() && i < edge_count; ++i)
-        s.net.edgeSeq.push_back(r.readU64());
+    s.net.edgeSeq = r.readU64Vector();
     s.metrics.netDegradedRounds = r.readU64();
     s.metrics.netStaleBidRounds = r.readU64();
     s.metrics.netRetransmits = r.readU64();

@@ -428,7 +428,7 @@ std::uint32_t onlineStateFingerprint(const OnlineOptions &opts,
                                      std::string_view policyName);
 
 /**
- * Serialize a run state to portable bytes (durability/codec.hh
+ * Serialize a run state to portable bytes (common/bytes.hh
  * framing: little-endian fixed-width fields, length-prefixed
  * containers). Pure function of (@p state, @p opts) — the recovery
  * oracle compares these bytes directly.

@@ -1,7 +1,6 @@
 #include "net/message.hh"
 
-#include <cstring>
-
+#include "common/bytes.hh"
 #include "common/crc32.hh"
 
 namespace amdahl::net {
@@ -16,129 +15,25 @@ namespace {
  *
  * Bid payload:   u32 shard, u64 round, u64 count,
  *                count * { u32 server, u64 block, f64 partial }
+ *                (the shard's nonzero partials only; see BlockPartial)
  * Price payload: u64 round, u64 count, count * f64
+ *
+ * The fields are written with common/bytes.hh, the codec the durable
+ * state uses too; the frame is built in one buffer and its payload CRC
+ * patched in place.
  */
 constexpr std::uint32_t kMagic = 0x544e4d41; // "AMNT"
 
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
+/** Header bytes; the payload CRC is the header's last field. */
+constexpr std::size_t kHeaderBytes = 33;
 
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-putF64(std::string &out, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    putU64(out, bits);
-}
-
-class Reader
-{
-  public:
-    explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-    bool
-    readU8(std::uint8_t &v)
-    {
-        if (!have(1))
-            return false;
-        v = static_cast<std::uint8_t>(bytes_[pos_]);
-        ++pos_;
-        return true;
-    }
-
-    bool
-    readU32(std::uint32_t &v)
-    {
-        if (!have(4))
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 4;
-        return true;
-    }
-
-    bool
-    readU64(std::uint64_t &v)
-    {
-        if (!have(8))
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 8;
-        return true;
-    }
-
-    bool
-    readF64(double &v)
-    {
-        std::uint64_t bits = 0;
-        if (!readU64(bits))
-            return false;
-        std::memcpy(&v, &bits, sizeof v);
-        return true;
-    }
-
-    [[nodiscard]] bool have(std::size_t n) const
-    {
-        return bytes_.size() - pos_ >= n;
-    }
-
-    [[nodiscard]] bool atEnd() const { return pos_ == bytes_.size(); }
-
-    [[nodiscard]] std::string_view
-    rest() const
-    {
-        return bytes_.substr(pos_);
-    }
-
-  private:
-    std::string_view bytes_;
-    std::size_t pos_ = 0;
-};
+/** Bytes per bid partial record {u32 server, u64 block, f64 partial}. */
+constexpr std::size_t kPartialBytes = 20;
 
 Status
 parseError(const char *what)
 {
     return Status::error(ErrorKind::ParseError, 0, "net message: ", what);
-}
-
-std::string
-encodePayload(const Message &msg)
-{
-    std::string payload;
-    if (msg.kind == MsgKind::Bid) {
-        putU32(payload, msg.bid.shard);
-        putU64(payload, msg.bid.round);
-        putU64(payload, msg.bid.partials.size());
-        for (const BlockPartial &p : msg.bid.partials) {
-            putU32(payload, p.server);
-            putU64(payload, p.block);
-            putF64(payload, p.partial);
-        }
-    } else {
-        putU64(payload, msg.price.round);
-        putU64(payload, msg.price.prices.size());
-        for (const double p : msg.price.prices)
-            putF64(payload, p);
-    }
-    return payload;
 }
 
 } // namespace
@@ -152,79 +47,89 @@ toString(MsgKind kind)
 std::string
 encodeMessage(const Message &msg)
 {
-    const std::string payload = encodePayload(msg);
-    std::string wire;
-    wire.reserve(33 + payload.size());
-    putU32(wire, kMagic);
-    wire.push_back(static_cast<char>(msg.kind));
-    putU32(wire, msg.src);
-    putU32(wire, msg.dst);
-    putU64(wire, msg.seq);
-    putU32(wire, msg.attempt);
-    putU32(wire, static_cast<std::uint32_t>(payload.size()));
-    putU32(wire, crc32(payload));
-    wire += payload;
-    return wire;
+    const std::size_t payloadSize =
+        msg.kind == MsgKind::Bid
+            ? 20 + kPartialBytes * msg.bid.partials.size()
+            : 16 + 8 * msg.price.prices.size();
+    ByteWriter w;
+    w.reserve(kHeaderBytes + payloadSize);
+    w.putU32(kMagic);
+    w.putU8(static_cast<std::uint8_t>(msg.kind));
+    w.putU32(msg.src);
+    w.putU32(msg.dst);
+    w.putU64(msg.seq);
+    w.putU32(msg.attempt);
+    w.putU32(static_cast<std::uint32_t>(payloadSize));
+    w.putU32(0); // Payload CRC, patched once the payload is written.
+    if (msg.kind == MsgKind::Bid) {
+        w.putU32(msg.bid.shard);
+        w.putU64(msg.bid.round);
+        w.putU64(msg.bid.partials.size());
+        for (const BlockPartial &p : msg.bid.partials) {
+            w.putU32(p.server);
+            w.putU64(p.block);
+            w.putF64(p.partial);
+        }
+    } else {
+        w.putU64(msg.price.round);
+        w.putF64Vector(msg.price.prices);
+    }
+    const std::string_view payload =
+        std::string_view(w.bytes()).substr(kHeaderBytes);
+    w.patchU32(kHeaderBytes - 4, crc32(payload));
+    return w.take();
 }
 
 Result<Message>
 decodeMessage(std::string_view wire)
 {
-    Reader in(wire);
-    std::uint32_t magic = 0;
-    if (!in.readU32(magic))
-        return parseError("truncated header");
-    if (magic != kMagic)
-        return Status::error(ErrorKind::SemanticError, 0,
-                             "net message: bad magic");
+    ByteReader head(wire.substr(0, kHeaderBytes));
+    if (head.readU32() != kMagic)
+        return head.ok() ? Status::error(ErrorKind::SemanticError, 0,
+                                         "net message: bad magic")
+                         : parseError("truncated header");
     Message msg;
-    std::uint8_t kind = 0;
-    if (!in.readU8(kind))
-        return parseError("truncated header");
-    if (kind != static_cast<std::uint8_t>(MsgKind::Bid) &&
+    const std::uint8_t kind = head.readU8();
+    if (head.ok() && kind != static_cast<std::uint8_t>(MsgKind::Bid) &&
         kind != static_cast<std::uint8_t>(MsgKind::Price))
         return parseError("unknown kind");
     msg.kind = static_cast<MsgKind>(kind);
-    std::uint32_t payloadSize = 0;
-    std::uint32_t payloadCrc = 0;
-    if (!in.readU32(msg.src) || !in.readU32(msg.dst) ||
-        !in.readU64(msg.seq) || !in.readU32(msg.attempt) ||
-        !in.readU32(payloadSize) || !in.readU32(payloadCrc))
+    msg.src = head.readU32();
+    msg.dst = head.readU32();
+    msg.seq = head.readU64();
+    msg.attempt = head.readU32();
+    const std::uint32_t payloadSize = head.readU32();
+    const std::uint32_t payloadCrc = head.readU32();
+    if (!head.ok())
         return parseError("truncated header");
-    const std::string_view payload = in.rest();
+    const std::string_view payload = wire.substr(kHeaderBytes);
     if (payload.size() != payloadSize)
         return parseError("payload length mismatch");
     if (crc32(payload) != payloadCrc)
         return Status::error(ErrorKind::SemanticError, 0,
                              "net message: payload CRC mismatch");
 
-    Reader body(payload);
+    ByteReader body(payload);
     if (msg.kind == MsgKind::Bid) {
-        std::uint64_t count = 0;
-        if (!body.readU32(msg.bid.shard) || !body.readU64(msg.bid.round) ||
-            !body.readU64(count))
-            return parseError("truncated bid payload");
-        if (count > payload.size() / 20)
+        msg.bid.shard = body.readU32();
+        msg.bid.round = body.readU64();
+        const std::uint64_t count = body.readU64();
+        if (!body.ok() || count > body.remaining() / kPartialBytes)
             return parseError("truncated bid payload");
         msg.bid.partials.resize(static_cast<std::size_t>(count));
         for (BlockPartial &p : msg.bid.partials) {
-            if (!body.readU32(p.server) || !body.readU64(p.block) ||
-                !body.readF64(p.partial))
-                return parseError("truncated bid payload");
+            p.server = body.readU32();
+            p.block = body.readU64();
+            p.partial = body.readF64();
         }
     } else {
-        std::uint64_t count = 0;
-        if (!body.readU64(msg.price.round) || !body.readU64(count))
+        msg.price.round = body.readU64();
+        msg.price.prices = body.readF64Vector();
+        if (!body.ok())
             return parseError("truncated price payload");
-        if (count > payload.size() / 8)
-            return parseError("truncated price payload");
-        msg.price.prices.resize(static_cast<std::size_t>(count));
-        for (double &p : msg.price.prices) {
-            if (!body.readF64(p))
-                return parseError("truncated price payload");
-        }
     }
-    if (!body.atEnd())
+    body.expectEnd();
+    if (!body.ok())
         return parseError("trailing payload bytes");
     return msg;
 }

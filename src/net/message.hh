@@ -10,7 +10,7 @@
  *    the coordinator can reassemble *bitwise* the same per-server
  *    totals the in-process kernel computes.
  *
- * Every message is serialized to explicit little-endian wire bytes
+ * Every message is serialized to explicit little-endian wire bytes (common/bytes)
  * with a fixed header {magic, kind, src, dst, seq, round, attempt,
  * payload length, payload CRC-32} and decoded back on delivery; the
  * CRC (common/crc32, the zlib polynomial) is verified before any
@@ -52,8 +52,11 @@ shardNode(std::size_t shard)
 
 /**
  * One (server, block) bid partial: the front-to-back sum of the
- * block's CSR bid entries on that server. Zero partials are included
- * so the coordinator table cell is always overwritten, never merged.
+ * block's CSR bid entries on that server. A BidMsg carries only the
+ * nonzero partials of its shard's blocks: the coordinator zeroes the
+ * shard's rows of its table before it writes them, so every cell is
+ * overwritten, never merged, and an absent partial reads as the zero
+ * it stands for.
  */
 struct BlockPartial
 {

@@ -1,5 +1,8 @@
 #include "net/transport.hh"
 
+#include <algorithm>
+#include <functional>
+
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -132,7 +135,8 @@ VirtualTransport::enqueue(Delivery delivery, std::uint64_t seq,
     // so the delivery order is a total function of the frame alone.
     entry.kindRank = delivery.edge % 2 == 0 ? 0 : 1;
     entry.delivery = std::move(delivery);
-    heap_.push(std::move(entry));
+    heap_.push_back(std::move(entry));
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
 bool
@@ -140,18 +144,19 @@ VirtualTransport::peekNext(Ticks &at, std::uint64_t &edge) const
 {
     if (heap_.empty())
         return false;
-    at = heap_.top().delivery.at;
-    edge = heap_.top().delivery.edge;
+    at = heap_.front().delivery.at;
+    edge = heap_.front().delivery.edge;
     return true;
 }
 
 bool
 VirtualTransport::popNext(Ticks upTo, Delivery &out)
 {
-    if (heap_.empty() || heap_.top().delivery.at > upTo)
+    if (heap_.empty() || heap_.front().delivery.at > upTo)
         return false;
-    out = heap_.top().delivery;
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    out = std::move(heap_.back().delivery);
+    heap_.pop_back();
     if (inst_) {
         inst_->delivered->add();
         inst_->latency->record(

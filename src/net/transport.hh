@@ -28,7 +28,6 @@
 #define AMDAHL_NET_TRANSPORT_HH
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -143,8 +142,9 @@ class VirtualTransport
     const NetFaultModel *model_;
     NetSession *session_;
     const NetInstruments *inst_;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>>
-        heap_;
+    /** Min-heap on the Entry order (std::push_heap / std::pop_heap
+     *  with std::greater), so a pop can move the frame out. */
+    std::vector<Entry> heap_;
 };
 
 } // namespace amdahl::net

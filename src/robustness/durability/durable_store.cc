@@ -2,7 +2,7 @@
 
 #include <filesystem>
 
-#include "robustness/durability/codec.hh"
+#include "common/bytes.hh"
 #include "robustness/durability/kill_points.hh"
 
 namespace amdahl::durability {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "common/bytes.hh"
 #include "common/crc32.hh"
-#include "robustness/durability/codec.hh"
 #include "robustness/durability/kill_points.hh"
 
 namespace amdahl::durability {

@@ -1,0 +1,145 @@
+/**
+ * @file
+ * CRC-32 contract: the zlib polynomial, at every length and alignment.
+ *
+ * crc32Update consumes eight bytes per step with slicing-by-8 tables
+ * and finishes the tail a byte at a time, so the cases that matter
+ * are the lengths around each multiple of eight at every start
+ * offset. Each is checked against a bit-at-a-time reference written
+ * here from the polynomial alone, which shares no table with the code
+ * under test.
+ */
+
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <string_view>
+
+#include <gtest/gtest.h>
+
+#include "common/crc32.hh"
+
+namespace amdahl {
+namespace {
+
+/** Reflected CRC-32 (poly 0xEDB88320, init and xorout 0xFFFFFFFF),
+ *  one bit per step. */
+std::uint32_t
+referenceCrc(const unsigned char *p, std::size_t n)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+/** 80 deterministic, irregular bytes. */
+std::array<unsigned char, 80>
+sampleBytes()
+{
+    std::array<unsigned char, 80> b{};
+    std::uint32_t x = 0x9E3779B9u;
+    for (auto &v : b) {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        v = static_cast<unsigned char>(x >> 11);
+    }
+    return b;
+}
+
+std::string
+le(std::uint64_t v, int bytes)
+{
+    std::string s;
+    for (int i = 0; i < bytes; ++i)
+        s.push_back(static_cast<char>(v >> (8 * i)));
+    return s;
+}
+
+TEST(Crc32, CheckValue)
+{
+    EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+    EXPECT_EQ(crc32(""), 0u);
+}
+
+TEST(Crc32, EveryLengthAndOffsetMatchesTheBitwiseReference)
+{
+    const auto bytes = sampleBytes();
+    for (std::size_t offset = 0; offset <= 7; ++offset) {
+        for (std::size_t len = 0; len <= 72; ++len) {
+            const unsigned char *p = bytes.data() + offset;
+            EXPECT_EQ(crc32Update(0, p, len), referenceCrc(p, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+}
+
+TEST(Crc32, UpdateChainsAtEverySplitPoint)
+{
+    const auto bytes = sampleBytes();
+    const std::uint32_t whole = crc32Update(0, bytes.data(), bytes.size());
+    for (std::size_t k = 0; k <= bytes.size(); ++k) {
+        const std::uint32_t head = crc32Update(0, bytes.data(), k);
+        EXPECT_EQ(crc32Update(head, bytes.data() + k, bytes.size() - k),
+                  whole)
+            << "split at " << k;
+    }
+    // Three pieces, the middle one shorter than a slicing step.
+    std::uint32_t c = crc32Update(0, bytes.data(), 13);
+    c = crc32Update(c, bytes.data() + 13, 5);
+    c = crc32Update(c, bytes.data() + 18, bytes.size() - 18);
+    EXPECT_EQ(c, whole);
+}
+
+TEST(Crc32, TypedFoldsAreTheirLittleEndianBytes)
+{
+    Crc32 u32;
+    u32.updateU32(0xDEADBEEFu);
+    EXPECT_EQ(u32.value(), crc32(le(0xDEADBEEFu, 4)));
+
+    Crc32 u64;
+    u64.updateU64(0x0123456789ABCDEFull);
+    EXPECT_EQ(u64.value(), crc32(le(0x0123456789ABCDEFull, 8)));
+
+    const double x = -1234.5678;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    Crc32 f64;
+    f64.updateF64(x);
+    EXPECT_EQ(f64.value(), crc32(le(bits, 8)));
+    Crc32 negZero;
+    negZero.updateF64(-0.0);
+    Crc32 posZero;
+    posZero.updateF64(0.0);
+    EXPECT_NE(negZero.value(), posZero.value());
+
+    Crc32 str;
+    str.update(std::string_view("abc"));
+    EXPECT_EQ(str.value(), crc32(le(3, 8) + "abc"));
+
+    Crc32 sequence;
+    sequence.updateU32(7);
+    sequence.updateU64(8);
+    sequence.update(std::string_view("x"));
+    EXPECT_EQ(sequence.value(),
+              crc32(le(7, 4) + le(8, 8) + le(1, 8) + "x"));
+}
+
+TEST(Crc32, LengthPrefixSeparatesStringBoundaries)
+{
+    Crc32 a;
+    a.update(std::string_view("ab"));
+    a.update(std::string_view("c"));
+    Crc32 b;
+    b.update(std::string_view("a"));
+    b.update(std::string_view("bc"));
+    EXPECT_NE(a.value(), b.value());
+}
+
+} // namespace
+} // namespace amdahl

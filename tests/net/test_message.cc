@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hh"
 #include "net/message.hh"
 
 namespace amdahl::net {
@@ -94,6 +95,23 @@ TEST(NetMessage, PriceRoundtripIsLossless)
     ASSERT_EQ(out.price.prices.size(), msg.price.prices.size());
     for (std::size_t j = 0; j < msg.price.prices.size(); ++j)
         EXPECT_EQ(out.price.prices[j], msg.price.prices[j]);
+}
+
+TEST(NetMessage, BidFrameMatchesPinnedBytes)
+{
+    // Size and CRC-32 of the whole frame, recorded from a build of the
+    // byte-at-a-time encoder: the shared codec moves no wire byte.
+    const std::string wire = encodeMessage(sampleBid());
+    EXPECT_EQ(wire.size(), 153u);
+    EXPECT_EQ(crc32(wire), 0x6c36a6ccu);
+}
+
+TEST(NetMessage, PriceFrameMatchesPinnedBytes)
+{
+    // Recorded from a build of the byte-at-a-time encoder.
+    const std::string wire = encodeMessage(samplePrice());
+    EXPECT_EQ(wire.size(), 81u);
+    EXPECT_EQ(crc32(wire), 0x0cf49220u);
 }
 
 TEST(NetMessage, EmptyPartialListRoundtrips)

@@ -20,9 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/crc32.hh"
 #include "common/status.hh"
-#include "robustness/durability/codec.hh"
 #include "robustness/durability/durable_store.hh"
 #include "robustness/durability/io_faults.hh"
 #include "robustness/durability/journal.hh"
