@@ -149,8 +149,9 @@ class [[nodiscard]] Result
     [[nodiscard]] const T &
     value() const
     {
-        ensure(ok(), "Result::value() on a failed result: ",
-               st.toString());
+        // Tested first so the message is built only on failure.
+        if (!ok())
+            panic("Result::value() on a failed result: ", st.toString());
         return *val;
     }
 
@@ -158,8 +159,8 @@ class [[nodiscard]] Result
     [[nodiscard]] T
     take()
     {
-        ensure(ok(), "Result::take() on a failed result: ",
-               st.toString());
+        if (!ok())
+            panic("Result::take() on a failed result: ", st.toString());
         return std::move(*val);
     }
 

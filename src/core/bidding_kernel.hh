@@ -60,15 +60,19 @@ namespace amdahl::core::detail {
 
 /** Users per parallelFor chunk in the bid-update kernel.
  *  Fixed (never derived from the thread count) so the chunk layout —
- *  and with it exec.tasks and every reduction tree — is identical at
- *  any thread count. */
-constexpr std::size_t kUserGrain = 32;
+ *  and with it exec.tasks — is identical at any thread count. The
+ *  update writes only each user's own bid slots, so the grain moves
+ *  no result bit; it only sets how many chunks the pool schedules
+ *  per round (782 at 10^5 users). Both price exchanges fan out with
+ *  it, so their exec.tasks agree. */
+constexpr std::size_t kUserGrain = 128;
 
 /** Servers per chunk in the price gather and the delta reduction. */
 constexpr std::size_t kServerGrain = 8;
 
 /** Users per canonical price-accumulation block (see file header).
- *  Matches kUserGrain so one update chunk produces one block. */
+ *  It fixes the price fold's addition tree, so changing it changes
+ *  prices; unlike kUserGrain, it is part of the results. */
 constexpr std::size_t kPriceBlockUsers = 32;
 
 /** Number of price blocks covering @p userCount users. */
@@ -99,7 +103,7 @@ priceBlockCount(std::size_t userCount)
  * canonical left fold takes over (see the file header for the full
  * determinism argument, DESIGN.md §11/§14).
  *
- * Per-job index arrays (server, jobBlock, serverJobIds) are 32-bit:
+ * Per-job index arrays (server, serverJobIds, entryBlock) are 32-bit:
  * the round loop is memory-bound once the market outgrows the cache,
  * and every byte streamed per job per round counts. buildKernel
  * rejects markets whose job or server count overflows 32 bits —
@@ -121,11 +125,13 @@ struct BidKernel
     std::vector<double> sqrtFw;          // sqrt(f_ij * w_ij), hoisted
     std::vector<double> bids;            // b_ij, the iterated state
     std::vector<double> scratch;         // unnormalized propensities
-    std::vector<std::uint32_t> jobBlock; // owning user's price block
 
     // Server-major CSR over flat job ids (increasing within a server).
     std::vector<std::size_t> serverJobOffset; // serverCount + 1
     std::vector<std::uint32_t> serverJobIds;
+    // Per CSR entry, the price block of the job's user, so the gather
+    // reads block ids in the order it streams serverJobIds.
+    std::vector<std::uint32_t> entryBlock;
 
     std::vector<double> capacity; // per server
 };
@@ -154,7 +160,6 @@ buildKernel(const FisherMarket &market)
     kernel.sqrtFw.resize(kernel.jobCount);
     kernel.bids.assign(kernel.jobCount, 0.0);
     kernel.scratch.assign(kernel.jobCount, 0.0);
-    kernel.jobBlock.resize(kernel.jobCount);
     for (std::size_t i = 0; i < kernel.userCount; ++i) {
         const auto &user = market.user(i);
         kernel.budget[i] = user.budget;
@@ -164,8 +169,6 @@ buildKernel(const FisherMarket &market)
             kernel.fraction[e] = job.parallelFraction;
             kernel.sqrtFw[e] =
                 std::sqrt(job.parallelFraction * job.weight);
-            kernel.jobBlock[e] =
-                static_cast<std::uint32_t>(i / kPriceBlockUsers);
             ++e;
         }
     }
@@ -182,12 +185,18 @@ buildKernel(const FisherMarket &market)
     for (std::size_t j = 0; j < kernel.serverCount; ++j)
         kernel.serverJobOffset[j + 1] += kernel.serverJobOffset[j];
     kernel.serverJobIds.resize(kernel.jobCount);
+    kernel.entryBlock.resize(kernel.jobCount);
     std::vector<std::size_t> cursor(
         kernel.serverJobOffset.begin(),
         kernel.serverJobOffset.end() - 1);
-    for (std::size_t e = 0; e < kernel.jobCount; ++e) {
-        kernel.serverJobIds[cursor[kernel.server[e]]++] =
-            static_cast<std::uint32_t>(e);
+    for (std::size_t i = 0; i < kernel.userCount; ++i) {
+        const auto block = static_cast<std::uint32_t>(i / kPriceBlockUsers);
+        for (std::size_t e = kernel.userOffset[i];
+             e < kernel.userOffset[i + 1]; ++e) {
+            const std::size_t slot = cursor[kernel.server[e]]++;
+            kernel.serverJobIds[slot] = static_cast<std::uint32_t>(e);
+            kernel.entryBlock[slot] = block;
+        }
     }
 
     return kernel;
@@ -220,9 +229,11 @@ unflattenBids(const BidKernel &kernel, JobMatrix &bids)
 /**
  * Recompute prices from the flat bids: p_j = sum b_ij / C_j via the
  * blocked canonical fold (file header). Parallel over servers; each
- * server streams its CSR id list front to back, closing a block
- * partial whenever the owning block changes — block ids are
- * non-decreasing along the list because flat ids are user-major.
+ * server streams its CSR entries front to back, closing a block
+ * partial whenever the entry's block changes — block ids are
+ * non-decreasing along the list because flat ids are user-major. The
+ * offsets, ids and entry blocks are all read in order; the bids are
+ * the one random read per entry.
  */
 inline void
 gatherPrices(const BidKernel &kernel, std::vector<double> &prices)
@@ -237,13 +248,12 @@ gatherPrices(const BidKernel &kernel, std::vector<double> &prices)
                 const std::size_t jb = kernel.serverJobOffset[j];
                 const std::size_t je = kernel.serverJobOffset[j + 1];
                 for (std::size_t s = jb; s < je; ++s) {
-                    const std::size_t e = kernel.serverJobIds[s];
-                    if (kernel.jobBlock[e] != block) {
+                    if (kernel.entryBlock[s] != block) {
                         sum += part;
                         part = 0.0;
-                        block = kernel.jobBlock[e];
+                        block = kernel.entryBlock[s];
                     }
-                    part += kernel.bids[e];
+                    part += kernel.bids[kernel.serverJobIds[s]];
                 }
                 prices[j] = (sum + part) / kernel.capacity[j];
             }

@@ -311,8 +311,9 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
             if (!transport.popNext(deadlineTick, d))
                 fatal("transport peek/pop disagree");
             auto decoded = net::decodeMessage(d.wire);
-            ensure(decoded.ok(), "simulated transport corrupted a "
-                   "frame: ", decoded.status().toString());
+            if (!decoded.ok())
+                panic("simulated transport corrupted a frame: ",
+                      decoded.status().toString());
             net::Message msg = decoded.take();
             if (!seenSeq[d.edge].insert(msg.seq).second) {
                 if (inst)

@@ -16,23 +16,25 @@
  * on x86-64 the CPU decides at run time whether the kernel runs, and
  * elsewhere the file reduces to the scalar loop it stands in for.
  *
- * Shape of the kernel: two passes per chunk, not one fused per-user
- * loop. The propensity pass is purely elementwise, so it spans user
- * boundaries — one long vector loop over the whole parallelFor chunk
- * keeps dozens of independent divide/sqrt chains in flight, where a
- * per-user loop (typical rows are a handful of jobs) would serialize
- * on each row's gather-divide-sqrt-fold dependency chain and waste
- * the out-of-order window. The fold+normalize pass then walks users
- * over the propensity rows the first pass left behind. Those rows
- * live in a chunk-sized stack buffer, not kernel.scratch: the round
- * loop is memory-bound once the market outgrows the cache
- * (bench_scaling_users' roofline table), and a per-job scratch array
- * would stream another 16 bytes per job per round through memory
- * (write-allocate plus writeback) for values that are dead
- * microseconds later. The stack buffer is L1-resident between the
- * passes; a chunk of kUserGrain users whose rows average more than
- * kChunkBuffer / kUserGrain = 64 jobs spills to kernel.scratch and
- * stays correct.
+ * Shape of the kernel: two passes per sub-range of kPriceBlockUsers
+ * users, not one fused per-user loop. The propensity pass is purely
+ * elementwise, so it spans user boundaries — one long vector loop
+ * over the sub-range keeps dozens of independent divide/sqrt chains
+ * in flight, where a per-user loop (typical rows are a handful of
+ * jobs) would serialize on each row's gather-divide-sqrt-fold
+ * dependency chain and waste the out-of-order window. The
+ * fold+normalize pass then walks users over the propensity rows the
+ * first pass left behind. Those rows live in a stack buffer, not
+ * kernel.scratch: the round loop is memory-bound once the market
+ * outgrows the cache (bench_scaling_users' roofline table), and a
+ * per-job scratch array would stream another 16 bytes per job per
+ * round through memory (write-allocate plus writeback) for values
+ * that are dead microseconds later. The stack buffer is L1-resident
+ * between the passes; a sub-range whose rows average more than
+ * kChunkBuffer / kPriceBlockUsers = 64 jobs spills to kernel.scratch
+ * and stays correct. Walking the parallelFor chunk (kUserGrain
+ * users) in sub-ranges keeps that threshold independent of the
+ * fan-out grain.
  *
  * This is the one translation unit allowed to use vector intrinsics
  * (amdahl_lint DET-simd pins the boundary).
@@ -46,6 +48,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -130,92 +133,100 @@ updateUsersRangeSimd(BidKernel &kernel, std::size_t ulo,
     const bool damped = damping < 1.0;
     const __m256d keep = _mm256_set1_pd(1.0 - damping);
     const __m256d move = _mm256_set1_pd(damping);
-
-    // The chunk's propensity rows: stack-resident unless the chunk's
-    // rows are wide (more than kChunkBuffer jobs in all).
-    const std::size_t jlo = kernel.userOffset[ulo];
-    const std::size_t jhi = kernel.userOffset[uhi];
     constexpr std::size_t kChunkBuffer = 2048;
     alignas(32) double stackRows[kChunkBuffer];
-    double *rows = (jhi - jlo) <= kChunkBuffer
-                       ? stackRows
-                       : kernel.scratch.data() + jlo;
 
-    // Pass 1: chunk-wide elementwise propensities (see the file
-    // header for why this spans user boundaries).
-    {
-        std::size_t e = jlo;
-        for (; e + 4 <= jhi; e += 4)
-            _mm256_storeu_pd(rows + (e - jlo),
-                             propensity4(kernel, e, post));
-        for (; e < jhi; ++e)
-            rows[e - jlo] = propensity1(kernel, e, post);
-    }
+    // Both passes run per sub-range of at most kPriceBlockUsers users,
+    // so the stack buffer only has to hold one block's rows whatever
+    // the fan-out grain.
+    for (std::size_t blo = ulo; blo < uhi; blo += kPriceBlockUsers) {
+        const std::size_t bhi = std::min(uhi, blo + kPriceBlockUsers);
 
-    // Pass 2: per-user fold and normalization over the rows.
-    for (std::size_t i = ulo; i < uhi; ++i) {
-        const std::size_t lo = kernel.userOffset[i];
-        const std::size_t hi = kernel.userOffset[i + 1];
-        const double *row = rows + (lo - jlo);
+        // The sub-range's propensity rows: stack-resident unless its
+        // rows are wide (more than kChunkBuffer jobs in all).
+        const std::size_t jlo = kernel.userOffset[blo];
+        const std::size_t jhi = kernel.userOffset[bhi];
+        double *rows = (jhi - jlo) <= kChunkBuffer
+                           ? stackRows
+                           : kernel.scratch.data() + jlo;
 
-        // The strict left fold updateOneUser performs, over the same
-        // values in the same order — the one reduction in this kernel
-        // whose order is semantic.
-        double total = 0.0;
-        for (std::size_t e = lo; e < hi; ++e)
-            total += row[e - lo];
+        // Pass 1: elementwise propensities across the sub-range (see
+        // the file header for why this spans user boundaries).
+        {
+            std::size_t e = jlo;
+            for (; e + 4 <= jhi; e += 4)
+                _mm256_storeu_pd(rows + (e - jlo),
+                                 propensity4(kernel, e, post));
+            for (; e < jhi; ++e)
+                rows[e - jlo] = propensity1(kernel, e, post);
+        }
 
-        if (total <= 0.0) {
-            // Same fallback branch as updateOneUser: all propensities
-            // vanished, split the budget evenly.
-            const double even =
-                kernel.budget[i] / static_cast<double>(hi - lo);
-            for (std::size_t e = lo; e < hi; ++e) {
+        // Pass 2: per-user fold and normalization over the rows.
+        for (std::size_t i = blo; i < bhi; ++i) {
+            const std::size_t lo = kernel.userOffset[i];
+            const std::size_t hi = kernel.userOffset[i + 1];
+            const double *row = rows + (lo - jlo);
+
+            // The strict left fold updateOneUser performs, over the
+            // same values in the same order — the one reduction in
+            // this kernel whose order is semantic.
+            double total = 0.0;
+            for (std::size_t e = lo; e < hi; ++e)
+                total += row[e - lo];
+
+            if (total <= 0.0) {
+                // Same fallback branch as updateOneUser: all
+                // propensities vanished, split the budget evenly.
+                const double even =
+                    kernel.budget[i] / static_cast<double>(hi - lo);
+                for (std::size_t e = lo; e < hi; ++e) {
+                    kernel.bids[e] =
+                        damped ? (1.0 - damping) * kernel.bids[e] +
+                                     damping * even
+                               : even;
+                }
+                continue;
+            }
+            AMDAHL_CHECK_FINITE(total);
+
+            // Normalization: the damped blend of budget * U / total
+            // into the bids, elementwise.
+            const __m256d bud = _mm256_set1_pd(kernel.budget[i]);
+            const __m256d tot = _mm256_set1_pd(total);
+            std::size_t e = lo;
+            for (; e + 4 <= hi; e += 4) {
+                const __m256d s = _mm256_loadu_pd(row + (e - lo));
+                const __m256d proposal =
+                    _mm256_div_pd(_mm256_mul_pd(bud, s), tot);
+                __m256d next = proposal;
+                if (damped) {
+                    const __m256d prev =
+                        _mm256_loadu_pd(kernel.bids.data() + e);
+                    next = _mm256_add_pd(_mm256_mul_pd(keep, prev),
+                                         _mm256_mul_pd(move, proposal));
+                }
+                _mm256_storeu_pd(kernel.bids.data() + e, next);
+            }
+            for (; e < hi; ++e) {
+                const double proposal =
+                    kernel.budget[i] * row[e - lo] / total;
                 kernel.bids[e] =
                     damped ? (1.0 - damping) * kernel.bids[e] +
-                                 damping * even
-                           : even;
+                                 damping * proposal
+                           : proposal;
             }
-            continue;
-        }
-        AMDAHL_CHECK_FINITE(total);
 
-        // Normalization: the damped blend of budget * U / total into
-        // the bids, elementwise.
-        const __m256d bud = _mm256_set1_pd(kernel.budget[i]);
-        const __m256d tot = _mm256_set1_pd(total);
-        std::size_t e = lo;
-        for (; e + 4 <= hi; e += 4) {
-            const __m256d s = _mm256_loadu_pd(row + (e - lo));
-            const __m256d proposal =
-                _mm256_div_pd(_mm256_mul_pd(bud, s), tot);
-            __m256d next = proposal;
-            if (damped) {
-                const __m256d prev =
-                    _mm256_loadu_pd(kernel.bids.data() + e);
-                next = _mm256_add_pd(_mm256_mul_pd(keep, prev),
-                                     _mm256_mul_pd(move, proposal));
-            }
-            _mm256_storeu_pd(kernel.bids.data() + e, next);
-        }
-        for (; e < hi; ++e) {
-            const double proposal =
-                kernel.budget[i] * row[e - lo] / total;
-            kernel.bids[e] =
-                damped ? (1.0 - damping) * kernel.bids[e] +
-                             damping * proposal
-                       : proposal;
-        }
-
-        // The scalar kernel checks each proposal inline; the vector
-        // kernel verifies the finished row so checked builds keep the
-        // same contract without serializing the lanes.
-        if constexpr (checkedBuild) {
-            for (e = lo; e < hi; ++e) {
-                AMDAHL_CHECK_FINITE(kernel.bids[e]);
-                AMDAHL_ASSERT(kernel.bids[e] >= 0.0,
-                              "SIMD proportional update produced a ",
-                              "negative bid for user ", i);
+            // The scalar kernel checks each proposal inline; the
+            // vector kernel verifies the finished row so checked
+            // builds keep the same contract without serializing the
+            // lanes.
+            if constexpr (checkedBuild) {
+                for (e = lo; e < hi; ++e) {
+                    AMDAHL_CHECK_FINITE(kernel.bids[e]);
+                    AMDAHL_ASSERT(kernel.bids[e] >= 0.0,
+                                  "SIMD proportional update produced ",
+                                  "a negative bid for user ", i);
+                }
             }
         }
     }

@@ -29,6 +29,11 @@ bisect(const std::function<double(double)> &f, double lo, double hi,
 
     for (int it = 0; it < opts.maxIterations; ++it) {
         const double mid = 0.5 * (lo + hi);
+        // lo and hi are adjacent doubles: the bracket cannot shrink,
+        // every later step would leave it as it is, and the loop
+        // would end returning this same mid. Stop without calling f.
+        if (mid == lo || mid == hi)
+            return mid;
         const double fmid = f(mid);
         if (fmid == 0.0 || hi - lo <= opts.tolerance)
             return mid;

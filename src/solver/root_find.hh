@@ -27,7 +27,8 @@ struct ScalarSolveOptions
  * Find a root of f in [lo, hi] by bisection.
  *
  * Requires f(lo) and f(hi) to have opposite signs (or one of them to be
- * zero).
+ * zero). Stops early, without evaluating f again, once lo and hi are
+ * adjacent doubles: no further step could move the bracket.
  *
  * @param f  Continuous function.
  * @param lo Lower bracket end.

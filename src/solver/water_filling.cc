@@ -39,9 +39,9 @@ coresAtMultiplier(const WaterFillItem &item, double f, double lambda)
 WaterFillResult
 waterFill(const std::vector<WaterFillItem> &items, double budget)
 {
-    // waterFill runs once per bidder per bidding iteration — the
-    // hottest solver path. Bind the counter once per process so the
-    // steady-state cost is one increment, not a map lookup.
+    // The equilibrium certificate (verifyEquilibrium) runs waterFill
+    // once per user per certified allocation. Bind the counter once
+    // per process so that cost is one increment, not a map lookup.
     static obs::Counter &solves =
         obs::metrics().counter("solver.wf.solves");
     solves.add();
@@ -85,8 +85,9 @@ waterFill(const std::vector<WaterFillItem> &items, double budget)
     }
 
     // The spend-vs-lambda curve is extremely stiff when some parallel
-    // fraction approaches 1, so run bisection to iteration exhaustion
-    // (2^-200 of the initial bracket) rather than stopping at a width.
+    // fraction approaches 1, so bisect until the bracket is two
+    // adjacent doubles (bisect stops there, typically after ~55 of
+    // the 200 steps allowed) rather than stopping at a width.
     ScalarSolveOptions opts;
     opts.tolerance = 0.0;
     opts.maxIterations = 200;

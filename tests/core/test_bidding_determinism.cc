@@ -28,6 +28,7 @@
 #include "common/crc32.hh"
 #include "common/random.hh"
 #include "core/bidding.hh"
+#include "core/bidding_kernel.hh"
 #include "core/market.hh"
 #include "exec/parallelism.hh"
 #include "obs/metrics.hh"
@@ -50,7 +51,12 @@ class ThreadGuard
     int previous_;
 };
 
-/** A market wide enough that the user fan-out spans many chunks. */
+/** Users enough for four bid-update chunks, the last one partial, so
+ *  the thread-count tests spread the update over the pool. The
+ *  pinned-bytes tests keep the 96-user default. */
+constexpr int kChunkedUsers = static_cast<int>(3 * detail::kUserGrain + 40);
+
+/** A market with rows of 2-4 jobs over @p servers servers. */
 FisherMarket
 testMarket(int users = 96, int servers = 12)
 {
@@ -112,7 +118,7 @@ solveAt(int threads, const FisherMarket &market,
 
 TEST(BiddingDeterminism, SynchronousSolveIsThreadCountIndependent)
 {
-    const auto market = testMarket();
+    const auto market = testMarket(kChunkedUsers);
     BiddingOptions opts;
     const auto reference = solveAt(1, market, opts);
     EXPECT_TRUE(reference.converged);
@@ -127,7 +133,7 @@ TEST(BiddingDeterminism, LossFaultsAreThreadCountIndependent)
     // Loss decisions come from counter-based per-(user, round)
     // substreams, so the realization — and hence the whole solve — is
     // a pure function of the seed at any thread count.
-    const auto market = testMarket();
+    const auto market = testMarket(kChunkedUsers);
     BiddingOptions opts;
     opts.transport.lossRate = 0.3;
     opts.transport.seed = 0x10ad;
@@ -156,7 +162,7 @@ TEST(BiddingDeterminism, DeadlineBoundedSolveIsThreadCountIndependent)
 {
     // The anytime iteration budget restores the best-so-far snapshot;
     // that snapshot selection must also be thread-count independent.
-    const auto market = testMarket();
+    const auto market = testMarket(kChunkedUsers);
     BiddingOptions opts;
     opts.deadline.iterationBudget = 3;
     const auto reference = solveAt(1, market, opts);
@@ -183,7 +189,7 @@ TEST(BiddingDeterminism, DampedAndWarmStartedSolvesAreThreadCountIndependent)
 
 TEST(BiddingDeterminism, TraceBytesAreThreadCountIndependent)
 {
-    const auto market = testMarket();
+    const auto market = testMarket(kChunkedUsers);
     BiddingOptions opts;
     opts.transport.lossRate = 0.1;
     opts.transport.seed = 0x7ace;
@@ -208,7 +214,7 @@ TEST(BiddingDeterminism, MetricsAreThreadCountIndependentModuloSteal)
     // counts except exec.steal, which counts chunks run by pool
     // workers — scheduling telemetry, explicitly outside the
     // determinism contract (DESIGN.md §11).
-    const auto market = testMarket();
+    const auto market = testMarket(kChunkedUsers);
     BiddingOptions opts;
     opts.transport.lossRate = 0.2;
     opts.transport.seed = 0x5eed;

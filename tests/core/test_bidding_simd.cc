@@ -94,9 +94,9 @@ testMarket(int users = 96, int servers = 12,
 }
 
 /**
- * Rows of 80 jobs: one kUserGrain chunk holds 2560 jobs, more than
- * the SIMD kernel's 2048-job stack buffer, so the kernel's spill to
- * kernel.scratch runs.
+ * Rows of 80 jobs: one kPriceBlockUsers sub-range — the unit the SIMD
+ * kernel walks a chunk in — holds 2560 jobs, more than its 2048-job
+ * stack buffer, so the kernel's spill to kernel.scratch runs.
  */
 FisherMarket
 wideMarket(int users = 64, int jobsPerUser = 80, int servers = 24)
@@ -163,8 +163,9 @@ priceDisagreement(const BiddingResult &a, const BiddingResult &b)
 TEST(BidKernelIdentity, SolveIsGrainAndThreadIndependent)
 {
     // The grain is the fixed kUserGrain chunk layout; threads only
-    // change which worker runs which chunk.
-    const auto market = testMarket();
+    // change which worker runs which chunk (four chunks here).
+    const auto market =
+        testMarket(static_cast<int>(3 * detail::kUserGrain + 40));
     BiddingOptions opts;
     const auto reference = solveAmdahlBidding(market, opts);
     EXPECT_TRUE(reference.converged);
@@ -231,9 +232,10 @@ TEST(BidKernelIdentity, SimdKernelUpdateMatchesScalarDirectly)
     expectSimdUpdateMatchesScalar(testMarket(67, 9, 0xbeef), 5);
 
     const auto wide = wideMarket();
-    ASSERT_GT(detail::buildKernel(wide).userOffset[detail::kUserGrain],
-              2048u)
-        << "the wide input must overflow the stack buffer";
+    ASSERT_GT(
+        detail::buildKernel(wide).userOffset[detail::kPriceBlockUsers],
+        2048u)
+        << "the wide input's first block must overflow the stack buffer";
     expectSimdUpdateMatchesScalar(wide, detail::kUserGrain);
 }
 

@@ -51,7 +51,7 @@ tally(const LintReport &report)
 TEST(LintCorpus, DiscoversTheWholeFixtureTree)
 {
     const auto files = discoverFiles(kRoot);
-    EXPECT_EQ(files.size(), 27u);
+    EXPECT_EQ(files.size(), 29u);
     // Sorted, repo-relative, forward slashes.
     EXPECT_FALSE(files.empty());
     EXPECT_EQ(files.front().substr(0, 4), "src/");
@@ -74,6 +74,7 @@ TEST(LintCorpus, EachRuleFiresExactlyOnItsFixture)
         {{"src/core/obs_io_violation.cc", "OBS-io"}, 2},
         {{"src/core/trust_fio_violation.cc", "TRUST-fio"}, 3},
         {{"src/core/conc_global_violation.cc", "CONC-global"}, 2},
+        {{"src/core/perf_eager_msg_violation.cc", "PERF-eager-msg"}, 2},
         {{"src/core/suppressed.cc", "CONC-global"}, 2},
         {{"src/core/alint_malformed.cc", "META-alint"}, 2},
         {{"src/core/alint_malformed.cc", "CONC-global"}, 2},
@@ -90,6 +91,7 @@ TEST(LintCorpus, CleanCounterpartsAndAllowlistedOwnersStaySilent)
              "src/core/bidding_simd.cc",
              "src/core/trust_clean.cc",
              "src/core/conc_global_clean.cc",
+             "src/core/perf_eager_msg_clean.cc",
              "src/core/strings_and_comments_clean.cc",
              "src/core/clean.cc",
              "src/common/random.cc",
@@ -117,10 +119,10 @@ TEST(LintCorpus, InlineSuppressionSilencesButStaysVisible)
     EXPECT_EQ(suppressed, 2);
 
     const FindingCounts counts = countFindings(report);
-    EXPECT_EQ(counts.total, 35);
+    EXPECT_EQ(counts.total, 37);
     EXPECT_EQ(counts.suppressed, 2);
     EXPECT_EQ(counts.baselined, 0);
-    EXPECT_EQ(counts.active, 33);
+    EXPECT_EQ(counts.active, 35);
 }
 
 TEST(LintCorpus, MalformedMarkersNeverSuppress)
@@ -154,7 +156,7 @@ TEST(LintBaseline, MatchesByRuleFileAndLineText)
     EXPECT_TRUE(sawBaselined);
     const FindingCounts counts = countFindings(report);
     EXPECT_EQ(counts.baselined, 1);
-    EXPECT_EQ(counts.active, 32);
+    EXPECT_EQ(counts.active, 34);
     EXPECT_TRUE(report.staleBaseline.empty());
 }
 
@@ -207,10 +209,10 @@ TEST(LintReportFormat, JsonCarriesTheDocumentedSchema)
     EXPECT_NE(json.find("\"rule\":\"DET-rand\""), std::string::npos);
     EXPECT_NE(json.find("\"file\":\"src/core/det_rand_violation.cc\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"counts\":{\"total\":35,\"active\":33,"
+    EXPECT_NE(json.find("\"counts\":{\"total\":37,\"active\":35,"
                         "\"baselined\":0,\"suppressed\":2}"),
               std::string::npos);
-    EXPECT_NE(json.find("\"filesScanned\":27"), std::string::npos);
+    EXPECT_NE(json.find("\"filesScanned\":29"), std::string::npos);
     EXPECT_EQ(json.back(), '}');
 }
 

@@ -25,8 +25,9 @@ import subprocess
 import sys
 
 FALLBACK_RULES = {
-    "DET-rand", "DET-clock", "DET-exec", "DET-unordered",
-    "TRUST-throw", "TRUST-catch", "OBS-io", "CONC-global", "META-alint",
+    "DET-rand", "DET-clock", "DET-exec", "DET-unordered", "DET-simd",
+    "TRUST-throw", "TRUST-catch", "OBS-io", "TRUST-fio", "CONC-global",
+    "PERF-eager-msg", "META-alint",
 }
 
 

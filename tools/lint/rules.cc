@@ -75,6 +75,7 @@ const RuleScope kScopeTrustFio{
     {"src/robustness/durability/", "bench/bench_util.hh",
      "tools/amdahl_market.cc", "tools/lint/"}};
 const RuleScope kScopeConcGlobal{{"src/"}, {}};
+const RuleScope kScopePerfEagerMsg{{"src/"}, {}};
 // The linter's own sources document the marker grammar in comments,
 // which would read as malformed markers; they are the one place
 // allowed to spell it.
@@ -659,6 +660,30 @@ checkConcGlobal(RuleContext &ctx)
 }
 
 // ---------------------------------------------------------------------
+// PERF-eager-msg: a message built for a check that passes.
+
+void
+checkPerfEagerMsg(RuleContext &ctx)
+{
+    const auto &toks = ctx.file.tokens;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+        if (!isIdent(toks[i], "ensure") || !isPunct(toks[i + 1], "("))
+            continue;
+        const std::size_t close = matchParen(toks, i + 1);
+        for (std::size_t j = i + 2; j + 1 < close; ++j) {
+            if (isIdent(toks[j], "toString") &&
+                isPunct(toks[j + 1], "(")) {
+                report(ctx, "PERF-eager-msg", toks[i].line,
+                       "`toString()` in the arguments of ensure() is "
+                       "built on every call, passing or not; test the "
+                       "condition and call panic() only when it fails");
+                break;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // META-alint: unreadable or unknown suppressions.
 
 bool
@@ -754,6 +779,9 @@ ruleCatalog()
         {"CONC-global",
          "mutable namespace-scope state that is not atomic, a sync "
          "primitive, or thread_local"},
+        {"PERF-eager-msg",
+         "toString() in the arguments of ensure(), built even when the "
+         "check passes; test first and panic() on failure"},
         {"META-alint",
          "ALINT marker that is malformed or names an unknown rule"},
     };
@@ -786,6 +814,8 @@ runRules(const std::string &relPath, const LexedFile &file)
         checkTrustFio(ctx);
     if (applies(kScopeConcGlobal, relPath))
         checkConcGlobal(ctx);
+    if (applies(kScopePerfEagerMsg, relPath))
+        checkPerfEagerMsg(ctx);
     if (applies(kScopeMetaAlint, relPath))
         checkMetaAlint(ctx);
 

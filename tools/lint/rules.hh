@@ -6,7 +6,8 @@
  * contracts — determinism ("thread/shard count is a performance knob,
  * never a results knob") and the trust boundary ("all external input
  * crosses Status/Result") — plus the observability and concurrency
- * conventions that keep those contracts checkable:
+ * conventions that keep those contracts checkable, and one performance
+ * rule for a mistake that is easy to make on a hot path:
  *
  *  DET-rand       std::rand / random_device / <random> engines and
  *                 distributions outside common/random. Engine *output*
@@ -62,6 +63,12 @@
  *                 a synchronization primitive, thread_local, or
  *                 explicitly ALINT-annotated as externally guarded.
  *                 Scope: src/.
+ *  PERF-eager-msg A `toString()` call inside the argument list of
+ *                 `ensure(`. ensure() is a function, so its message
+ *                 arguments are built on every call, failing or not;
+ *                 a hot check pays a string allocation per success.
+ *                 Test the condition and call panic() on failure
+ *                 instead. Scope: src/.
  *  META-alint     An ALINT marker that does not parse as
  *                 `ALINT(rule): reason`. A suppression must name its
  *                 rule and justify itself, or it is itself a finding.
