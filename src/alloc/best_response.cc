@@ -6,10 +6,17 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "core/rounding.hh"
+#include "solver/interior_point.hh"
 
 namespace amdahl::alloc {
 
 namespace {
+
+/** Stop when no bid moves by more than this share of its budget. */
+constexpr double kBidTolerance = 1e-5;
+
+/** Cap on best-response rounds. */
+constexpr int kMaxRounds = 500;
 
 /**
  * The price-anticipating objective of one user: for job k on a server
@@ -97,14 +104,13 @@ class AnticipatingObjective : public solver::SeparableConcave
 std::vector<double>
 BestResponsePolicy::bestResponseBids(
     const core::MarketUser &user, const std::vector<double> &capacities,
-    const std::vector<double> &other_bids,
-    const solver::InteriorPointOptions &opts)
+    const std::vector<double> &other_bids)
 {
     if (other_bids.size() != user.jobs.size())
         fatal("opposing-bid vector has wrong job count");
     AnticipatingObjective objective(user, capacities,
                                     std::vector<double>(other_bids));
-    return solver::maximizeOnSimplex(objective, user.budget, opts);
+    return solver::maximizeOnSimplex(objective, user.budget);
 }
 
 AllocationResult
@@ -132,7 +138,7 @@ BestResponsePolicy::allocate(const core::FisherMarket &market) const
 
     bool converged = false;
     int rounds = 0;
-    for (; rounds < opts.maxRounds && !converged; ++rounds) {
+    for (; rounds < kMaxRounds && !converged; ++rounds) {
         double max_delta = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             const auto &user = market.user(i);
@@ -142,8 +148,8 @@ BestResponsePolicy::allocate(const core::FisherMarket &market) const
                               result.outcome.bids[i][k];
                 opposing[k] = std::max(0.0, opposing[k]);
             }
-            const auto response = bestResponseBids(
-                user, market.capacities(), opposing, opts.interior);
+            const auto response =
+                bestResponseBids(user, market.capacities(), opposing);
             for (std::size_t k = 0; k < user.jobs.size(); ++k) {
                 const double old_bid = result.outcome.bids[i][k];
                 const double delta = std::abs(response[k] - old_bid) /
@@ -154,7 +160,7 @@ BestResponsePolicy::allocate(const core::FisherMarket &market) const
                 result.outcome.bids[i][k] = response[k];
             }
         }
-        converged = max_delta < opts.bidTolerance;
+        converged = max_delta < kBidTolerance;
     }
     result.outcome.iterations = rounds;
     result.outcome.converged = converged;

@@ -24,31 +24,17 @@
 #define AMDAHL_ALLOC_BEST_RESPONSE_HH
 
 #include "alloc/policy.hh"
-#include "solver/interior_point.hh"
 
 namespace amdahl::alloc {
 
-/** Convergence knobs for the best-response loop. */
-struct BestResponseOptions
-{
-    /** Stop when no bid moves by more than this relative amount. */
-    double bidTolerance = 1e-5;
-
-    /** Cap on best-response rounds. */
-    int maxRounds = 500;
-
-    /** Interior-point options for each user's subproblem. */
-    solver::InteriorPointOptions interior;
-};
-
-/** The price-anticipating Nash baseline. */
+/**
+ * The price-anticipating Nash baseline. Rounds stop once no bid moves
+ * by more than 1e-5 of its user's budget, or after 500 rounds; each
+ * subproblem runs the interior-point solver at its default options.
+ */
 class BestResponsePolicy : public AllocationPolicy
 {
   public:
-    explicit BestResponsePolicy(BestResponseOptions options = {})
-        : opts(options)
-    {}
-
     std::string name() const override { return "BR"; }
 
     AllocationResult allocate(
@@ -61,17 +47,12 @@ class BestResponsePolicy : public AllocationPolicy
      * @param user        The responding user.
      * @param capacities  Server capacities.
      * @param other_bids  Total bids per server excluding this user's.
-     * @param opts        Interior-point options.
      * @return The user's optimal bids (one per job).
      */
     static std::vector<double>
     bestResponseBids(const core::MarketUser &user,
                      const std::vector<double> &capacities,
-                     const std::vector<double> &other_bids,
-                     const solver::InteriorPointOptions &opts = {});
-
-  private:
-    BestResponseOptions opts;
+                     const std::vector<double> &other_bids);
 };
 
 } // namespace amdahl::alloc

@@ -91,14 +91,6 @@ JobPlacer::setServerLive(std::size_t server, bool live)
 }
 
 bool
-JobPlacer::serverLive(std::size_t server) const
-{
-    if (server >= live_.size())
-        fatal("server index ", server, " out of range");
-    return live_[server] != 0;
-}
-
-bool
 JobPlacer::anyLive() const
 {
     return std::any_of(live_.begin(), live_.end(),

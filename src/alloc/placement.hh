@@ -87,9 +87,6 @@ class JobPlacer
      */
     void setServerLive(std::size_t server, bool live);
 
-    /** @return true when @p server currently accepts placements. */
-    bool serverLive(std::size_t server) const;
-
     /** @return true when at least one server accepts placements. */
     bool anyLive() const;
 

@@ -184,13 +184,10 @@ parseCsv(std::istream &in, const CsvParseOptions &opts)
         if (cells.size() == 1 && cells[0].empty())
             continue;
         if (cells.size() != table.header.size()) {
-            if (!opts.allowRagged) {
-                return Status::error(
-                    ErrorKind::SemanticError, record_line, "row has ",
-                    cells.size(), " cells, header has ",
-                    table.header.size());
-            }
-            cells.resize(table.header.size());
+            return Status::error(ErrorKind::SemanticError, record_line,
+                                 "row has ", cells.size(),
+                                 " cells, header has ",
+                                 table.header.size());
         }
         if (table.rows.size() >= opts.maxRows) {
             return Status::error(ErrorKind::SemanticError, record_line,

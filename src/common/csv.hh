@@ -73,11 +73,6 @@ struct CsvTable
 /** Knobs for parseCsv. */
 struct CsvParseOptions
 {
-    /** Accept rows whose cell count differs from the header's
-     *  (missing cells read as empty; extras are dropped). Off by
-     *  default: ragged input is a semantic error. */
-    bool allowRagged = false;
-
     /** Hard cap on data rows — backpressure against unbounded
      *  attacker-supplied input. Exceeding it is a semantic error. */
     std::size_t maxRows = 1u << 20;

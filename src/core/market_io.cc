@@ -358,12 +358,6 @@ loadMarket(const std::string &path, const MarketParseOptions &opts)
 }
 
 FisherMarket
-parseMarket(std::istream &in)
-{
-    return tryParseMarket(in).orFatal();
-}
-
-FisherMarket
 parseMarketString(const std::string &text)
 {
     return tryParseMarketString(text).orFatal();

@@ -80,22 +80,19 @@ Result<FisherMarket> loadMarket(const std::string &path,
                                 const MarketParseOptions &opts = {});
 
 /**
- * Parse a market description (throwing wrapper over tryParseMarket).
+ * Parse a market description from a string (throwing wrapper over
+ * tryParseMarketString).
  *
- * @param in Input stream with the format above.
  * @return The market (validated: at least one user; server indices in
  *         range).
  * @throws FatalError with the classified, line-numbered diagnostic on
  *         malformed input.
  */
-FisherMarket parseMarket(std::istream &in);
-
-/** Convenience: parse from a string. */
 FisherMarket parseMarketString(const std::string &text);
 
 /**
  * Write a market in the same format (round-trips through
- * parseMarket; markets giving one user several jobs on one server
+ * tryParseMarket; markets giving one user several jobs on one server
  * need MarketParseOptions::rejectDuplicateServerJobs = false to
  * re-parse).
  */

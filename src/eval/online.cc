@@ -1292,15 +1292,18 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
 
         durability::JournalEntry entry;
         entry.epoch = static_cast<std::uint64_t>(state.epoch);
-        const std::string encoded = encodeOnlineState(state, opts_);
+        std::string encoded = encodeOnlineState(state, opts_);
         entry.eventCrc = crc32(encoded);
         entry.traceBytes = sink ? sink->bytesWritten() : 0;
         entry.traceSeq = sink ? sink->currentSeq() : 0;
         durability::OnlineSnapshotEnvelope env;
         env.traceBytes = entry.traceBytes;
         env.traceSeq = entry.traceSeq;
+        // The store calls the encoder at most once, after the journal
+        // entry (and its CRC) is written, so the state moves into the
+        // envelope instead of being copied.
         if (Status st = store.commitEpoch(entry, [&] {
-                env.state = encoded;
+                env.state = std::move(encoded);
                 return durability::encodeSnapshotEnvelope(env);
             });
             !st.isOk())

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "exec/thread_pool.hh"
 
 namespace amdahl::eval {
 
@@ -134,24 +133,6 @@ generatePopulation(Rng &rng, const PopulationOptions &opts)
         ++server_jobs[target];
     }
     return pop;
-}
-
-std::vector<Population>
-generatePopulations(std::uint64_t seed, const PopulationOptions &opts,
-                    std::size_t count)
-{
-    std::vector<Population> pops(count);
-    // Each population owns a substream-seeded generator, so slots can
-    // fill in any order (and concurrently) without the realization
-    // depending on the schedule. Grain 4: one population is a few
-    // thousand draws — small enough to batch, big enough to matter.
-    exec::parallelFor(0, count, 4, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t p = lo; p < hi; ++p) {
-            Rng rng(substreamSeed(seed, p, 0));
-            pops[p] = generatePopulation(rng, opts);
-        }
-    });
-    return pops;
 }
 
 std::vector<int>

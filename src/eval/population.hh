@@ -93,25 +93,6 @@ struct PopulationOptions
 Population generatePopulation(Rng &rng, const PopulationOptions &opts);
 
 /**
- * Generate @p count independent populations in parallel.
- *
- * Population p draws from its own counter-based substream
- * substreamSeed(seed, p, 0) — see common/random.hh — so the result is
- * a pure function of (seed, opts, count): identical at any thread
- * count, and populations[p] never depends on how many draws another
- * population made. Note the streams differ from @p count sequential
- * generatePopulation calls on Rng(seed); callers pick one convention
- * and stick to it (the scenario fan-outs in the benches use this one).
- *
- * @param seed  Base seed of the batch.
- * @param opts  Population parameters (shared by every population).
- * @param count Number of populations.
- */
-std::vector<Population> generatePopulations(std::uint64_t seed,
-                                            const PopulationOptions &opts,
-                                            std::size_t count);
-
-/**
  * The paper's n ladder: 40 to 1000 in increments of 80.
  */
 std::vector<int> paperUserLadder();

@@ -8,6 +8,13 @@
 
 namespace amdahl::profiling {
 
+namespace {
+
+/** Linear-fit R^2 below which a quadratic model is considered. */
+constexpr double kLinearR2Threshold = 0.995;
+
+} // namespace
+
 PerformancePredictor
 PerformancePredictor::fit(const WorkloadProfile &profile,
                           const PredictorOptions &opts)
@@ -38,7 +45,7 @@ PerformancePredictor::fit(const WorkloadProfile &profile,
     if (opts.allowQuadratic && profile.datasetsGB.size() >= 3) {
         const auto &linear =
             predictor.models.at(predictor.referenceCores);
-        if (linear.r2 < opts.linearR2Threshold) {
+        if (linear.r2 < kLinearR2Threshold) {
             std::map<int, solver::PolynomialModel> candidates;
             bool better = true;
             for (int x : profile.coreCounts) {

@@ -33,13 +33,10 @@ struct PredictorOptions
      * uses linear models but notes some workloads (QR decomposition)
      * scale quadratically; with this enabled, a quadratic model
      * replaces the linear one whenever the linear fit's R^2 falls
-     * below `linearR2Threshold` and the quadratic fit improves on it.
-     * Disabled by default to match the paper's evaluated pipeline.
+     * below 0.995 and the quadratic fit improves on it. Disabled by
+     * default to match the paper's evaluated pipeline.
      */
     bool allowQuadratic = false;
-
-    /** Linear-fit quality below which quadratic is considered. */
-    double linearR2Threshold = 0.995;
 };
 
 /**

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <ostream>
 #include <set>
 #include <sstream>
 
@@ -160,23 +159,6 @@ loadProfileCsv(const std::string &path, std::string workloadName)
                              path, "'");
     }
     return tryParseProfileCsv(in, std::move(workloadName));
-}
-
-void
-writeProfileCsv(std::ostream &out, const WorkloadProfile &profile)
-{
-    const auto saved_precision = out.precision(
-        std::numeric_limits<double>::max_digits10);
-    CsvWriter csv(out, {"dataset_gb", "cores", "seconds"});
-    for (const auto &pt : profile.points) {
-        std::ostringstream gb, sec;
-        gb.precision(std::numeric_limits<double>::max_digits10);
-        sec.precision(std::numeric_limits<double>::max_digits10);
-        gb << pt.datasetGB;
-        sec << pt.seconds;
-        csv.writeRow({gb.str(), std::to_string(pt.cores), sec.str()});
-    }
-    out.precision(saved_precision);
 }
 
 } // namespace amdahl::profiling

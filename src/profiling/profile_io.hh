@@ -58,10 +58,6 @@ tryParseProfileCsvString(const std::string &text,
 Result<WorkloadProfile> loadProfileCsv(const std::string &path,
                                        std::string workloadName);
 
-/** Write a profile in the same format (round-trips through
- *  tryParseProfileCsv). */
-void writeProfileCsv(std::ostream &out, const WorkloadProfile &profile);
-
 } // namespace amdahl::profiling
 
 #endif // AMDAHL_PROFILING_PROFILE_IO_HH

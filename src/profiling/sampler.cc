@@ -6,8 +6,27 @@
 
 namespace amdahl::profiling {
 
+namespace {
+
+/** Spark sample ladder (GB), clipped to the dataset size. */
+constexpr double kSparkLadderGB[] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+
+/** Fractions of the full input used when the ladder is too coarse
+ *  (small datasets). */
+constexpr double kSmallDatasetFractions[] = {0.15, 0.30, 0.45, 0.60,
+                                             0.75};
+
+/** PARSEC simlarge-class inputs as fractions of native. */
+constexpr double kParsecFractions[] = {0.20, 0.30, 0.40, 0.50};
+
+/** Minimum tasks per sample (when the dataset allows it): one per
+ *  allocatable core of the Table II server. */
+constexpr int kMinTasksPerSample = 24;
+
+} // namespace
+
 SamplingPlan
-planSamples(const sim::WorkloadSpec &workload, const SamplerOptions &opts)
+planSamples(const sim::WorkloadSpec &workload)
 {
     workload.validate();
     SamplingPlan plan;
@@ -16,7 +35,7 @@ planSamples(const sim::WorkloadSpec &workload, const SamplerOptions &opts)
     if (workload.suite == sim::Suite::Spark) {
         // Prefer the absolute ladder; it matches the paper's 1-6 GB
         // subsets of the 24 GB webspam input.
-        for (double gb : opts.sparkLadderGB) {
+        for (double gb : kSparkLadderGB) {
             if (gb < workload.datasetGB)
                 plan.sampleSizesGB.push_back(gb);
         }
@@ -24,13 +43,12 @@ planSamples(const sim::WorkloadSpec &workload, const SamplerOptions &opts)
             // Small datasets (kmeans's 327 MB census file): fall back to
             // proportional subsets.
             plan.sampleSizesGB.clear();
-            for (double frac : opts.smallDatasetFractions)
+            for (double frac : kSmallDatasetFractions)
                 plan.sampleSizesGB.push_back(frac * workload.datasetGB);
         }
         // Enforce the minimum-parallelism footnote where possible: a
-        // sample should yield at least minTasksPerSample blocks.
-        const double min_gb =
-            opts.minTasksPerSample * workload.blockSizeGB;
+        // sample should yield at least kMinTasksPerSample blocks.
+        const double min_gb = kMinTasksPerSample * workload.blockSizeGB;
         auto clamped = plan.sampleSizesGB;
         for (double &gb : clamped)
             gb = std::max(gb, std::min(min_gb, workload.datasetGB));
@@ -45,7 +63,7 @@ planSamples(const sim::WorkloadSpec &workload, const SamplerOptions &opts)
             plan.sampleSizesGB = std::move(clamped);
     } else {
         // PARSEC: simlarge-class inputs are fixed fractions of native.
-        for (double frac : opts.parsecFractions)
+        for (double frac : kParsecFractions)
             plan.sampleSizesGB.push_back(frac * workload.datasetGB);
     }
 

@@ -28,33 +28,19 @@ struct SamplingPlan
     double fullSizeGB = 0.0;           //!< The original dataset.
 };
 
-/** Planner options. */
-struct SamplerOptions
-{
-    /** Spark sample ladder (GB), clipped to the dataset size. */
-    std::vector<double> sparkLadderGB = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-
-    /** Fractions of the full input used when the ladder is too coarse
-     *  (small datasets) and for PARSEC simlarge-class inputs. */
-    std::vector<double> smallDatasetFractions = {0.15, 0.30, 0.45, 0.60,
-                                                 0.75};
-    std::vector<double> parsecFractions = {0.20, 0.30, 0.40, 0.50};
-
-    /** Minimum sample sizes are chosen so at least this many tasks
-     *  exist per sample (when the dataset allows it). Default: one
-     *  task per allocatable core of the Table II server. */
-    int minTasksPerSample = 24;
-};
-
 /**
  * Build the sampling plan for a workload.
  *
+ * Spark inputs take the 1-6 GB ladder entries below the dataset size,
+ * or 15-75% of the input in 15% steps when fewer than three entries
+ * fit; each sample is then raised to at least 24 blocks, one task per
+ * allocatable core of the Table II server, unless that would leave a
+ * single size. PARSEC inputs take 20-50% of native in 10% steps.
+ *
  * @param workload The benchmark (suite decides the ladder).
- * @param opts     Planner options.
  * @return Sample sizes plus the full size.
  */
-SamplingPlan planSamples(const sim::WorkloadSpec &workload,
-                         const SamplerOptions &opts = {});
+SamplingPlan planSamples(const sim::WorkloadSpec &workload);
 
 } // namespace amdahl::profiling
 

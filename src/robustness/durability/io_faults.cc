@@ -25,8 +25,6 @@ bool
 IoFaultInjector::injectFailure(std::uint64_t opId,
                                std::uint64_t attempt) const
 {
-    if (!opts_.enabled)
-        return false;
     return counterBernoulli(opts_.seed, opId, attempt, opts_.failureRate);
 }
 

@@ -33,12 +33,10 @@ namespace amdahl::durability {
 /** Knobs for transient-IO fault injection. */
 struct IoFaultOptions
 {
-    /** Master switch; false = no faults, zero overhead. */
-    bool enabled = false;
     /** Substream seed; independent of the simulation seed so fault
      *  realizations do not perturb market draws. */
     std::uint64_t seed = 0x10fa0175ULL;
-    /** Per-attempt failure probability in [0, 1). */
+    /** Per-attempt failure probability in [0, 1); 0 = no faults. */
     double failureRate = 0.0;
     /** Attempts per operation before giving up (>= 1). */
     int maxRetries = 4;

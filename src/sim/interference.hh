@@ -34,9 +34,6 @@ class InterferenceModel
      */
     explicit InterferenceModel(double max_degradation = 0.15);
 
-    /** @return The configured peak degradation fraction. */
-    double maxDegradation() const { return maxDegradation_; }
-
     /**
      * Slowdown factor (>= 1) experienced by a job.
      *

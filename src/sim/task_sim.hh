@@ -84,9 +84,6 @@ class TaskSimulator
      */
     void setInterferenceSlowdown(double factor);
 
-    /** @return The current interference factor. */
-    double interferenceSlowdown() const { return interference; }
-
     /**
      * Inject task failures: each parallel task independently fails
      * with this probability and is re-executed once (detect-on-finish
@@ -98,9 +95,6 @@ class TaskSimulator
      * @param probability In [0, 1).
      */
     void setTaskFailureRate(double probability);
-
-    /** @return The current task failure probability. */
-    double taskFailureRate() const { return failureRate; }
 
     /**
      * Simulate one execution.

@@ -11,6 +11,11 @@ namespace amdahl::solver {
 
 namespace {
 
+constexpr double kInitialT = 1.0;          //!< Initial barrier weight.
+constexpr double kTGrowth = 20.0;          //!< Weight multiplier per round.
+constexpr int kMaxNewtonSteps = 200;       //!< Cap on Newton steps per round.
+constexpr double kNewtonTolerance = 1e-10; //!< Newton decrement target.
+
 /** Barrier objective value: t * g(b) + sum log b_j + log slack. */
 double
 barrierValue(const SeparableConcave &objective, const std::vector<double> &b,
@@ -43,14 +48,14 @@ maximizeOnSimplex(const SeparableConcave &objective, double budget,
     double slack = budget * 0.5;
 
     InteriorPointStats local;
-    double t = opts.initialT;
+    double t = kInitialT;
     const double constraints = static_cast<double>(m) + 1.0;
 
     std::vector<double> grad(m), diag(m), step(m);
     while (true) {
         ++local.barrierRounds;
         // Centering: damped Newton on the barrier objective at weight t.
-        for (int newton = 0; newton < opts.maxNewtonSteps; ++newton) {
+        for (int newton = 0; newton < kMaxNewtonSteps; ++newton) {
             ++local.newtonSteps;
             const double slack_grad = -1.0 / slack;
             const double slack_hess = -1.0 / (slack * slack);
@@ -84,7 +89,7 @@ maximizeOnSimplex(const SeparableConcave &objective, double budget,
             if (decrement < 0.0)
                 decrement = 0.0;
             AMDAHL_CHECK_FINITE(decrement);
-            if (decrement * 0.5 <= opts.newtonTolerance)
+            if (decrement * 0.5 <= kNewtonTolerance)
                 break;
 
             // Backtracking line search keeping strict feasibility.
@@ -139,7 +144,7 @@ maximizeOnSimplex(const SeparableConcave &objective, double budget,
         local.finalGap = constraints / t;
         if (local.finalGap <= opts.tolerance)
             break;
-        t *= opts.tGrowth;
+        t *= kTGrowth;
     }
 
     obs::metrics().counter("solver.ip.solves").add();

@@ -51,14 +51,15 @@ class SeparableConcave
     virtual double hessian(std::size_t j, double b) const = 0;
 };
 
-/** Tuning knobs for the interior-point solver. */
+/**
+ * Tuning knobs for the interior-point solver. The barrier schedule is
+ * fixed: weight t starts at 1 and grows 20x per round, and each round
+ * centers with at most 200 Newton steps, stopping once half the Newton
+ * decrement is at most 1e-10.
+ */
 struct InteriorPointOptions
 {
-    double tolerance = 1e-9;       //!< Duality-gap target (m+1)/t.
-    double initialT = 1.0;         //!< Initial barrier weight.
-    double tGrowth = 20.0;         //!< Barrier weight multiplier per round.
-    int maxNewtonSteps = 200;      //!< Cap on Newton steps per round.
-    double newtonTolerance = 1e-10; //!< Newton decrement target.
+    double tolerance = 1e-9; //!< Duality-gap target (m+1)/t.
 };
 
 /** Convergence diagnostics. */

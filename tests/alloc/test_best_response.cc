@@ -8,7 +8,9 @@
 #include <cmath>
 
 #include "alloc/best_response.hh"
+#include "common/crc32.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "core/amdahl.hh"
 #include "core/bidding.hh"
 
@@ -158,6 +160,72 @@ TEST(BestResponse, SymmetricDuopolySplitsEvenly)
     const auto result = BestResponsePolicy().allocate(market);
     EXPECT_NEAR(result.outcome.allocation[0][0], 4.0, 0.05);
     EXPECT_NEAR(result.outcome.allocation[1][0], 4.0, 0.05);
+}
+
+/** A seeded market of @p users users, each with 1-3 jobs on distinct
+ *  servers, plus one anchor user per server so no server is idle. */
+core::FisherMarket
+seededMarket(std::uint64_t seed, int users, int servers)
+{
+    Rng rng(seed);
+    core::FisherMarket market(std::vector<double>(
+        static_cast<std::size_t>(servers), 12.0));
+    for (int i = 0; i < users; ++i) {
+        core::MarketUser user;
+        user.name = "u" + std::to_string(i);
+        user.budget = rng.uniform(0.5, 4.0);
+        const int first = static_cast<int>(rng.uniformInt(0, servers - 1));
+        const int jobs = static_cast<int>(rng.uniformInt(1, 3));
+        for (int k = 0; k < jobs; ++k) {
+            user.jobs.push_back(
+                {static_cast<std::size_t>((first + k) % servers),
+                 rng.uniform(0.3, 0.99), rng.uniform(0.5, 2.0)});
+        }
+        market.addUser(std::move(user));
+    }
+    for (int j = 0; j < servers; ++j) {
+        market.addUser({"anchor" + std::to_string(j), 1.0,
+                        {{static_cast<std::size_t>(j), 0.8, 1.0}}});
+    }
+    return market;
+}
+
+TEST(BestResponse, NashOutcomeMatchesPinnedBytes)
+{
+    // CRC-32 of the Nash bids, prices, allocation and rounded cores,
+    // recorded from an earlier build: the loop's tolerance, round cap
+    // and interior-point settings are constants, and these pins hold
+    // them (and the solver's bytes) in place.
+    const struct
+    {
+        std::uint64_t seed;
+        int users;
+        int servers;
+        std::uint32_t crc;
+    } cases[] = {{11, 6, 3, 0x2f1b98a8u},
+                 {23, 9, 4, 0xa72dc4f9u},
+                 {47, 12, 5, 0xadfd8cceu}};
+    for (const auto &c : cases) {
+        const auto market = seededMarket(c.seed, c.users, c.servers);
+        const auto result = BestResponsePolicy().allocate(market);
+        Crc32 digest;
+        digest.updateU64(static_cast<std::uint64_t>(
+            result.outcome.iterations));
+        digest.updateU32(result.outcome.converged ? 1 : 0);
+        for (double p : result.outcome.prices)
+            digest.updateF64(p);
+        for (std::size_t i = 0; i < market.userCount(); ++i) {
+            for (std::size_t k = 0; k < result.cores[i].size(); ++k) {
+                digest.updateF64(result.outcome.bids[i][k]);
+                digest.updateF64(result.outcome.allocation[i][k]);
+                digest.updateU32(
+                    static_cast<std::uint32_t>(result.cores[i][k]));
+            }
+        }
+        EXPECT_EQ(digest.value(), c.crc)
+            << "seed " << c.seed << ": crc 0x" << std::hex
+            << digest.value();
+    }
 }
 
 TEST(BestResponse, PolicyNameIsBR)

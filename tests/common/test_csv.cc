@@ -136,20 +136,12 @@ TEST(CsvReader, QuoteMidFieldIsParseError)
     EXPECT_EQ(result.status().kind(), ErrorKind::ParseError);
 }
 
-TEST(CsvReader, RaggedRowIsSemanticErrorUnlessAllowed)
+TEST(CsvReader, RaggedRowIsSemanticError)
 {
-    const std::string text = "a,b\n1,2,3\n";
-    auto strict = parseCsvString(text);
+    auto strict = parseCsvString("a,b\n1,2,3\n");
     ASSERT_FALSE(strict.ok());
     EXPECT_EQ(strict.status().kind(), ErrorKind::SemanticError);
     EXPECT_EQ(strict.status().line(), 2);
-
-    CsvParseOptions opts;
-    opts.allowRagged = true;
-    auto relaxed = parseCsvString(text, opts);
-    ASSERT_TRUE(relaxed.ok());
-    EXPECT_EQ(relaxed.value().rows[0],
-              (std::vector<std::string>{"1", "2"}));
 }
 
 TEST(CsvReader, RowCapIsSemanticError)

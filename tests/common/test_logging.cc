@@ -78,5 +78,32 @@ TEST(Logging, WarnAndInformDoNotThrow)
     setLogLevel(original);
 }
 
+TEST(Logging, LevelFiltersWarnings)
+{
+    const LogLevel original = setLogLevel(LogLevel::Quiet);
+    ::testing::internal::CaptureStderr();
+    warn("should be suppressed");
+    inform("also suppressed");
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+    setLogLevel(LogLevel::Warn);
+    ::testing::internal::CaptureStderr();
+    warn("visible warning");
+    inform("still suppressed");
+    const std::string warn_only =
+        ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(warn_only.find("warn: visible warning"),
+              std::string::npos);
+    EXPECT_EQ(warn_only.find("info:"), std::string::npos);
+
+    setLogLevel(LogLevel::Inform);
+    ::testing::internal::CaptureStderr();
+    inform("now visible");
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "info: now visible"),
+              std::string::npos);
+    setLogLevel(original);
+}
+
 } // namespace
 } // namespace amdahl

@@ -8,6 +8,7 @@
 
 #include <limits>
 
+#include "common/crc32.hh"
 #include "common/logging.hh"
 #include "profiling/predictor.hh"
 #include "profiling/profiler.hh"
@@ -146,6 +147,52 @@ TEST(Predictor, QuadraticSelectionLeavesLinearWorkloadsAlone)
     const auto predictor = PerformancePredictor::fit(
         profiler.profile(w, plan.sampleSizesGB), opts);
     EXPECT_EQ(predictor.scalingDegree(), 1u);
+}
+
+/** CRC-32 of a fitted predictor: its fraction, degree, every linear
+ *  model and its predictions over a (dataset, cores) grid. */
+std::uint32_t
+predictorDigest(const PerformancePredictor &predictor, double fullGB)
+{
+    Crc32 digest;
+    digest.updateF64(predictor.parallelFraction());
+    digest.updateU64(predictor.scalingDegree());
+    for (int cores : predictor.modeledCoreCounts()) {
+        const auto &model = predictor.modelForCores(cores);
+        digest.updateU32(static_cast<std::uint32_t>(cores));
+        digest.updateF64(model.intercept);
+        digest.updateF64(model.slope);
+        digest.updateF64(model.r2);
+    }
+    for (double share : {0.1, 0.5, 1.0}) {
+        for (int cores : {1, 4, 24})
+            digest.updateF64(predictor.predictSeconds(share * fullGB, cores));
+    }
+    return digest.value();
+}
+
+TEST(Predictor, CoefficientsMatchPinnedBytes)
+{
+    // Recorded from an earlier build: the R^2 below which a quadratic
+    // model is tried is a constant, and these pins hold it (and the
+    // fits) in place, for a linear workload and for QR with quadratic
+    // selection on.
+    const Profiler profiler((sim::TaskSimulator()));
+    const auto &w = sim::findWorkload("correlation");
+    const auto linear = PerformancePredictor::fit(
+        profiler.profile(w, planSamples(w).sampleSizesGB));
+    EXPECT_EQ(predictorDigest(linear, w.datasetGB), 0x04cbef2au)
+        << "correlation crc 0x" << std::hex
+        << predictorDigest(linear, w.datasetGB);
+
+    const auto &qr = sim::findExtensionWorkload("qr");
+    PredictorOptions opts;
+    opts.allowQuadratic = true;
+    const auto quad = PerformancePredictor::fit(
+        profiler.profile(qr, planSamples(qr).sampleSizesGB), opts);
+    ASSERT_EQ(quad.scalingDegree(), 2u);
+    EXPECT_EQ(predictorDigest(quad, qr.datasetGB), 0xc1c704efu)
+        << "qr crc 0x" << std::hex << predictorDigest(quad, qr.datasetGB);
 }
 
 TEST(Predictor, NeedsAtLeastTwoDatasets)

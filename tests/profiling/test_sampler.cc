@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hh"
 #include "common/logging.hh"
 #include "profiling/sampler.hh"
 #include "sim/workload_library.hh"
@@ -45,14 +46,16 @@ TEST(Sampler, SmallDatasetFallsBackToFractions)
 
 TEST(Sampler, MinimumParallelismFootnoteRespected)
 {
-    // Samples of large datasets must produce at least the configured
-    // number of tasks (paper footnote 1).
-    SamplerOptions opts;
-    opts.minTasksPerSample = 100;
-    const auto &corr = sim::findWorkload("correlation");
-    const auto plan = planSamples(corr, opts);
+    // Samples must produce at least one task per allocatable core of
+    // the Table II server, 24 (paper footnote 1). fpgrowth's 1.4 GB
+    // input falls back to fractions, and its 0.21-0.63 GB steps are
+    // raised to 24 blocks (and merged).
+    const auto &fp = sim::findWorkload("fpgrowth");
+    const auto plan = planSamples(fp);
+    ASSERT_EQ(plan.sampleSizesGB.size(), 3u);
     for (double gb : plan.sampleSizesGB)
-        EXPECT_GE(gb / corr.blockSizeGB, 99.999);
+        EXPECT_GE(gb / fp.blockSizeGB, 23.999);
+    EXPECT_DOUBLE_EQ(plan.sampleSizesGB.front(), 24 * fp.blockSizeGB);
 }
 
 TEST(Sampler, ParsecUsesSimlargeFractions)
@@ -85,6 +88,24 @@ TEST(Sampler, EveryLibraryWorkloadGetsAPlan)
         EXPECT_FALSE(plan.sampleSizesGB.empty()) << w.name;
         EXPECT_DOUBLE_EQ(plan.fullSizeGB, w.datasetGB) << w.name;
     }
+}
+
+TEST(Sampler, LibraryPlansMatchPinnedBytes)
+{
+    // CRC-32 of every library workload's plan, recorded from an earlier
+    // build: the Spark ladder, the fallback and PARSEC fractions and
+    // the 24-task footnote are constants, and this pin holds them.
+    Crc32 digest;
+    for (const auto &w : sim::workloadLibrary()) {
+        const auto plan = planSamples(w);
+        digest.update(w.name);
+        digest.updateF64(plan.fullSizeGB);
+        digest.updateU64(plan.sampleSizesGB.size());
+        for (double gb : plan.sampleSizesGB)
+            digest.updateF64(gb);
+    }
+    EXPECT_EQ(digest.value(), 0xe453f84cu)
+        << "crc 0x" << std::hex << digest.value();
 }
 
 } // namespace

@@ -396,7 +396,6 @@ TEST(DurabilitySnapshot, CorruptNewestFallsBackToThePreviousGeneration)
 TEST(DurabilityIoFaults, RealizationIsAPureFunctionOfTheSeed)
 {
     IoFaultOptions opts;
-    opts.enabled = true;
     opts.failureRate = 0.4;
     const IoFaultInjector a(opts);
     const IoFaultInjector b(opts);
@@ -423,10 +422,11 @@ TEST(DurabilityIoFaults, RealizationIsAPureFunctionOfTheSeed)
 
 TEST(DurabilityIoFaults, DisabledOrZeroRateNeverFails)
 {
+    // The default rate, 0, is the off switch, whatever the seed.
     IoFaultOptions off;
     const IoFaultInjector disabled(off);
     IoFaultOptions zero;
-    zero.enabled = true;
+    zero.seed ^= 0x9E3779B97F4A7C15ull;
     zero.failureRate = 0.0;
     const IoFaultInjector zeroRate(zero);
     for (std::uint64_t op = 0; op < 32; ++op) {
@@ -438,7 +438,6 @@ TEST(DurabilityIoFaults, DisabledOrZeroRateNeverFails)
 TEST(DurabilityIoFaults, BackoffIsExponentialWithBoundedJitter)
 {
     IoFaultOptions opts;
-    opts.enabled = true;
     opts.failureRate = 0.5;
     const IoFaultInjector injector(opts);
     for (std::uint64_t attempt = 0; attempt < 6; ++attempt) {
@@ -454,7 +453,6 @@ TEST(DurabilityIoFaults, BackoffIsExponentialWithBoundedJitter)
 TEST(DurabilityIoFaults, OptionValidationRejectsBadKnobs)
 {
     IoFaultOptions rate;
-    rate.enabled = true;
     rate.failureRate = 1.0; // must stay below certain failure
     EXPECT_EQ(validateIoFaultOptions(rate).kind(),
               ErrorKind::DomainError);
@@ -622,7 +620,6 @@ TEST(DurableStore, TransientFaultsAreRetriedToSuccess)
 {
     const fs::path dir = freshDir();
     DurabilityOptions opts = storeOptions(dir, 2);
-    opts.ioFaults.enabled = true;
     opts.ioFaults.failureRate = 0.3;
     opts.ioFaults.maxRetries = 8;
     auto opened = DurableStateStore::open(opts);
@@ -644,7 +641,6 @@ TEST(DurableStore, ExhaustedRetriesSurfaceAnIoError)
 {
     const fs::path dir = freshDir();
     DurabilityOptions opts = storeOptions(dir, 2);
-    opts.ioFaults.enabled = true;
     opts.ioFaults.failureRate = 0.999999;
     opts.ioFaults.maxRetries = 2;
     auto opened = DurableStateStore::open(opts);

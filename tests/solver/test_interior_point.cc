@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "solver/interior_point.hh"
@@ -128,6 +130,31 @@ TEST(InteriorPoint, MatchesWaterFillingOnAmdahlObjective)
     const auto wf = waterFill(items, budget);
     for (std::size_t j = 0; j < items.size(); ++j)
         EXPECT_NEAR(ip[j], wf.spend[j], 2e-3 * budget);
+}
+
+TEST(InteriorPoint, AmdahlObjectiveMatchesPinnedBits)
+{
+    // The output bits and step counts at the default options, recorded
+    // from an earlier build: the barrier schedule (initial weight,
+    // growth, Newton cap and decrement target) is a set of constants,
+    // and this pin holds them in place.
+    const std::vector<WaterFillItem> items = {
+        {1.0, 0.9, 0.2}, {1.0, 0.7, 0.4}, {2.0, 0.85, 0.3},
+        {0.5, 0.99, 0.1}};
+    AmdahlMoney obj(items);
+    InteriorPointStats stats;
+    const auto b = maximizeOnSimplex(obj, 3.0, {}, &stats);
+    const std::uint64_t pinned[] = {
+        0x3fdb49d763b0808dull, 0x3e06621477ff3bcfull,
+        0x3fe98c451c888153ull, 0x3ffc676798a21dceull};
+    ASSERT_EQ(b.size(), std::size(pinned));
+    for (std::size_t j = 0; j < b.size(); ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(b[j]), pinned[j])
+            << "b[" << j << "] bits 0x" << std::hex
+            << std::bit_cast<std::uint64_t>(b[j]);
+    }
+    EXPECT_EQ(stats.barrierRounds, 9);
+    EXPECT_EQ(stats.newtonSteps, 86);
 }
 
 TEST(InteriorPoint, StaysFeasible)

@@ -273,59 +273,5 @@ TEST(Bisect, StopsOnceTheBracketCollapses)
     EXPECT_NEAR(root, std::sqrt(2.0), 4e-16);
 }
 
-TEST(NewtonBracketed, QuadraticConvergesFast)
-{
-    const double root = newtonBracketed(
-        [](double x) { return x * x - 9.0; },
-        [](double x) { return 2.0 * x; }, 0.0, 10.0);
-    EXPECT_NEAR(root, 3.0, 1e-9);
-}
-
-TEST(NewtonBracketed, SurvivesZeroDerivative)
-{
-    // f(x) = x^3 has f'(0) = 0; the bisection fallback must engage.
-    const double root = newtonBracketed(
-        [](double x) { return x * x * x; },
-        [](double x) { return 3.0 * x * x; }, -1.0, 2.0);
-    EXPECT_NEAR(root, 0.0, 1e-6);
-}
-
-TEST(NewtonBracketed, RejectsSameSignBracket)
-{
-    EXPECT_THROW(newtonBracketed([](double x) { return x * x + 1.0; },
-                                 [](double x) { return 2.0 * x; }, -1.0,
-                                 1.0),
-                 FatalError);
-}
-
-TEST(NewtonBracketed, TranscendentalRoot)
-{
-    // x = cos(x) has root ~0.7390851.
-    const double root = newtonBracketed(
-        [](double x) { return x - std::cos(x); },
-        [](double x) { return 1.0 + std::sin(x); }, 0.0, 1.0);
-    EXPECT_NEAR(root, 0.7390851332151607, 1e-9);
-}
-
-TEST(MinimizeGolden, ParabolaMinimum)
-{
-    const double x = minimizeGolden(
-        [](double v) { return (v - 1.5) * (v - 1.5); }, -10.0, 10.0);
-    EXPECT_NEAR(x, 1.5, 1e-6);
-}
-
-TEST(MinimizeGolden, BoundaryMinimum)
-{
-    const double x =
-        minimizeGolden([](double v) { return v; }, 2.0, 5.0);
-    EXPECT_NEAR(x, 2.0, 1e-6);
-}
-
-TEST(MinimizeGolden, RejectsBadInterval)
-{
-    EXPECT_THROW(minimizeGolden([](double v) { return v; }, 1.0, 1.0),
-                 FatalError);
-}
-
 } // namespace
 } // namespace amdahl::solver

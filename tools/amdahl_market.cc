@@ -881,7 +881,6 @@ cmdTrace(const std::vector<std::string> &args,
             recover = true;
         } else if (arg == "--io-fault-rate" && a + 1 < args.size()) {
             dur.ioFaults.failureRate = parseNumber<double>(arg, args[++a]);
-            dur.ioFaults.enabled = dur.ioFaults.failureRate > 0.0;
             io_knobs = true;
         } else if (arg == "--io-fault-seed" && a + 1 < args.size()) {
             dur.ioFaults.seed = parseNumber<std::uint64_t>(arg, args[++a]);

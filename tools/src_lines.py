@@ -13,12 +13,20 @@ counting member functions, nested types, ``using`` and ``static``
 declarations. Every field is one more configuration that tests and
 benchmarks must cover, so the count is printed next to the lines.
 
-Usage: src_lines.py [--repo-root DIR]
+With --check BASELINE the script also fails (exit 1) when the option
+field total exceeds the ceiling committed in BASELINE, a file holding
+one ``options <n>`` line (``#`` starts a comment). A change that
+deletes fields lowers the ceiling; one that adds a field raises it in
+the same commit, next to the bench row that shows the knob pays. Code
+lines stay print-only.
+
+Usage: src_lines.py [--repo-root DIR] [--check BASELINE]
 """
 
 import argparse
 import pathlib
 import re
+import sys
 
 SOURCE_SUFFIXES = {".cc", ".hh"}
 COMMENT_PREFIXES = ("//", "/*", "*")
@@ -75,10 +83,30 @@ def option_fields(path):
     return count
 
 
+def read_ceiling(path):
+    """The ``options <n>`` ceiling of a baseline file."""
+    ceiling = None
+    for number, line in enumerate(path.read_text(encoding="utf-8")
+                                  .splitlines(), start=1):
+        words = line.split("#", 1)[0].split()
+        if not words:
+            continue
+        if len(words) != 2 or words[0] != "options" or \
+                not words[1].isdigit() or ceiling is not None:
+            sys.exit(f"{path}:{number}: expected one 'options <n>' line")
+        ceiling = int(words[1])
+    if ceiling is None:
+        sys.exit(f"{path}: no 'options <n>' line")
+    return ceiling
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo-root", default=".",
                         help="repository root (default: .)")
+    parser.add_argument("--check", metavar="BASELINE", type=pathlib.Path,
+                        help="fail when the option fields exceed the "
+                             "ceiling committed in BASELINE")
     args = parser.parse_args()
 
     src = pathlib.Path(args.repo_root) / "src"
@@ -96,8 +124,20 @@ def main():
     print("  lines  options")
     for key in sorted(lines):
         print(f"{lines[key]:7d}  {options[key]:7d}  src/{key}")
-    print(f"{sum(lines.values()):7d}  {sum(options.values()):7d}  total")
+    total = sum(options.values())
+    print(f"{sum(lines.values()):7d}  {total:7d}  total")
+
+    if args.check:
+        ceiling = read_ceiling(args.check)
+        if total > ceiling:
+            print(f"FAIL: {total} option fields, above the ceiling of "
+                  f"{ceiling} in {args.check}")
+            return 1
+        print(f"ok: {total} option fields, ceiling {ceiling}")
+        if total < ceiling:
+            print(f"note: lower the ceiling in {args.check} to {total}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
