@@ -12,9 +12,11 @@
  * snapshot bytes comparable across runs (the recovery-equivalence
  * oracle diffs them directly).
  *
- * Values are assembled with shifts; on a little-endian target the
- * compiler turns the shifts into a single load or store, and elsewhere
- * into a byte swap, so no code path depends on the host byte order.
+ * Values are assembled with shifts, written out byte by byte (a fold
+ * expression, not a loop: at -O2 a loop inside a caller's loop stays a
+ * loop of byte moves); on a little-endian target the compiler turns
+ * the shifts into a single load or store, and elsewhere into a byte
+ * swap, so no code path depends on the host byte order.
  *
  * Readers treat the input as untrusted (a crashed process or a lossy
  * wire may have left arbitrary bytes): every read is bounds-checked,
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.hh"
@@ -45,8 +48,9 @@ template <std::size_t N>
 inline void
 storeLe(char *out, std::uint64_t v)
 {
-    for (std::size_t i = 0; i < N; ++i)
-        out[i] = static_cast<char>(v >> (8 * i));
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        ((out[I] = static_cast<char>(v >> (8 * I))), ...);
+    }(std::make_index_sequence<N>{});
 }
 
 /** @return The @p N little-endian bytes at @p in as an integer. */
@@ -54,11 +58,10 @@ template <std::size_t N>
 inline std::uint64_t
 loadLe(const char *in)
 {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < N; ++i)
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[i]))
-             << (8 * i);
-    return v;
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return ((std::uint64_t{static_cast<unsigned char>(in[I])} << (8 * I)) |
+                ...);
+    }(std::make_index_sequence<N>{});
 }
 
 } // namespace detail

@@ -43,7 +43,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "common/check.hh"
@@ -286,25 +286,28 @@ accumulateBlockPartials(const BidKernel &kernel, std::size_t blockLo,
 }
 
 /**
- * Apply shard @p s's bid aggregate to the coordinator's dense
+ * Apply shard @p s's bid frame to the coordinator's dense
  * block x server table of @p m columns: zero the shard's rows
  * [blockLo[s], blockLo[s + 1]), then write the partials @p bid
- * carries. The aggregate is decoded wire input, so every index is
- * checked before it addresses the table; a mismatch is a protocol
- * bug and panics.
+ * carries, read straight from the wire. The frame passed decodeFrame,
+ * but its indices are still untrusted, so every one is checked before
+ * it addresses the table; a mismatch is a protocol bug and panics.
  */
 inline void
-applyShardBid(const net::BidMsg &bid, std::size_t s,
+applyShardBid(const net::Frame &bid, std::size_t s,
               const std::vector<std::size_t> &blockLo, std::size_t m,
               std::vector<double> &table)
 {
+    ensure(bid.kind == net::MsgKind::Bid, "price frame on shard ", s,
+           "'s bid edge");
     ensure(bid.shard == s, "bid aggregate names shard ", bid.shard,
            " on shard ", s, "'s edge");
     const std::size_t lo = blockLo[s];
     const std::size_t hi = blockLo[s + 1];
     std::fill(table.begin() + static_cast<std::ptrdiff_t>(lo * m),
               table.begin() + static_cast<std::ptrdiff_t>(hi * m), 0.0);
-    for (const net::BlockPartial &p : bid.partials) {
+    for (std::size_t i = 0; i < bid.count; ++i) {
+        const net::BlockPartial p = net::readPartial(bid, i);
         ensure(p.block >= lo && p.block < hi, "shard ", s,
                " sent a partial for block ", p.block, " outside its "
                "blocks [", lo, ", ", hi, ")");
@@ -678,20 +681,21 @@ class ShardedExchange
     // initial bids (every shard "fresh as of round base - 1"). The
     // scratch table is the *shard-side* staging area: a shard
     // recomputes its rows there and ships their nonzero cells as a
-    // BidMsg (applied by applyShardBid), and the
-    // coordinator's table only changes when that message is actually
-    // delivered — a lost aggregate leaves the coordinator genuinely
-    // stale.
+    // bid frame (applied by applyShardBid), kept in lastBid for its
+    // retransmits; the coordinator's table only changes when a frame
+    // is actually delivered — a lost aggregate leaves the coordinator
+    // genuinely stale.
     std::vector<double> table;
     std::vector<double> scratch;
     std::vector<std::int64_t> lastApplied;    // coordinator
     std::vector<std::int64_t> lastPriceRound; // shard-side
     std::vector<net::Ticks> priceTickLatest;
     std::vector<std::vector<double>> postedPrices;
-    std::vector<net::Message> lastBid;
-    std::vector<std::unordered_set<std::uint64_t>> seenSeq;
+    std::vector<std::string> lastBid;
+    std::vector<std::vector<std::size_t>> cells; // per shard, ascending
+    net::SeqFilter seen;
     std::vector<RetransmitTimer> timers;
-    std::vector<unsigned char> mask;
+    std::vector<unsigned char> batched; // per shard: in the running batch
     std::vector<double> dampShard;
 
     const std::uint64_t quorumMin;

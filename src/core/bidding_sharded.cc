@@ -4,10 +4,12 @@
  * epoch-barrier protocol over src/net/.
  *
  * Users are grouped into shards of whole price blocks. Each round the
- * coordinator broadcasts a PriceMsg per shard; a shard that receives
- * it updates its users' bids (proportional response, shared kernel),
- * ships its nonzero per-(server, block) partials back as a BidMsg, and
- * arms retransmit timers with deterministic exponential backoff. The
+ * coordinator encodes one price frame and sends each shard a copy
+ * stamped with its address; a shard that receives it updates its
+ * users' bids (proportional response, shared kernel), ships its
+ * nonzero per-(server, block) partials back as a bid frame, and arms
+ * retransmit timers with deterministic exponential backoff; a
+ * retransmit is that frame with its attempt re-stamped. The
  * coordinator overwrites the sender's rows of its dense block x
  * server partial table from every applied aggregate (applyShardBid)
  * and waits on a virtual-time barrier: the
@@ -39,7 +41,6 @@
 #include <cstdint>
 #include <optional>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -72,6 +73,15 @@ constexpr std::uint32_t kMaxRetransmits = 3;
  *  broadcasts, so a healed shard cannot yank prices. */
 constexpr double kReentryDamping = 0.5;
 
+/** @return @p session, its edge sequence space grown to @p edges. */
+net::NetSession *
+withEdges(net::NetSession *session, std::size_t edges)
+{
+    if (session->edgeSeq.size() < edges)
+        session->edgeSeq.resize(edges, 0);
+    return session;
+}
+
 } // namespace
 
 ShardedExchange::ShardedExchange(BidKernel &kernel_, double damping_,
@@ -84,7 +94,9 @@ ShardedExchange::ShardedExchange(BidKernel &kernel_, double damping_,
       pricesHist(obs::timeHistogram("time.bidding.prices_us")),
       blockCount(priceBlockCount(n)),
       S(std::min(sharded_.shards, blockCount)), blockLo(S + 1),
-      shardOf(n), sess(session ? session : &localSession),
+      shardOf(n),
+      sess(withEdges(session ? session : &localSession,
+                     2 * sharded_.shards)),
       base(sess->globalRound), clock(sess->ticks),
       model(sharded_.faults, sharded_.partitions),
       inst(model.active() ? &(instStorage = net::NetInstruments::bind())
@@ -95,7 +107,7 @@ ShardedExchange::ShardedExchange(BidKernel &kernel_, double damping_,
       lastApplied(S, static_cast<std::int64_t>(base) - 1),
       lastPriceRound(S, static_cast<std::int64_t>(base) - 1),
       priceTickLatest(S, clock.now()), postedPrices(S), lastBid(S),
-      seenSeq(2 * std::max(S, sharded_.shards)), mask(n, 0),
+      cells(S), seen(*sess), batched(S, 0),
       dampShard(S, damping_),
       quorumMin(std::max<std::uint64_t>(
           1, static_cast<std::uint64_t>(std::ceil(
@@ -112,27 +124,31 @@ ShardedExchange::ShardedExchange(BidKernel &kernel_, double damping_,
         for (std::size_t i = uLo; i < uHi; ++i)
             shardOf[i] = static_cast<std::uint32_t>(s);
     }
-    if (sess->edgeSeq.size() < seenSeq.size())
-        sess->edgeSeq.resize(seenSeq.size(), 0);
     accumulateBlockPartials(kernel, 0, blockCount, table);
+    // The (block, server) cells holding a CSR entry, ascending: the
+    // only cells a shard's partials can make nonzero.
+    std::vector<unsigned char> used(blockCount * m, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t e = kernel.userOffset[i];
+             e < kernel.userOffset[i + 1]; ++e)
+            used[i / kPriceBlockUsers * m + kernel.server[e]] = 1;
+    }
+    for (std::size_t c = 0; c < used.size(); ++c) {
+        if (used[c])
+            cells[shardOf[c / m * kPriceBlockUsers]].push_back(c);
+    }
 }
 
 int
 ShardedExchange::nextTimer() const
 {
-    int best = -1;
-    for (std::size_t i = 0; i < timers.size(); ++i) {
-        if (best < 0)
-            best = static_cast<int>(i);
-        else {
-            const auto &a = timers[i];
-            const auto &b = timers[static_cast<std::size_t>(best)];
-            if (std::tuple(a.tick, a.shard, a.attempt) <
-                std::tuple(b.tick, b.shard, b.attempt))
-                best = static_cast<int>(i);
-        }
-    }
-    return best;
+    const auto it = std::min_element(
+        timers.begin(), timers.end(),
+        [](const RetransmitTimer &a, const RetransmitTimer &b) {
+            return std::tuple(a.tick, a.shard, a.attempt) <
+                   std::tuple(b.tick, b.shard, b.attempt);
+        });
+    return it == timers.end() ? -1 : static_cast<int>(it - timers.begin());
 }
 
 // One iteration of a shard's protocol reaction to a price it just
@@ -143,33 +159,22 @@ ShardedExchange::sendShardBid(std::size_t s, std::uint64_t forRound,
                               std::uint64_t partitionRound, net::Ticks at)
 {
     accumulateBlockPartials(kernel, blockLo[s], blockLo[s + 1], scratch);
-    net::Message bm;
-    bm.kind = net::MsgKind::Bid;
-    bm.src = net::shardNode(s);
-    bm.dst = net::kCoordinatorNode;
-    bm.attempt = 0;
-    bm.bid.shard = static_cast<std::uint32_t>(s);
-    bm.bid.round = forRound;
-    // Only the nonzero partials travel: applyShardBid zeroes the
-    // shard's rows before writing them (bidding_kernel.hh).
-    for (std::size_t b = blockLo[s]; b < blockLo[s + 1]; ++b) {
-        for (std::size_t j = 0; j < m; ++j) {
-            if (scratch[b * m + j] != 0.0)
-                bm.bid.partials.push_back(
-                    {static_cast<std::uint32_t>(j), b, scratch[b * m + j]});
-        }
+    net::BidFrameWriter bid(static_cast<std::uint32_t>(s), forRound,
+                            cells[s].size());
+    // Only the nonzero partials travel, in (block, server) order:
+    // applyShardBid zeroes the shard's rows before writing them
+    // (bidding_kernel.hh).
+    for (const std::size_t c : cells[s]) {
+        if (scratch[c] != 0.0)
+            bid.add(static_cast<std::uint32_t>(c % m), c / m, scratch[c]);
     }
-    lastBid[s] = std::move(bm);
+    lastBid[s] = bid.take();
     transport.send(lastBid[s], net::bidEdge(s), s, forRound,
                    partitionRound, at);
-    for (std::uint32_t k = 1; k <= kMaxRetransmits; ++k) {
-        RetransmitTimer t;
-        t.tick = at + kRetransmitBase * (net::Ticks{1} << (k - 1));
-        t.shard = s;
-        t.round = forRound;
-        t.attempt = k;
-        timers.push_back(t);
-    }
+    for (std::uint32_t k = 1; k <= kMaxRetransmits; ++k)
+        timers.push_back(
+            {at + kRetransmitBase * (net::Ticks{1} << (k - 1)), s,
+             forRound, k});
 }
 
 ShardedExchange::Round
@@ -180,6 +185,12 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
     g = base + static_cast<std::uint64_t>(it);
     T = clock.now();
     const net::Ticks deadlineTick = T + sharded.barrierDeadline;
+    // A retransmit timer is cancelled once its shard has heard a newer
+    // price by the time the timer fires.
+    const auto obsolete = [&](const RetransmitTimer &t) {
+        return lastPriceRound[t.shard] > static_cast<std::int64_t>(t.round) &&
+               priceTickLatest[t.shard] <= t.tick;
+    };
 
     // Round and barrier span IDs: pure functions of the causal
     // parent (the fallback rung or epoch) and the global round.
@@ -194,17 +205,14 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
     if (spans)
         xferScope.emplace(barrierId);
 
-    // Open the round: broadcast this round's prices to every
-    // shard (through the codec, even when the network is sound).
+    // Open the round: broadcast this round's prices to every shard
+    // (through the codec, even when the network is sound). One
+    // encode; each shard's copy differs only in its stamped dst.
+    std::string priceFrame = net::encodePriceFrame(net::shardNode(0), g,
+                                                   posted);
     for (std::size_t s = 0; s < S; ++s) {
-        net::Message pm;
-        pm.kind = net::MsgKind::Price;
-        pm.src = net::kCoordinatorNode;
-        pm.dst = net::shardNode(s);
-        pm.attempt = 0;
-        pm.price.round = g;
-        pm.price.prices = posted;
-        transport.send(std::move(pm), net::priceEdge(s), s, g, g, T);
+        net::stamp<net::kDstOffset>(priceFrame, net::shardNode(s));
+        transport.send(priceFrame, net::priceEdge(s), s, g, g, T);
     }
 
     std::size_t freshCount = 0;
@@ -227,7 +235,7 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
                               std::uint64_t partitionRound) {
         if (batch.empty())
             return;
-        std::fill(mask.begin(), mask.end(), 0);
+        std::fill(batched.begin(), batched.end(), 0);
         for (const auto &[s, healed] : batch) {
             dampShard[s] = damping;
             if (healed) {
@@ -236,13 +244,7 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
                 if (inst)
                     inst->healedReentries->add();
             }
-            const std::size_t uLo =
-                std::min(n, blockLo[s] * kPriceBlockUsers);
-            const std::size_t uHi =
-                std::min(n, blockLo[s + 1] * kPriceBlockUsers);
-            std::fill(mask.begin() + static_cast<std::ptrdiff_t>(uLo),
-                      mask.begin() + static_cast<std::ptrdiff_t>(uHi),
-                      1);
+            batched[s] = 1;
         }
         {
             // One fan-out per batch tick, full span, fixed grain:
@@ -258,7 +260,8 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
                 0, n, kUserGrain,
                 [&](std::size_t ulo, std::size_t uhi) {
                     for (std::size_t i = ulo; i < uhi; ++i) {
-                        if (!mask[i] || (!lost.empty() && lost[i]))
+                        if (!batched[shardOf[i]] ||
+                            (!lost.empty() && lost[i]))
                             continue;
                         updateOneUser(kernel, i,
                                       postedPrices[shardOf[i]],
@@ -310,36 +313,37 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
             net::Delivery d;
             if (!transport.popNext(deadlineTick, d))
                 fatal("transport peek/pop disagree");
-            auto decoded = net::decodeMessage(d.wire);
+            const auto decoded = net::decodeFrame(d.wire);
             if (!decoded.ok())
                 panic("simulated transport corrupted a frame: ",
                       decoded.status().toString());
-            net::Message msg = decoded.take();
-            if (!seenSeq[d.edge].insert(msg.seq).second) {
+            const net::Frame &frame = decoded.value();
+            if (!seen.firstSighting(d.edge, frame.seq)) {
                 if (inst)
                     inst->dupSuppressed->add();
                 continue;
             }
             const std::size_t s = d.edge / 2;
-            if (d.edge % 2 == 0) {
-                // Price broadcast to shard s.
-                ensure(msg.kind == net::MsgKind::Price,
-                       "bid frame on a price edge");
-                const auto rp = static_cast<std::int64_t>(msg.price.round);
+            const bool priceEdge = d.edge % 2 == 0;
+            ensure(frame.kind == (priceEdge ? net::MsgKind::Price
+                                            : net::MsgKind::Bid),
+                   "frame kind does not match edge ", d.edge);
+            if (priceEdge) {
+                // Price broadcast to shard s: read into its posted
+                // prices only once it is known to be new.
+                const auto rp = static_cast<std::int64_t>(frame.round);
                 if (rp <= lastPriceRound[s])
                     continue; // Stale broadcast; a newer one won.
                 const bool healed = rp > lastPriceRound[s] + 1;
                 lastPriceRound[s] = rp;
                 priceTickLatest[s] = d.at;
-                postedPrices[s] = std::move(msg.price.prices);
+                net::readPrices(frame, postedPrices[s]);
                 batch.emplace_back(s, healed);
                 batchTick = d.at;
                 continue;
             }
             // Bid aggregate from shard s.
-            ensure(msg.kind == net::MsgKind::Bid,
-                   "price frame on a bid edge");
-            const auto rb = static_cast<std::int64_t>(msg.bid.round);
+            const auto rb = static_cast<std::int64_t>(frame.round);
             if (rb <= lastApplied[s]) {
                 // A retransmit or duplicate of an aggregate the
                 // table already reflects.
@@ -347,7 +351,7 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
                     inst->dupSuppressed->add();
                 continue;
             }
-            applyShardBid(msg.bid, s, blockLo, m, table);
+            applyShardBid(frame, s, blockLo, m, table);
             lastApplied[s] = rb;
             if (rb == static_cast<std::int64_t>(g)) {
                 ++freshCount;
@@ -365,18 +369,11 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
         if (timerEligible) {
             const RetransmitTimer t = timers[static_cast<std::size_t>(ti)];
             timers.erase(timers.begin() + ti);
-            // Cancelled if the shard had already heard a newer
-            // price by the time this timer fires.
-            const bool cancelled =
-                lastPriceRound[t.shard] >
-                    static_cast<std::int64_t>(t.round) &&
-                priceTickLatest[t.shard] <= t.tick;
-            if (cancelled)
+            if (obsolete(t))
                 continue;
-            net::Message re = lastBid[t.shard];
-            re.attempt = t.attempt;
-            transport.send(std::move(re), net::bidEdge(t.shard), t.shard,
-                           t.round, g, t.tick);
+            net::stamp<net::kAttemptOffset>(lastBid[t.shard], t.attempt);
+            transport.send(lastBid[t.shard], net::bidEdge(t.shard),
+                           t.shard, t.round, g, t.tick);
             ++stats.retransmits;
             if (inst)
                 inst->retransmits->add();
@@ -388,14 +385,7 @@ ShardedExchange::round(int it, const std::vector<double> &posted,
 
     // Drop timers that can never fire (their shard already moved
     // on) so the pending set stays bounded.
-    timers.erase(std::remove_if(timers.begin(), timers.end(),
-                                [&](const RetransmitTimer &t) {
-                                    return lastPriceRound[t.shard] >
-                                               static_cast<std::int64_t>(
-                                                   t.round) &&
-                                           priceTickLatest[t.shard] <=
-                                               t.tick;
-                                }),
+    timers.erase(std::remove_if(timers.begin(), timers.end(), obsolete),
                  timers.end());
 
     // Barrier resolution: quorum accounting and degraded-round

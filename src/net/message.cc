@@ -1,6 +1,7 @@
 #include "net/message.hh"
 
-#include "common/bytes.hh"
+#include <utility>
+
 #include "common/crc32.hh"
 
 namespace amdahl::net {
@@ -19,16 +20,17 @@ namespace {
  * Price payload: u64 round, u64 count, count * f64
  *
  * The fields are written with common/bytes.hh, the codec the durable
- * state uses too; the frame is built in one buffer and its payload CRC
- * patched in place.
+ * state uses too; a frame is built in one buffer and its payload
+ * length and CRC patched in place.
  */
 constexpr std::uint32_t kMagic = 0x544e4d41; // "AMNT"
 
-/** Header bytes; the payload CRC is the header's last field. */
-constexpr std::size_t kHeaderBytes = 33;
+/** Header offsets of the fields patched once the payload is written. */
+constexpr std::size_t kPayloadSizeOffset = 25;
+constexpr std::size_t kPayloadCrcOffset = 29;
 
-/** Bytes per bid partial record {u32 server, u64 block, f64 partial}. */
-constexpr std::size_t kPartialBytes = 20;
+/** Offset of a bid frame's partial count. */
+constexpr std::size_t kBidCountOffset = kFrameHeaderBytes + 12;
 
 Status
 parseError(const char *what)
@@ -36,102 +38,108 @@ parseError(const char *what)
     return Status::error(ErrorKind::ParseError, 0, "net message: ", what);
 }
 
+/** Write a header with seq, attempt, payload length and CRC all 0. */
+void
+putHeader(ByteWriter &w, MsgKind kind, std::uint32_t src, std::uint32_t dst)
+{
+    w.putU32(kMagic);
+    w.putU8(static_cast<std::uint8_t>(kind));
+    w.putU32(src);
+    w.putU32(dst);
+    w.putU64(0);
+    w.putU32(0);
+    w.putU32(0);
+    w.putU32(0);
+}
+
+/** Patch the payload length and CRC into @p frame's header. */
+std::string
+seal(std::string frame)
+{
+    const std::string_view payload =
+        std::string_view(frame).substr(kFrameHeaderBytes);
+    detail::storeLe<4>(frame.data() + kPayloadSizeOffset, payload.size());
+    detail::storeLe<4>(frame.data() + kPayloadCrcOffset, crc32(payload));
+    return frame;
+}
+
 } // namespace
 
-const char *
-toString(MsgKind kind)
+std::string
+encodePriceFrame(std::uint32_t dst, std::uint64_t round,
+                 const std::vector<double> &prices)
 {
-    return kind == MsgKind::Bid ? "bid" : "price";
+    ByteWriter w;
+    w.reserve(kFrameHeaderBytes + 16 + 8 * prices.size());
+    putHeader(w, MsgKind::Price, kCoordinatorNode, dst);
+    w.putU64(round);
+    w.putF64Vector(prices);
+    return seal(w.take());
+}
+
+BidFrameWriter::BidFrameWriter(std::uint32_t shard, std::uint64_t round,
+                               std::size_t maxPartials)
+{
+    w.reserve(kFrameHeaderBytes + 20 + kPartialBytes * maxPartials);
+    putHeader(w, MsgKind::Bid, shardNode(shard), kCoordinatorNode);
+    w.putU32(shard);
+    w.putU64(round);
+    w.putU64(0); // Count, patched by take().
 }
 
 std::string
-encodeMessage(const Message &msg)
+BidFrameWriter::take()
 {
-    const std::size_t payloadSize =
-        msg.kind == MsgKind::Bid
-            ? 20 + kPartialBytes * msg.bid.partials.size()
-            : 16 + 8 * msg.price.prices.size();
-    ByteWriter w;
-    w.reserve(kHeaderBytes + payloadSize);
-    w.putU32(kMagic);
-    w.putU8(static_cast<std::uint8_t>(msg.kind));
-    w.putU32(msg.src);
-    w.putU32(msg.dst);
-    w.putU64(msg.seq);
-    w.putU32(msg.attempt);
-    w.putU32(static_cast<std::uint32_t>(payloadSize));
-    w.putU32(0); // Payload CRC, patched once the payload is written.
-    if (msg.kind == MsgKind::Bid) {
-        w.putU32(msg.bid.shard);
-        w.putU64(msg.bid.round);
-        w.putU64(msg.bid.partials.size());
-        for (const BlockPartial &p : msg.bid.partials) {
-            w.putU32(p.server);
-            w.putU64(p.block);
-            w.putF64(p.partial);
-        }
-    } else {
-        w.putU64(msg.price.round);
-        w.putF64Vector(msg.price.prices);
-    }
-    const std::string_view payload =
-        std::string_view(w.bytes()).substr(kHeaderBytes);
-    w.patchU32(kHeaderBytes - 4, crc32(payload));
-    return w.take();
+    std::string frame = w.take();
+    detail::storeLe<8>(frame.data() + kBidCountOffset, count);
+    return seal(std::move(frame));
 }
 
-Result<Message>
-decodeMessage(std::string_view wire)
+Result<Frame>
+decodeFrame(std::string_view wire)
 {
-    ByteReader head(wire.substr(0, kHeaderBytes));
+    ByteReader head(wire.substr(0, kFrameHeaderBytes));
     if (head.readU32() != kMagic)
         return head.ok() ? Status::error(ErrorKind::SemanticError, 0,
                                          "net message: bad magic")
                          : parseError("truncated header");
-    Message msg;
+    Frame frame;
     const std::uint8_t kind = head.readU8();
     if (head.ok() && kind != static_cast<std::uint8_t>(MsgKind::Bid) &&
         kind != static_cast<std::uint8_t>(MsgKind::Price))
         return parseError("unknown kind");
-    msg.kind = static_cast<MsgKind>(kind);
-    msg.src = head.readU32();
-    msg.dst = head.readU32();
-    msg.seq = head.readU64();
-    msg.attempt = head.readU32();
+    frame.kind = static_cast<MsgKind>(kind);
+    frame.src = head.readU32();
+    frame.dst = head.readU32();
+    frame.seq = head.readU64();
+    frame.attempt = head.readU32();
     const std::uint32_t payloadSize = head.readU32();
     const std::uint32_t payloadCrc = head.readU32();
     if (!head.ok())
         return parseError("truncated header");
-    const std::string_view payload = wire.substr(kHeaderBytes);
+    const std::string_view payload = wire.substr(kFrameHeaderBytes);
     if (payload.size() != payloadSize)
         return parseError("payload length mismatch");
     if (crc32(payload) != payloadCrc)
         return Status::error(ErrorKind::SemanticError, 0,
                              "net message: payload CRC mismatch");
 
+    // The count must account for every remaining byte exactly, so the
+    // readers can address the records without a bounds check.
     ByteReader body(payload);
-    if (msg.kind == MsgKind::Bid) {
-        msg.bid.shard = body.readU32();
-        msg.bid.round = body.readU64();
-        const std::uint64_t count = body.readU64();
-        if (!body.ok() || count > body.remaining() / kPartialBytes)
-            return parseError("truncated bid payload");
-        msg.bid.partials.resize(static_cast<std::size_t>(count));
-        for (BlockPartial &p : msg.bid.partials) {
-            p.server = body.readU32();
-            p.block = body.readU64();
-            p.partial = body.readF64();
-        }
-    } else {
-        msg.price.round = body.readU64();
-        msg.price.prices = body.readF64Vector();
-        if (!body.ok())
-            return parseError("truncated price payload");
-    }
-    body.expectEnd();
-    if (!body.ok())
+    const bool bid = frame.kind == MsgKind::Bid;
+    if (bid)
+        frame.shard = body.readU32();
+    frame.round = body.readU64();
+    frame.count = body.readU64();
+    const std::size_t record = bid ? kPartialBytes : 8;
+    if (!body.ok() || frame.count > body.remaining() / record)
+        return parseError(bid ? "truncated bid payload"
+                              : "truncated price payload");
+    if (frame.count * record != body.remaining())
         return parseError("trailing payload bytes");
-    return msg;
+    frame.records = payload.data() + (payload.size() - body.remaining());
+    return frame;
 }
 
 } // namespace amdahl::net

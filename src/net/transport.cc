@@ -66,41 +66,37 @@ NetInstruments::bind()
 }
 
 void
-VirtualTransport::send(Message msg, std::uint64_t edge, std::size_t shard,
-                       std::uint64_t streamRound,
+VirtualTransport::send(std::string_view frame, std::uint64_t edge,
+                       std::size_t shard, std::uint64_t streamRound,
                        std::uint64_t partitionRound, Ticks now)
 {
     if (edge >= session_->edgeSeq.size())
         panic("net edge ", edge, " outside session sequence space (",
               session_->edgeSeq.size(), ")");
-    msg.seq = session_->edgeSeq[edge]++;
+    if (frame.size() < kFrameHeaderBytes)
+        panic("net frame of ", frame.size(), " bytes has no header");
+    const std::uint64_t seq = session_->edgeSeq[edge]++;
     obs::TraceSink *spans = obs::spanSink();
     if (inst_)
         inst_->sent->add();
     const std::uint64_t g = streamRound;
-    const std::uint32_t attempt = msg.attempt;
-    if (model_->partitioned(shard, partitionRound)) {
+    const auto attempt = static_cast<std::uint32_t>(
+        detail::loadLe<4>(frame.data() + kAttemptOffset));
+    const bool cut = model_->partitioned(shard, partitionRound);
+    if (cut || model_->lost(edge, g, attempt)) {
         if (inst_)
-            inst_->partitionDrops->add();
+            (cut ? inst_->partitionDrops : inst_->lost)->add();
         if (spans)
             emitXferSpan(*spans, edge, shard, g, attempt, 0, now, now,
-                         "partition_drop");
-        return;
-    }
-    if (model_->lost(edge, g, attempt)) {
-        if (inst_)
-            inst_->lost->add();
-        if (spans)
-            emitXferSpan(*spans, edge, shard, g, attempt, 0, now, now,
-                         "lost");
+                         cut ? "partition_drop" : "lost");
         return;
     }
     Delivery delivery;
     delivery.sentAt = now;
     delivery.edge = edge;
     delivery.at = now + model_->delay(edge, g, attempt);
-    delivery.wire = encodeMessage(msg);
-    const std::uint64_t seq = msg.seq;
+    delivery.wire = frame;
+    stamp<kSeqOffset>(delivery.wire, seq);
     const bool dup = model_->duplicated(edge, g, attempt);
     const Ticks copyAt =
         dup ? now + model_->duplicateDelay(edge, g, attempt) : delivery.at;
@@ -162,6 +158,24 @@ VirtualTransport::popNext(Ticks upTo, Delivery &out)
         inst_->latency->record(
             static_cast<double>(out.at - out.sentAt));
     }
+    return true;
+}
+
+bool
+SeqFilter::firstSighting(std::uint64_t edge, std::uint64_t seq)
+{
+    if (edge >= seen_.size() || seq < base_[edge] ||
+        seq >= session_->edgeSeq[edge])
+        panic("net edge ", edge, " delivered seq ", seq,
+              " that this solve never sent");
+    std::vector<bool> &bits = seen_[edge];
+    const std::uint64_t i = seq - base_[edge];
+    if (i >= bits.size()) // Doubling keeps the growth amortized O(1).
+        bits.resize(std::max(session_->edgeSeq[edge] - base_[edge],
+                             2 * bits.size()));
+    if (bits[i])
+        return false;
+    bits[i] = true;
     return true;
 }
 

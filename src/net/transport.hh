@@ -2,9 +2,10 @@
  * @file
  * The deterministic simulated transport: send -> (faults) -> deliver.
  *
- * VirtualTransport moves encoded message frames between the
- * coordinator and its shards in virtual time. A send consults the
- * NetFaultModel at the message's (edge, round, attempt) coordinate:
+ * VirtualTransport moves encoded frames (net/message) between the
+ * coordinator and its shards in virtual time. A send stamps the
+ * edge's next sequence number into a copy of the frame and consults
+ * the NetFaultModel at its (edge, round, attempt) coordinate:
  * the frame is dropped (partition or loss), delayed by a bounded
  * deterministic draw, and possibly duplicated with an independent
  * delay (which is how reordering arises — a copy or a later message
@@ -14,7 +15,7 @@
  * thread-count-independent sequence.
  *
  * Sequence numbers are assigned per directed edge from the persistent
- * NetSession, so duplicate suppression (same seq seen twice on an
+ * NetSession, so a receiver's SeqFilter (same seq seen twice on an
  * edge) stays sound across epochs and crash recovery.
  *
  * Instrumentation is strictly opt-in: a transport constructed with a
@@ -29,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -91,10 +93,12 @@ class VirtualTransport
     {}
 
     /**
-     * Send @p msg over @p edge at virtual time @p now. Assigns the
-     * edge's next sequence number (the duplicated copy reuses it —
-     * that is what makes it a duplicate), applies partition, loss,
-     * delay, and duplication, and enqueues the surviving copies.
+     * Send the encoded @p frame over @p edge at virtual time @p now.
+     * Stamps the edge's next sequence number into the copy it
+     * enqueues (the duplicated copy reuses it — that is what makes it
+     * a duplicate), applies partition, loss, delay, and duplication
+     * at the frame's stamped attempt, and enqueues the surviving
+     * copies. A dropped frame is never copied.
      *
      * @p streamRound keys the loss/delay/duplication substreams — a
      * retransmit passes the *original* round so its (edge, round,
@@ -102,9 +106,9 @@ class VirtualTransport
      * the round the wire is crossed in, which is what a scheduled
      * partition window cuts against.
      */
-    void send(Message msg, std::uint64_t edge, std::size_t shard,
-              std::uint64_t streamRound, std::uint64_t partitionRound,
-              Ticks now);
+    void send(std::string_view frame, std::uint64_t edge,
+              std::size_t shard, std::uint64_t streamRound,
+              std::uint64_t partitionRound, Ticks now);
 
     /** Arrival tick and edge of the earliest pending delivery. */
     [[nodiscard]] bool peekNext(Ticks &at, std::uint64_t &edge) const;
@@ -145,6 +149,32 @@ class VirtualTransport
     /** Min-heap on the Entry order (std::push_heap / std::pop_heap
      *  with std::greater), so a pop can move the frame out. */
     std::vector<Entry> heap_;
+};
+
+/**
+ * Exact per-edge duplicate filter for one solve's receivers. Every
+ * frame a solve receives was sent by its own transport, so on each
+ * edge its seq lies in [the edge's counter when the filter was made,
+ * the edge's counter now): a bitmap over that range remembers each
+ * sighting, in any arrival order, without hashing.
+ */
+class SeqFilter
+{
+  public:
+    /** @p session's edgeSeq must already cover every edge used. */
+    explicit SeqFilter(const NetSession &session)
+        : session_(&session), base_(session.edgeSeq),
+          seen_(session.edgeSeq.size())
+    {}
+
+    /** @return true the first time (@p edge, @p seq) is seen, false
+     *  for a duplicate; panics on a seq this solve never sent. */
+    bool firstSighting(std::uint64_t edge, std::uint64_t seq);
+
+  private:
+    const NetSession *session_;
+    std::vector<std::uint64_t> base_;
+    std::vector<std::vector<bool>> seen_;
 };
 
 } // namespace amdahl::net

@@ -42,6 +42,11 @@ maximizeOnSimplex(const SeparableConcave &objective, double budget,
         fatal("maximizeOnSimplex: empty objective");
     if (budget <= 0.0)
         fatal("maximizeOnSimplex: budget must be positive, got ", budget);
+    // The loop stops once the gap (m+1)/t reaches the tolerance: a
+    // negative or NaN one is never met, and 0 only once t overflows.
+    if (!(opts.tolerance > 0.0))
+        fatal("maximizeOnSimplex: tolerance must be positive, got ",
+              opts.tolerance);
 
     // Strictly feasible start: half the budget spread evenly.
     std::vector<double> b(m, budget / (2.0 * static_cast<double>(m)));

@@ -59,7 +59,7 @@ class SeparableConcave
  */
 struct InteriorPointOptions
 {
-    double tolerance = 1e-9; //!< Duality-gap target (m+1)/t.
+    double tolerance = 1e-9; //!< Duality-gap target (m+1)/t; > 0.
 };
 
 /** Convergence diagnostics. */

@@ -1,11 +1,11 @@
 /**
  * @file
- * Wire codec contract for the clearing transport's typed messages.
+ * Wire frame contract for the clearing transport.
  *
  * The determinism bridge routes every price broadcast and bid
- * aggregate through encodeMessage()/decodeMessage(), so the codec must
- * be lossless down to the f64 bit pattern — and every malformed frame
- * class must map to the documented Status kind: ParseError for
+ * aggregate through the frame encoders and decodeFrame(), so the codec
+ * must be lossless down to the f64 bit pattern — and every malformed
+ * frame class must map to the documented Status kind: ParseError for
  * truncation and grammar violations, SemanticError for magic or CRC
  * mismatches (bytes that parse but cannot be trusted).
  */
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,86 +23,97 @@
 namespace amdahl::net {
 namespace {
 
-Message
+const std::vector<BlockPartial> kSamplePartials = {
+    {0, 6, 1.25},
+    {1, 6, 0.0},
+    {2, 7, -0.0},
+    {7, 7, 3.0e-308}, // subnormal-adjacent: memcpy, not printf
+    {11, 8, 12345.6789},
+};
+
+const std::vector<double> kSamplePrices = {
+    0.5, 1.0 / 3.0, 0.0, std::numeric_limits<double>::min()};
+
+/** Shard 3's round-117 aggregate, seq 41, second retransmit. */
+std::string
 sampleBid()
 {
-    Message msg;
-    msg.kind = MsgKind::Bid;
-    msg.src = shardNode(3);
-    msg.dst = kCoordinatorNode;
-    msg.seq = 41;
-    msg.attempt = 2;
-    msg.bid.shard = 3;
-    msg.bid.round = 117;
-    msg.bid.partials = {
-        {0, 6, 1.25},
-        {1, 6, 0.0},
-        {2, 7, -0.0},
-        {7, 7, 3.0e-308}, // subnormal-adjacent: memcpy, not printf
-        {11, 8, 12345.6789},
-    };
-    return msg;
+    BidFrameWriter writer(3, 117);
+    for (const BlockPartial &p : kSamplePartials)
+        writer.add(p.server, p.block, p.partial);
+    std::string wire = writer.take();
+    stamp<kSeqOffset>(wire, 41);
+    stamp<kAttemptOffset>(wire, 2);
+    return wire;
 }
 
-Message
+/** Round 118's prices for shard 0, seq 9. */
+std::string
 samplePrice()
 {
-    Message msg;
-    msg.kind = MsgKind::Price;
-    msg.src = kCoordinatorNode;
-    msg.dst = shardNode(0);
-    msg.seq = 9;
-    msg.attempt = 0;
-    msg.price.round = 118;
-    msg.price.prices = {0.5, 1.0 / 3.0, 0.0,
-                        std::numeric_limits<double>::min()};
-    return msg;
+    std::string wire = encodePriceFrame(shardNode(0), 118, kSamplePrices);
+    stamp<kSeqOffset>(wire, 9);
+    return wire;
 }
 
 TEST(NetMessage, BidRoundtripIsLossless)
 {
-    const Message msg = sampleBid();
-    auto decoded = decodeMessage(encodeMessage(msg));
+    const std::string wire = sampleBid();
+    auto decoded = decodeFrame(wire);
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
-    const Message out = decoded.take();
+    const Frame out = decoded.take();
     EXPECT_EQ(out.kind, MsgKind::Bid);
-    EXPECT_EQ(out.src, msg.src);
-    EXPECT_EQ(out.dst, msg.dst);
-    EXPECT_EQ(out.seq, msg.seq);
-    EXPECT_EQ(out.attempt, msg.attempt);
-    EXPECT_EQ(out.bid.shard, msg.bid.shard);
-    EXPECT_EQ(out.bid.round, msg.bid.round);
-    ASSERT_EQ(out.bid.partials.size(), msg.bid.partials.size());
-    for (std::size_t i = 0; i < msg.bid.partials.size(); ++i) {
-        EXPECT_EQ(out.bid.partials[i].server,
-                  msg.bid.partials[i].server);
-        EXPECT_EQ(out.bid.partials[i].block, msg.bid.partials[i].block);
+    EXPECT_EQ(out.src, shardNode(3));
+    EXPECT_EQ(out.dst, kCoordinatorNode);
+    EXPECT_EQ(out.seq, 41u);
+    EXPECT_EQ(out.attempt, 2u);
+    EXPECT_EQ(out.shard, 3u);
+    EXPECT_EQ(out.round, 117u);
+    ASSERT_EQ(out.count, kSamplePartials.size());
+    for (std::size_t i = 0; i < kSamplePartials.size(); ++i) {
+        const BlockPartial p = readPartial(out, i);
+        EXPECT_EQ(p.server, kSamplePartials[i].server);
+        EXPECT_EQ(p.block, kSamplePartials[i].block);
         // Bitwise, not value, equality: -0.0 must survive as -0.0.
-        EXPECT_EQ(std::signbit(out.bid.partials[i].partial),
-                  std::signbit(msg.bid.partials[i].partial));
-        EXPECT_EQ(out.bid.partials[i].partial,
-                  msg.bid.partials[i].partial);
+        EXPECT_EQ(std::signbit(p.partial),
+                  std::signbit(kSamplePartials[i].partial));
+        EXPECT_EQ(p.partial, kSamplePartials[i].partial);
     }
 }
 
 TEST(NetMessage, PriceRoundtripIsLossless)
 {
-    const Message msg = samplePrice();
-    auto decoded = decodeMessage(encodeMessage(msg));
+    const std::string wire = samplePrice();
+    auto decoded = decodeFrame(wire);
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
-    const Message out = decoded.take();
+    const Frame out = decoded.take();
     EXPECT_EQ(out.kind, MsgKind::Price);
-    EXPECT_EQ(out.price.round, msg.price.round);
-    ASSERT_EQ(out.price.prices.size(), msg.price.prices.size());
-    for (std::size_t j = 0; j < msg.price.prices.size(); ++j)
-        EXPECT_EQ(out.price.prices[j], msg.price.prices[j]);
+    EXPECT_EQ(out.src, kCoordinatorNode);
+    EXPECT_EQ(out.dst, shardNode(0));
+    EXPECT_EQ(out.seq, 9u);
+    EXPECT_EQ(out.attempt, 0u);
+    EXPECT_EQ(out.round, 118u);
+    std::vector<double> prices;
+    readPrices(out, prices);
+    EXPECT_EQ(prices, kSamplePrices);
+}
+
+TEST(NetMessage, ReadPricesReusesTheBuffer)
+{
+    const std::string wire = samplePrice();
+    const Frame frame = decodeFrame(wire).take();
+    std::vector<double> prices(16, 9.0);
+    const double *before = prices.data();
+    readPrices(frame, prices);
+    EXPECT_EQ(prices.data(), before);
+    EXPECT_EQ(prices, kSamplePrices);
 }
 
 TEST(NetMessage, BidFrameMatchesPinnedBytes)
 {
     // Size and CRC-32 of the whole frame, recorded from a build of the
     // byte-at-a-time encoder: the shared codec moves no wire byte.
-    const std::string wire = encodeMessage(sampleBid());
+    const std::string wire = sampleBid();
     EXPECT_EQ(wire.size(), 153u);
     EXPECT_EQ(crc32(wire), 0x6c36a6ccu);
 }
@@ -109,25 +121,45 @@ TEST(NetMessage, BidFrameMatchesPinnedBytes)
 TEST(NetMessage, PriceFrameMatchesPinnedBytes)
 {
     // Recorded from a build of the byte-at-a-time encoder.
-    const std::string wire = encodeMessage(samplePrice());
+    const std::string wire = samplePrice();
     EXPECT_EQ(wire.size(), 81u);
     EXPECT_EQ(crc32(wire), 0x0cf49220u);
 }
 
+TEST(NetMessage, StampsMoveOnlyTheirHeaderField)
+{
+    // The payload CRC covers the payload alone, so stamping dst, seq
+    // and attempt leaves a frame that still verifies.
+    const std::string wire = samplePrice();
+    std::string stamped = wire;
+    stamp<kDstOffset>(stamped, shardNode(4));
+    stamp<kSeqOffset>(stamped, 0x0102030405060708ull);
+    stamp<kAttemptOffset>(stamped, 3);
+    ASSERT_EQ(stamped.size(), wire.size());
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+        if (i < kDstOffset || i >= kAttemptOffset + 4) {
+            EXPECT_EQ(stamped[i], wire[i]) << "byte " << i;
+        }
+    }
+    const Frame out = decodeFrame(stamped).take();
+    EXPECT_EQ(out.dst, shardNode(4));
+    EXPECT_EQ(out.seq, 0x0102030405060708ull);
+    EXPECT_EQ(out.attempt, 3u);
+}
+
 TEST(NetMessage, EmptyPartialListRoundtrips)
 {
-    Message msg = sampleBid();
-    msg.bid.partials.clear();
-    auto decoded = decodeMessage(encodeMessage(msg));
+    const std::string wire = BidFrameWriter(3, 117).take();
+    auto decoded = decodeFrame(wire);
     ASSERT_TRUE(decoded.ok());
-    EXPECT_TRUE(decoded.take().bid.partials.empty());
+    EXPECT_EQ(decoded.take().count, 0u);
 }
 
 TEST(NetMessage, TruncationAtEveryLengthIsParseError)
 {
-    const std::string wire = encodeMessage(sampleBid());
+    const std::string wire = sampleBid();
     for (std::size_t len = 0; len < wire.size(); ++len) {
-        auto decoded = decodeMessage(wire.substr(0, len));
+        auto decoded = decodeFrame(wire.substr(0, len));
         ASSERT_FALSE(decoded.ok()) << "prefix length " << len;
         // A prefix that still holds the intact header fails the
         // payload-length check (ParseError); slicing into the magic
@@ -142,9 +174,9 @@ TEST(NetMessage, TruncationAtEveryLengthIsParseError)
 
 TEST(NetMessage, BadMagicIsSemanticError)
 {
-    std::string wire = encodeMessage(samplePrice());
+    std::string wire = samplePrice();
     wire[0] = static_cast<char>(wire[0] ^ 0x01);
-    auto decoded = decodeMessage(wire);
+    auto decoded = decodeFrame(wire);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().kind(), ErrorKind::SemanticError);
 }
@@ -152,25 +184,26 @@ TEST(NetMessage, BadMagicIsSemanticError)
 TEST(NetMessage, CorruptedPayloadFailsCrc)
 {
     // Flip one bit in every payload byte position in turn: the CRC
-    // must catch each (header is 33 bytes, payload follows).
-    const std::string wire = encodeMessage(sampleBid());
-    constexpr std::size_t kHeader = 33;
-    ASSERT_GT(wire.size(), kHeader);
-    for (std::size_t pos = kHeader; pos < wire.size(); ++pos) {
-        std::string corrupt = wire;
-        corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
-        auto decoded = decodeMessage(corrupt);
-        ASSERT_FALSE(decoded.ok()) << "payload byte " << pos;
-        EXPECT_EQ(decoded.status().kind(), ErrorKind::SemanticError)
-            << "payload byte " << pos;
+    // must catch each, before any count or record is read.
+    for (const std::string &wire : {sampleBid(), samplePrice()}) {
+        ASSERT_GT(wire.size(), kFrameHeaderBytes);
+        for (std::size_t pos = kFrameHeaderBytes; pos < wire.size();
+             ++pos) {
+            std::string corrupt = wire;
+            corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
+            auto decoded = decodeFrame(corrupt);
+            ASSERT_FALSE(decoded.ok()) << "payload byte " << pos;
+            EXPECT_EQ(decoded.status().kind(), ErrorKind::SemanticError)
+                << "payload byte " << pos;
+        }
     }
 }
 
 TEST(NetMessage, UnknownKindIsParseError)
 {
-    std::string wire = encodeMessage(samplePrice());
+    std::string wire = samplePrice();
     wire[4] = 7; // kind byte: neither Bid (1) nor Price (2)
-    auto decoded = decodeMessage(wire);
+    auto decoded = decodeFrame(wire);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().kind(), ErrorKind::ParseError);
 }
@@ -179,9 +212,9 @@ TEST(NetMessage, TrailingBytesAreParseError)
 {
     // Extra bytes after the declared payload length change the
     // payload-size check, not the CRC — still a ParseError.
-    std::string wire = encodeMessage(samplePrice());
+    std::string wire = samplePrice();
     wire.push_back('\0');
-    auto decoded = decodeMessage(wire);
+    auto decoded = decodeFrame(wire);
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().kind(), ErrorKind::ParseError);
 }

@@ -9,6 +9,7 @@
  * directly, without the solver on top.
  */
 
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "net/fault_model.hh"
 #include "net/message.hh"
 #include "net/session.hh"
@@ -27,28 +29,16 @@
 namespace amdahl::net {
 namespace {
 
-Message
+std::string
 bidMsg(std::size_t shard, std::uint64_t round)
 {
-    Message msg;
-    msg.kind = MsgKind::Bid;
-    msg.src = shardNode(shard);
-    msg.dst = kCoordinatorNode;
-    msg.bid.shard = static_cast<std::uint32_t>(shard);
-    msg.bid.round = round;
-    return msg;
+    return BidFrameWriter(static_cast<std::uint32_t>(shard), round).take();
 }
 
-Message
+std::string
 priceMsg(std::size_t shard, std::uint64_t round)
 {
-    Message msg;
-    msg.kind = MsgKind::Price;
-    msg.src = kCoordinatorNode;
-    msg.dst = shardNode(shard);
-    msg.price.round = round;
-    msg.price.prices = {1.0, 2.0};
-    return msg;
+    return encodePriceFrame(shardNode(shard), round, {1.0, 2.0});
 }
 
 NetSession
@@ -76,7 +66,7 @@ TEST(NetTransport, AssignsSequenceNumbersPerEdge)
     Delivery d;
     std::vector<std::uint64_t> seqs;
     while (transport.popNext(0, d))
-        seqs.push_back(decodeMessage(d.wire).take().seq);
+        seqs.push_back(decodeFrame(d.wire).take().seq);
     ASSERT_EQ(seqs.size(), 3u);
     // Total order at one tick: bidEdge(0)=1 before bidEdge(1)=3,
     // seq 0 before seq 1 within an edge.
@@ -202,8 +192,8 @@ TEST(NetTransport, DuplicationEnqueuesACopyWithTheSameSeq)
     Delivery b;
     ASSERT_TRUE(t2.popNext(100, a));
     ASSERT_TRUE(t2.popNext(100, b));
-    EXPECT_EQ(decodeMessage(a.wire).take().seq,
-              decodeMessage(b.wire).take().seq);
+    EXPECT_EQ(decodeFrame(a.wire).take().seq,
+              decodeFrame(b.wire).take().seq);
     EXPECT_LE(a.at, b.at); // delivery order is sorted by arrival
 }
 
@@ -290,18 +280,129 @@ TEST(NetTransport, FramesSurviveTheWireIntact)
     NetSession sess = sessionFor(1);
     VirtualTransport transport(sound, sess, nullptr);
 
-    Message msg = priceMsg(0, 12);
-    msg.price.prices = {0.125, -0.0, 3.0e9};
-    transport.send(msg, priceEdge(0), 0, 12, 12, 3);
+    transport.send(encodePriceFrame(shardNode(0), 12, {0.125, -0.0, 3.0e9}),
+                   priceEdge(0), 0, 12, 12, 3);
     Delivery d;
     ASSERT_TRUE(transport.popNext(3, d));
-    auto decoded = decodeMessage(d.wire);
+    auto decoded = decodeFrame(d.wire);
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
-    const Message out = decoded.take();
-    EXPECT_EQ(out.price.round, 12u);
-    ASSERT_EQ(out.price.prices.size(), 3u);
-    EXPECT_EQ(out.price.prices[0], 0.125);
-    EXPECT_EQ(out.price.prices[2], 3.0e9);
+    const Frame out = decoded.take();
+    EXPECT_EQ(out.round, 12u);
+    std::vector<double> prices;
+    readPrices(out, prices);
+    ASSERT_EQ(prices.size(), 3u);
+    EXPECT_EQ(prices[0], 0.125);
+    EXPECT_TRUE(std::signbit(prices[1]));
+    EXPECT_EQ(prices[2], 3.0e9);
+}
+
+/** Byte positions at which @p a and @p b differ (same length). */
+std::vector<std::size_t>
+differingBytes(const std::string &a, const std::string &b)
+{
+    EXPECT_EQ(a.size(), b.size());
+    std::vector<std::size_t> at;
+    for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+        if (a[i] != b[i])
+            at.push_back(i);
+    }
+    return at;
+}
+
+TEST(NetFrameIdentity, PriceCopiesOfOneRoundDifferOnlyInDstAndSeq)
+{
+    // The exchange's broadcast: one encode, each shard's copy stamped
+    // with its dst. Edge seqs differ, so the seq field differs too.
+    const NetFaultModel sound(NetFaultOptions{}, {});
+    NetSession sess = sessionFor(3);
+    sess.edgeSeq = {5, 0, 900, 0, 1ull << 40, 0};
+    VirtualTransport transport(sound, sess, nullptr);
+    std::string frame =
+        encodePriceFrame(shardNode(0), 31, {0.25, 1.5, 1e-9});
+    for (std::size_t s = 0; s < 3; ++s) {
+        stamp<kDstOffset>(frame, shardNode(s));
+        transport.send(frame, priceEdge(s), s, 31, 31, 0);
+    }
+    std::vector<std::string> wires;
+    for (Delivery d; transport.popNext(0, d);)
+        wires.push_back(d.wire);
+    ASSERT_EQ(wires.size(), 3u);
+    for (std::size_t s = 1; s < 3; ++s) {
+        for (const std::size_t i : differingBytes(wires[0], wires[s]))
+            EXPECT_TRUE(i >= kDstOffset && i < kAttemptOffset)
+                << "shard " << s << " differs at byte " << i;
+        const Frame f = decodeFrame(wires[s]).take();
+        EXPECT_EQ(f.dst, shardNode(s));
+        EXPECT_EQ(f.seq, sess.edgeSeq[priceEdge(s)] - 1);
+    }
+}
+
+TEST(NetFrameIdentity, RetransmitDiffersOnlyInAttemptAndSeq)
+{
+    // The exchange's retransmit: the cached bid frame with its attempt
+    // re-stamped, sent again on the same edge.
+    const NetFaultModel sound(NetFaultOptions{}, {});
+    NetSession sess = sessionFor(1);
+    VirtualTransport transport(sound, sess, nullptr);
+    BidFrameWriter writer(0, 17);
+    writer.add(2, 0, 0.75);
+    writer.add(5, 0, 3.5);
+    std::string cached = writer.take();
+    transport.send(cached, bidEdge(0), 0, 17, 17, 0);
+    stamp<kAttemptOffset>(cached, 1);
+    transport.send(cached, bidEdge(0), 0, 17, 18, 8);
+    Delivery original;
+    Delivery retransmit;
+    ASSERT_TRUE(transport.popNext(0, original));
+    ASSERT_TRUE(transport.popNext(8, retransmit));
+    for (const std::size_t i :
+         differingBytes(original.wire, retransmit.wire))
+        EXPECT_TRUE(i >= kSeqOffset && i < kAttemptOffset + 4)
+            << "retransmit differs at byte " << i;
+    const Frame f = decodeFrame(retransmit.wire).take();
+    EXPECT_EQ(f.attempt, 1u);
+    EXPECT_EQ(f.seq, 1u);
+}
+
+TEST(NetSeqFilter, SuppressesADuplicatedCopy)
+{
+    NetSession sess = sessionFor(2);
+    sess.edgeSeq[bidEdge(1)] = 3;
+    SeqFilter filter(sess);
+    sess.edgeSeq[bidEdge(1)] = 6; // this solve sent seqs 3, 4, 5
+    EXPECT_TRUE(filter.firstSighting(bidEdge(1), 4));
+    EXPECT_FALSE(filter.firstSighting(bidEdge(1), 4));
+    EXPECT_TRUE(filter.firstSighting(bidEdge(1), 3));
+    EXPECT_FALSE(filter.firstSighting(bidEdge(1), 3));
+}
+
+TEST(NetSeqFilter, LaterSeqArrivingFirstIsStillApplied)
+{
+    // Reordering: seq 2 lands before 0 and 1 on the same edge; every
+    // seq is new once, whatever the arrival order, and edges are
+    // independent.
+    NetSession sess = sessionFor(1);
+    SeqFilter filter(sess);
+    sess.edgeSeq = {3, 3};
+    EXPECT_TRUE(filter.firstSighting(priceEdge(0), 2));
+    EXPECT_TRUE(filter.firstSighting(priceEdge(0), 0));
+    EXPECT_TRUE(filter.firstSighting(bidEdge(0), 2));
+    EXPECT_TRUE(filter.firstSighting(priceEdge(0), 1));
+    EXPECT_FALSE(filter.firstSighting(priceEdge(0), 2));
+    EXPECT_FALSE(filter.firstSighting(bidEdge(0), 2));
+}
+
+TEST(NetSeqFilter, SeqOutsideThisSolveIsAProtocolBug)
+{
+    NetSession sess = sessionFor(1);
+    sess.edgeSeq = {10, 10};
+    SeqFilter filter(sess);
+    sess.edgeSeq = {12, 10};
+    EXPECT_THROW((void)filter.firstSighting(priceEdge(0), 9), PanicError);
+    EXPECT_THROW((void)filter.firstSighting(priceEdge(0), 12), PanicError);
+    EXPECT_THROW((void)filter.firstSighting(bidEdge(0), 10), PanicError);
+    EXPECT_THROW((void)filter.firstSighting(2, 0), PanicError);
+    EXPECT_TRUE(filter.firstSighting(priceEdge(0), 11));
 }
 
 } // namespace

@@ -115,8 +115,9 @@ spanLines(const std::string &trace)
 std::int64_t
 fieldOf(const std::string &line, const std::string &key)
 {
-    const auto *value =
-        parseJsonObject(line).take().get<std::uint64_t>(key);
+    // Keep the object alive: get() points into it.
+    const JsonObject object = parseJsonObject(line).take();
+    const auto *value = object.get<std::uint64_t>(key);
     return value == nullptr ? -1 : static_cast<std::int64_t>(*value);
 }
 

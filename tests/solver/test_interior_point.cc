@@ -188,6 +188,20 @@ TEST(InteriorPoint, ValidatesInputs)
     EXPECT_THROW(maximizeOnSimplex(obj, 0.0), FatalError);
 }
 
+TEST(InteriorPoint, RejectsANonPositiveOrNaNTolerance)
+{
+    // The stopping gap (m+1)/t is positive: a negative or NaN target
+    // is never met, and 0 only once t has overflowed to infinity,
+    // where the Newton step is NaN.
+    Quadratic obj({4.0}, {2.0});
+    for (const double tolerance : {-1.0, std::nan(""), 0.0}) {
+        InteriorPointOptions opts;
+        opts.tolerance = tolerance;
+        EXPECT_THROW(maximizeOnSimplex(obj, 10.0, opts), FatalError)
+            << tolerance;
+    }
+}
+
 TEST(InteriorPoint, TighterToleranceImprovesAccuracy)
 {
     Quadratic obj({4.0}, {2.0});
