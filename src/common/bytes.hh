@@ -95,6 +95,9 @@ class ByteWriter
     /** Fold a byte string with a u64 length prefix. */
     void putString(std::string_view s);
 
+    /** Append bytes another writer produced, with no prefix. */
+    void putRaw(std::string_view bytes);
+
     /** Fold a vector of doubles with a u64 count prefix. */
     void putF64Vector(const std::vector<double> &v);
 

@@ -43,7 +43,40 @@ loadLe32(const unsigned char *p)
            static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+/**
+ * @return a * b modulo the CRC polynomial, both operands and the
+ * result in the reflected bit order (bit 31 is x^0). Shift-and-add
+ * over the 32 bits of @p a.
+ */
+constexpr std::uint32_t
+multModP(std::uint32_t a, std::uint32_t b)
+{
+    std::uint32_t p = 0;
+    for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if (a & m)
+            p ^= b;
+        b = (b & 1u) ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+    }
+    return p;
+}
+
 } // namespace
+
+std::uint32_t
+crc32Combine(std::uint32_t crcA, std::uint32_t crcB, std::uint64_t lenB)
+{
+    // crc(A || B) = crcA * x^(8 lenB) + crcB (mod P): the pre- and
+    // post-conditioning XORs cancel between the two terms. Square and
+    // multiply over the bits of lenB builds x^(8 lenB).
+    std::uint32_t shift = 1u << 31; // x^0
+    std::uint32_t square = 1u << 23; // x^8: one zero byte
+    for (; lenB != 0; lenB >>= 1) {
+        if (lenB & 1u)
+            shift = multModP(square, shift);
+        square = multModP(square, square);
+    }
+    return multModP(shift, crcA) ^ crcB;
+}
 
 std::uint32_t
 crc32Update(std::uint32_t seed, const void *data, std::size_t size)

@@ -30,6 +30,16 @@ namespace amdahl {
 std::uint32_t crc32Update(std::uint32_t seed, const void *data,
                           std::size_t size);
 
+/**
+ * @return The CRC-32 of A followed by B, given only @p crcA =
+ * crc32(A), @p crcB = crc32(B) and @p lenB = |B| (zlib's
+ * crc32_combine). Costs O(log lenB) 32-bit carry-less products, not a
+ * pass over B, so a cached CRC of a long, unchanging B can be glued
+ * behind a freshly computed A.
+ */
+std::uint32_t crc32Combine(std::uint32_t crcA, std::uint32_t crcB,
+                           std::uint64_t lenB);
+
 /** @return The CRC-32 of @p bytes (one-shot). */
 inline std::uint32_t
 crc32(std::string_view bytes)

@@ -319,7 +319,12 @@ applyShardBid(const net::Frame &bid, std::size_t s,
 
 /**
  * Fold the dense partial table into prices: the canonical left fold
- * over all blocks, zeros included. Same parallel shape as
+ * over each server's occupied blocks, ascending. A block with no job
+ * on server j leaves its cell at +0.0, and adding +0.0 to a
+ * non-negative sum changes no bit, so this equals the fold over all
+ * @p blockCount blocks, zeros included. A server's occupied blocks are
+ * the distinct entry blocks along its CSR list, which are
+ * non-decreasing (the gatherPrices walk). Same parallel shape as
  * gatherPrices, so exec.tasks agrees between the two exchanges.
  */
 inline void
@@ -327,12 +332,20 @@ foldPriceTable(const std::vector<double> &table, std::size_t blockCount,
                const BidKernel &kernel, std::vector<double> &prices)
 {
     const std::size_t m = kernel.serverCount;
+    AMDAHL_ASSERT(table.size() == blockCount * m,
+                  "partial table of ", table.size(), " cells for ",
+                  blockCount, " blocks x ", m, " servers");
     exec::parallelFor(
         0, m, kServerGrain, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t j = lo; j < hi; ++j) {
                 double sum = 0.0;
-                for (std::size_t b = 0; b < blockCount; ++b)
-                    sum += table[b * m + j];
+                const std::size_t jb = kernel.serverJobOffset[j];
+                const std::size_t je = kernel.serverJobOffset[j + 1];
+                for (std::size_t s = jb; s < je; ++s) {
+                    const std::uint32_t block = kernel.entryBlock[s];
+                    if (s == jb || block != kernel.entryBlock[s - 1])
+                        sum += table[block * m + j];
+                }
                 prices[j] = sum / kernel.capacity[j];
             }
         });

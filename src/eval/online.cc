@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 
 #include "common/bytes.hh"
 #include "common/check.hh"
@@ -274,10 +275,15 @@ onlineStateFingerprint(const OnlineOptions &opts,
     return d.value();
 }
 
-std::string
-encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
+namespace {
+
+/** Bytes putJob writes: nine fixed-width 8-byte fields. */
+constexpr std::size_t kJobBytes = 72;
+
+/** The encoding up to the job records: version through job count. */
+void
+putHead(ByteWriter &w, const OnlineRunState &s, const OnlineOptions &opts)
 {
-    ByteWriter w;
     w.putU32(kStateVersion);
     w.putU32(onlineStateFingerprint(opts, s.metrics.policyName));
     w.putU64(static_cast<std::uint64_t>(s.epoch));
@@ -285,8 +291,12 @@ encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
         w.putU64(word);
     w.putF64Vector(s.budgets);
     w.putU64(s.jobs.size());
-    for (const auto &job : s.jobs)
-        putJob(w, job);
+}
+
+/** The encoding after the job records: the wait queue to the end. */
+void
+putTail(ByteWriter &w, const OnlineRunState &s)
+{
     w.putU64(s.waitQueue.size());
     for (const auto &job : s.waitQueue)
         putJob(w, job);
@@ -326,9 +336,90 @@ encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
     w.putU64(s.metrics.netStaleBidRounds);
     w.putU64(s.metrics.netRetransmits);
     w.putU64(s.metrics.netQuorumCollapses);
-    // The kernel cache is deliberately absent: it is bitwise invisible
-    // (a recovered run rebuilds it and stays on the same trajectory).
+    // The kernel cache and the frozen-prefix cursor are deliberately
+    // absent: a recovered run rebuilds the one and restarts the other,
+    // and both are bitwise invisible.
+}
+
+/**
+ * Move the frozen-prefix cursor past the done jobs that follow it,
+ * folding their records into the cached CRC. The only place the
+ * cursor moves: jobs are only ever appended, and a done job is never
+ * touched again, so the prefix stays frozen.
+ */
+void
+advanceFrozenJobs(OnlineRunState &s)
+{
+    std::size_t end = s.frozenJobs;
+    while (end < s.jobs.size() && s.jobs[end].done())
+        ++end;
+    if (end == s.frozenJobs)
+        return;
+    ByteWriter w;
+    w.reserve((end - s.frozenJobs) * kJobBytes);
+    for (std::size_t k = s.frozenJobs; k < end; ++k)
+        putJob(w, s.jobs[k]);
+    const std::string &bytes = w.bytes();
+    s.frozenJobsCrc =
+        crc32Update(s.frozenJobsCrc, bytes.data(), bytes.size());
+    s.frozenJobs = end;
+}
+
+/** The jobs past the frozen prefix: the only ones an epoch can
+ *  change (or needs to look at to skip the done ones). */
+std::span<OnlineJob>
+unfrozenJobs(OnlineRunState &s)
+{
+    return std::span<OnlineJob>(s.jobs).subspan(s.frozenJobs);
+}
+
+} // namespace
+
+std::string
+encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
+{
+    // The tail is small: encoded first, it sizes the buffer exactly, so
+    // the job log is written once into one allocation instead of
+    // doubling (and copying) its way up to a multi-megabyte state.
+    ByteWriter tail;
+    putTail(tail, s);
+    ByteWriter w;
+    putHead(w, s, opts);
+    w.reserve(w.bytes().size() + kJobBytes * s.jobs.size() +
+              tail.bytes().size());
+    for (const auto &job : s.jobs)
+        putJob(w, job);
+    w.putRaw(tail.bytes());
     return w.take();
+}
+
+std::uint32_t
+onlineStateDigest(OnlineRunState &s, const OnlineOptions &opts)
+{
+    advanceFrozenJobs(s);
+    ByteWriter w;
+    putHead(w, s, opts);
+    const std::size_t head = w.bytes().size();
+    for (std::size_t k = s.frozenJobs; k < s.jobs.size(); ++k)
+        putJob(w, s.jobs[k]);
+    const std::size_t tail = w.bytes().size();
+    putTail(w, s);
+    const std::string &bytes = w.bytes();
+
+    // crc(head || frozen || unfrozen || tail): the cached frozen CRC
+    // runs on over the unfrozen records, the head is glued in front,
+    // and the result runs on over the tail.
+    const std::uint32_t records = crc32Update(
+        s.frozenJobsCrc, bytes.data() + head, tail - head);
+    const std::uint32_t through_records =
+        crc32Combine(crc32Update(0, bytes.data(), head), records,
+                     s.jobs.size() * kJobBytes);
+    const std::uint32_t digest = crc32Update(
+        through_records, bytes.data() + tail, bytes.size() - tail);
+    AMDAHL_ASSERT(digest == crc32(encodeOnlineState(s, opts)),
+                  "state digest ", digest, " at epoch ", s.epoch,
+                  " differs from the CRC of the full encoding");
+    return digest;
 }
 
 Result<OnlineRunState>
@@ -541,6 +632,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         s.occupancy = occupancy.saveState();
         s.weightedSpeedup = weighted_speedup.saveState();
         ++s.epoch;
+        advanceFrozenJobs(s);
     };
 
     obs::ScopedTimer epoch_timer(
@@ -592,7 +684,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         for (std::size_t j : injector.crashesDuring(epoch))
             crashing[j] = 1;
         if (placer.anyLive()) {
-            for (auto &job : jobs) {
+            for (auto &job : unfrozenJobs(s)) {
                 if (!job.done() && job.unplaced()) {
                     job.server = placer.place();
                     ++metrics.replacements;
@@ -621,7 +713,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
                     .field("kind", "crash")
                     .field("server", j);
             }
-            for (auto &job : jobs) {
+            for (auto &job : unfrozenJobs(s)) {
                 if (job.done() || job.server != j)
                     continue;
                 const double done_work =
@@ -772,7 +864,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
     //    this epoch's market.
     std::vector<std::size_t> active;
     std::size_t in_system = 0;
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
+    for (std::size_t k = s.frozenJobs; k < jobs.size(); ++k) {
         if (jobs[k].done())
             continue;
         ++in_system;
@@ -1062,7 +1154,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
     //    checkpointEpochs epochs, bounding what the next crash
     //    can take.
     if (faulty) {
-        for (auto &job : jobs) {
+        for (auto &job : unfrozenJobs(s)) {
             if (job.done() || job.unplaced())
                 continue;
             ++job.epochsSinceCheckpoint;
@@ -1255,8 +1347,7 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
                     state.epoch);
             }
             runEpoch(state, policy, source, *injector);
-            const std::uint32_t digest =
-                crc32(encodeOnlineState(state, opts_));
+            const std::uint32_t digest = onlineStateDigest(state, opts_);
             if (digest != entry.eventCrc) {
                 obs::setTraceSink(saved);
                 return Status::error(
@@ -1292,18 +1383,17 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
 
         durability::JournalEntry entry;
         entry.epoch = static_cast<std::uint64_t>(state.epoch);
-        std::string encoded = encodeOnlineState(state, opts_);
-        entry.eventCrc = crc32(encoded);
+        entry.eventCrc = onlineStateDigest(state, opts_);
         entry.traceBytes = sink ? sink->bytesWritten() : 0;
         entry.traceSeq = sink ? sink->currentSeq() : 0;
         durability::OnlineSnapshotEnvelope env;
         env.traceBytes = entry.traceBytes;
         env.traceSeq = entry.traceSeq;
-        // The store calls the encoder at most once, after the journal
-        // entry (and its CRC) is written, so the state moves into the
-        // envelope instead of being copied.
+        // The store calls the encoder only on a snapshot epoch, after
+        // the journal entry is written: the one full encoding a
+        // commit can need.
         if (Status st = store.commitEpoch(entry, [&] {
-                env.state = std::move(encoded);
+                env.state = encodeOnlineState(state, opts_);
                 return durability::encodeSnapshotEnvelope(env);
             });
             !st.isOk())

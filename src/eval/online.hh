@@ -416,6 +416,17 @@ struct OnlineRunState
     std::shared_ptr<core::KernelCache> kernelCache;
     /** Partial accumulators; aggregates are computed by finalize(). */
     OnlineMetrics metrics;
+    /**
+     * The frozen-prefix cursor, derived from `jobs` and never encoded.
+     * Every job before `frozenJobs` is done(), and a done job's record
+     * never changes again, so per-epoch job scans start here and
+     * `frozenJobsCrc` caches the CRC-32 of those records' encoding
+     * (onlineStateDigest). runEpoch advances both as it ends;
+     * initState and decodeOnlineState start them at zero, which is
+     * always valid.
+     */
+    std::size_t frozenJobs = 0;
+    std::uint32_t frozenJobsCrc = 0;
 };
 
 /**
@@ -435,6 +446,19 @@ std::uint32_t onlineStateFingerprint(const OnlineOptions &opts,
  */
 std::string encodeOnlineState(const OnlineRunState &state,
                               const OnlineOptions &opts);
+
+/**
+ * @return crc32(encodeOnlineState(@p state, @p opts)), the journal's
+ * per-epoch state digest, without encoding the frozen job prefix: the
+ * cached CRC of the records before `state.frozenJobs` is extended over
+ * the rest of the job log, glued behind the CRC of the fields that
+ * precede the log (crc32Combine), and carried on over the fields that
+ * follow it. Linear in the live suffix of the job log, not in its
+ * history. Advances @p state's frozen-prefix cursor first; touches
+ * nothing else.
+ */
+std::uint32_t onlineStateDigest(OnlineRunState &state,
+                                const OnlineOptions &opts);
 
 /**
  * Deserialize a run state.

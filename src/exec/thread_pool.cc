@@ -18,6 +18,27 @@ thread_local bool insideRegion = false;
  *  launches (one per bidding round) skip the condvar wakeup latency. */
 constexpr int kSpinIterations = 256;
 
+/**
+ * The pool's counters, each looked up in the registry (a mutex and a
+ * map search) once per process instead of once per region: a registry
+ * counter lives as long as the registry, and reset() zeroes it in
+ * place. Each is created on its first add, so a metrics snapshot lists
+ * only the counters a run touched.
+ */
+obs::Counter &
+tasksCounter()
+{
+    static obs::Counter &c = obs::metrics().counter("exec.tasks");
+    return c;
+}
+
+obs::Counter &
+stealCounter()
+{
+    static obs::Counter &c = obs::metrics().counter("exec.steal");
+    return c;
+}
+
 } // namespace
 
 ThreadPool &
@@ -146,7 +167,7 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     const int threads = exec::threadCount();
     if (threads <= 1 || chunks <= 1 || insideRegion) {
         runSerial(begin, end, grain, fn);
-        obs::metrics().counter("exec.tasks").add(chunks);
+        tasksCounter().add(chunks);
         return;
     }
 
@@ -187,12 +208,11 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     if (region.error != nullptr)
         std::rethrow_exception(region.error);
 
-    auto &registry = obs::metrics();
-    registry.counter("exec.tasks").add(chunks);
+    tasksCounter().add(chunks);
     const std::size_t stolen =
         region.stolen.load(std::memory_order_relaxed);
     if (stolen > 0)
-        registry.counter("exec.steal").add(stolen);
+        stealCounter().add(stolen);
 }
 
 void

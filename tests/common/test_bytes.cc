@@ -95,6 +95,27 @@ TEST(ByteCodec, U8AndPatchedU32)
     EXPECT_EQ(r.status().kind(), ErrorKind::ParseError);
 }
 
+TEST(ByteCodec, RawBytesSpliceAnotherWritersOutput)
+{
+    // A sequence written in two writers and spliced with putRaw (the
+    // staged values before the splice flushed first) is the sequence
+    // written in one.
+    ByteWriter whole;
+    writeMixedSequence(whole);
+    whole.putU32(9);
+    whole.putU8(0x42);
+    writeMixedSequence(whole);
+
+    ByteWriter second;
+    second.putU8(0x42);
+    writeMixedSequence(second);
+    ByteWriter spliced;
+    writeMixedSequence(spliced);
+    spliced.putU32(9); // staged, not yet in the buffer
+    spliced.putRaw(second.bytes());
+    EXPECT_EQ(spliced.bytes(), whole.bytes());
+}
+
 TEST(ByteCodec, VectorCountBeyondTheBytesIsAParseError)
 {
     // A count one element larger than the bytes present: the bulk

@@ -141,5 +141,41 @@ TEST(Crc32, LengthPrefixSeparatesStringBoundaries)
     EXPECT_NE(a.value(), b.value());
 }
 
+/** @p n seeded pseudo-random bytes (xorshift64). */
+std::string
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    std::string s(n, '\0');
+    std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + 1;
+    for (auto &c : s) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        c = static_cast<char>(x >> 32);
+    }
+    return s;
+}
+
+TEST(Crc32, CombineMatchesConcatenation)
+{
+    // Empty, one byte, odd lengths around a slicing step, and lengths
+    // past 1 MiB, whose x^(8 len) needs ~24 squarings.
+    const std::size_t lengths[] = {0,  1,   3,    7,        9,
+                                   63, 255, 4097, 1u << 20, (1u << 20) + 13};
+    std::uint64_t seed = 1;
+    for (const std::size_t lenA : lengths) {
+        for (const std::size_t lenB : lengths) {
+            const std::string a = randomBytes(lenA, seed++);
+            const std::string b = randomBytes(lenB, seed++);
+            EXPECT_EQ(crc32Combine(crc32(a), crc32(b), b.size()),
+                      crc32(a + b))
+                << "|A| = " << lenA << ", |B| = " << lenB;
+        }
+    }
+    // The identity operator and the check value split in two.
+    EXPECT_EQ(crc32Combine(0xCBF43926u, 0, 0), 0xCBF43926u);
+    EXPECT_EQ(crc32Combine(crc32("1234"), crc32("56789"), 5), 0xCBF43926u);
+}
+
 } // namespace
 } // namespace amdahl
