@@ -9,7 +9,6 @@
  * system progress against PS and the market.
  */
 
-#include <cmath>
 #include <iostream>
 
 #include "alloc/amdahl_bidding_policy.hh"
@@ -44,16 +43,6 @@ main()
     const auto market =
         eval::buildMarket(pop, cache, eval::FractionSource::Estimated);
     eval::ProgressEvaluator evaluator(cache);
-    const auto entitled = core::entitledCoresPerUser(market);
-
-    auto mape_of = [&](const alloc::AllocationResult &result) {
-        double mape = 0.0;
-        for (std::size_t i = 0; i < pop.userCount(); ++i) {
-            mape += std::abs(result.userCores(i) - entitled[i]) /
-                    entitled[i];
-        }
-        return 100.0 * mape / static_cast<double>(pop.userCount());
-    };
 
     // Lottery: average over raffles; also track per-user variance.
     OnlineStats ls_progress, ls_mape;
@@ -64,7 +53,7 @@ main()
             alloc::LotteryPolicy(static_cast<std::uint64_t>(s))
                 .allocate(market);
         ls_progress.add(evaluator.systemProgress(pop, result.cores));
-        ls_mape.add(mape_of(result));
+        ls_mape.add(core::entitlementMape(market, result.cores));
         for (std::size_t i = 0; i < pop.userCount(); ++i)
             per_user[i].add(result.userCores(i));
     }
@@ -89,17 +78,17 @@ main()
     table.beginRow()
         .cell("PS")
         .cell(evaluator.systemProgress(pop, ps.cores), 3)
-        .cell(mape_of(ps), 1)
+        .cell(core::entitlementMape(market, ps.cores), 1)
         .cell(0.0, 2);
     table.beginRow()
         .cell("AB")
         .cell(evaluator.systemProgress(pop, ab.cores), 3)
-        .cell(mape_of(ab), 1)
+        .cell(core::entitlementMape(market, ab.cores), 1)
         .cell(0.0, 2);
     table.beginRow()
         .cell("PF (Eisenberg-Gale)")
         .cell(evaluator.systemProgress(pop, pf.cores), 3)
-        .cell(mape_of(pf), 1)
+        .cell(core::entitlementMape(market, pf.cores), 1)
         .cell(0.0, 2);
     bench::emitTable(table, "lottery");
 

@@ -1,6 +1,7 @@
 #include "placement.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -22,11 +23,26 @@ toString(PlacementRule rule)
 }
 
 JobPlacer::JobPlacer(PlacementRule rule, std::size_t servers)
-    : rule_(rule), loads(servers, 0), live_(servers, 1),
-      prices_(servers, 0.0), sinceUpdate(servers, 0)
+    : JobPlacer(rule, JobPlacerState{std::vector<int>(servers, 0),
+                                     std::vector<char>(servers, 1),
+                                     std::vector<double>(servers, 0.0),
+                                     std::vector<int>(servers, 0), 0})
 {
+}
+
+JobPlacer::JobPlacer(PlacementRule rule, JobPlacerState state)
+    : rule_(rule), s_(std::move(state))
+{
+    const std::size_t servers = s_.loads.size();
     if (servers == 0)
         fatal("placer needs at least one server");
+    if (s_.live.size() != servers || s_.prices.size() != servers ||
+        s_.sinceUpdate.size() != servers)
+        fatal("placer state vectors disagree on the server count ",
+              servers);
+    if (s_.nextRoundRobin >= servers)
+        fatal("round-robin cursor ", s_.nextRoundRobin, " past ",
+              servers, " servers");
 }
 
 std::size_t
@@ -34,21 +50,22 @@ JobPlacer::place()
 {
     if (!anyLive())
         fatal("no live server to place on");
+    const std::size_t servers = s_.loads.size();
     // First live server: the deterministic tie-break fallback for the
     // stateful rules below.
     std::size_t choice = 0;
-    while (!live_[choice])
+    while (!s_.live[choice])
         ++choice;
     switch (rule_) {
       case PlacementRule::RoundRobin:
-        while (!live_[nextRoundRobin])
-            nextRoundRobin = (nextRoundRobin + 1) % loads.size();
-        choice = nextRoundRobin;
-        nextRoundRobin = (nextRoundRobin + 1) % loads.size();
+        while (!s_.live[s_.nextRoundRobin])
+            s_.nextRoundRobin = (s_.nextRoundRobin + 1) % servers;
+        choice = s_.nextRoundRobin;
+        s_.nextRoundRobin = (s_.nextRoundRobin + 1) % servers;
         break;
       case PlacementRule::LeastLoaded:
-        for (std::size_t j = choice + 1; j < loads.size(); ++j) {
-            if (live_[j] && loads[j] < loads[choice])
+        for (std::size_t j = choice + 1; j < servers; ++j) {
+            if (s_.live[j] && s_.loads[j] < s_.loads[choice])
                 choice = j;
         }
         break;
@@ -57,52 +74,52 @@ JobPlacer::place()
         // last update, so a batch of arrivals spreads instead of
         // herding onto the stale-cheapest server.
         auto effective = [&](std::size_t j) {
-            return prices_[j] * (1.0 + sinceUpdate[j]) +
-                   1e-9 * sinceUpdate[j];
+            return s_.prices[j] * (1.0 + s_.sinceUpdate[j]) +
+                   1e-9 * s_.sinceUpdate[j];
         };
-        for (std::size_t j = choice + 1; j < prices_.size(); ++j) {
-            if (live_[j] && effective(j) < effective(choice))
+        for (std::size_t j = choice + 1; j < servers; ++j) {
+            if (s_.live[j] && effective(j) < effective(choice))
                 choice = j;
         }
-        ++sinceUpdate[choice];
+        ++s_.sinceUpdate[choice];
         break;
       }
     }
-    ++loads[choice];
+    ++s_.loads[choice];
     return choice;
 }
 
 void
 JobPlacer::jobFinished(std::size_t server)
 {
-    if (server >= loads.size())
+    if (server >= s_.loads.size())
         fatal("server index ", server, " out of range");
-    if (loads[server] <= 0)
+    if (s_.loads[server] <= 0)
         panic("job finished on server ", server, " with no jobs");
-    --loads[server];
+    --s_.loads[server];
 }
 
 void
 JobPlacer::setServerLive(std::size_t server, bool live)
 {
-    if (server >= live_.size())
+    if (server >= s_.live.size())
         fatal("server index ", server, " out of range");
-    live_[server] = live ? 1 : 0;
+    s_.live[server] = live ? 1 : 0;
 }
 
 bool
 JobPlacer::anyLive() const
 {
-    return std::any_of(live_.begin(), live_.end(),
+    return std::any_of(s_.live.begin(), s_.live.end(),
                        [](char up) { return up != 0; });
 }
 
 void
 JobPlacer::updatePrices(const std::vector<double> &prices)
 {
-    if (prices.size() != prices_.size())
+    if (prices.size() != s_.prices.size())
         fatal("price vector has ", prices.size(), " entries, expected ",
-              prices_.size());
+              s_.prices.size());
     // Contract: placement steers by price, so a NaN here silently
     // herds every arrival onto one server.
     if constexpr (checkedBuild) {
@@ -111,38 +128,16 @@ JobPlacer::updatePrices(const std::vector<double> &prices)
             AMDAHL_ASSERT(p >= 0.0, "negative posted price ", p);
         }
     }
-    prices_ = prices;
-    std::fill(sinceUpdate.begin(), sinceUpdate.end(), 0);
+    s_.prices = prices;
+    std::fill(s_.sinceUpdate.begin(), s_.sinceUpdate.end(), 0);
 }
 
 int
 JobPlacer::load(std::size_t server) const
 {
-    if (server >= loads.size())
+    if (server >= s_.loads.size())
         fatal("server index ", server, " out of range");
-    return loads[server];
-}
-
-JobPlacerState
-JobPlacer::saveState() const
-{
-    return {loads, {live_.begin(), live_.end()}, prices_, sinceUpdate,
-            nextRoundRobin};
-}
-
-void
-JobPlacer::restoreState(const JobPlacerState &s)
-{
-    const std::size_t servers = loads.size();
-    if (s.loads.size() != servers || s.live.size() != servers ||
-        s.prices.size() != servers || s.sinceUpdate.size() != servers)
-        fatal("placer state sized for ", s.loads.size(),
-              " servers, expected ", servers);
-    loads = s.loads;
-    live_.assign(s.live.begin(), s.live.end());
-    prices_ = s.prices;
-    sinceUpdate = s.sinceUpdate;
-    nextRoundRobin = s.nextRoundRobin % servers;
+    return s_.loads[server];
 }
 
 } // namespace amdahl::alloc

@@ -37,7 +37,8 @@ enum class PlacementRule
 std::string toString(PlacementRule rule);
 
 /**
- * The full mutable state of a JobPlacer, for durable snapshots.
+ * The full mutable state of a JobPlacer: the placer holds its fields
+ * here, once, and durable snapshots encode them from state().
  *
  * All vectors are sized to the server count; `live` uses one char per
  * server (1 = accepting placements).
@@ -47,6 +48,10 @@ struct JobPlacerState
     std::vector<int> loads;
     std::vector<char> live;
     std::vector<double> prices;
+    /** Placements since the last price update: prices are stale
+     *  within an epoch, so each placement inflates its server's
+     *  effective price to avoid herding the whole batch onto the
+     *  stale-cheapest server. */
     std::vector<int> sinceUpdate;
     std::size_t nextRoundRobin = 0;
 };
@@ -63,6 +68,19 @@ class JobPlacer
      * @param servers Number of servers (> 0).
      */
     JobPlacer(PlacementRule rule, std::size_t servers);
+
+    /**
+     * Resume from a saved state.
+     *
+     * @throws FatalError unless every vector of @p state has one
+     *         entry per server (at least one) and the round-robin
+     *         cursor names a server.
+     */
+    JobPlacer(PlacementRule rule, JobPlacerState state);
+
+    /** An empty placer (no servers, nothing live): a placeholder
+     *  until a sized one is assigned over it. */
+    JobPlacer() = default;
 
     /** @return The discipline in use. */
     PlacementRule rule() const { return rule_; }
@@ -103,26 +121,12 @@ class JobPlacer
     /** @return Current jobs placed on @p server (and not finished). */
     int load(std::size_t server) const;
 
-    /** @return A copy of the full mutable state (for snapshots). */
-    JobPlacerState saveState() const;
-
-    /**
-     * Overwrite the mutable state with a previously saved one.
-     * Every vector in @p s must match this placer's server count.
-     */
-    void restoreState(const JobPlacerState &s);
+    /** @return The full mutable state (for snapshots). */
+    const JobPlacerState &state() const { return s_; }
 
   private:
-    PlacementRule rule_;
-    std::vector<int> loads;
-    std::vector<char> live_;
-    std::vector<double> prices_;
-    /** Placements since the last price update: prices are stale
-     *  within an epoch, so each placement inflates its server's
-     *  effective price to avoid herding the whole batch onto the
-     *  stale-cheapest server. */
-    std::vector<int> sinceUpdate;
-    std::size_t nextRoundRobin = 0;
+    PlacementRule rule_ = PlacementRule::RoundRobin;
+    JobPlacerState s_;
 };
 
 } // namespace amdahl::alloc

@@ -20,22 +20,22 @@ rotl(std::uint64_t x, int k)
 Rng::Rng(std::uint64_t seed)
 {
     SplitMix64 sm(seed);
-    for (auto &word : state)
+    for (auto &word : words)
         word = sm.next();
 }
 
 std::uint64_t
 Rng::next()
 {
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
+    const std::uint64_t result = rotl(words[1] * 5, 7) * 9;
+    const std::uint64_t t = words[1] << 17;
 
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
+    words[2] ^= words[0];
+    words[3] ^= words[1];
+    words[1] ^= words[2];
+    words[0] ^= words[3];
+    words[2] ^= t;
+    words[3] = rotl(words[3], 45);
 
     return result;
 }

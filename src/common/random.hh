@@ -171,22 +171,21 @@ class Rng
     Rng split();
 
     /**
-     * Raw engine state, for durable snapshots.
-     *
-     * A generator restored from a saved state produces exactly the
-     * draw sequence the original would have produced — the property
+     * Resume from raw engine words (any words are accepted). A
+     * generator built from another's state() produces exactly the
+     * draw sequence the original would have produced, the property
      * crash recovery relies on to replay epochs bit-identically.
      */
-    std::array<std::uint64_t, 4> saveState() const { return state; }
-
-    /** Overwrite the engine state with a previously saved one. */
-    void restoreState(const std::array<std::uint64_t, 4> &saved)
+    explicit Rng(const std::array<std::uint64_t, 4> &state)
+        : words(state)
     {
-        state = saved;
     }
 
+    /** @return The raw engine state (for durable snapshots). */
+    const std::array<std::uint64_t, 4> &state() const { return words; }
+
   private:
-    std::array<std::uint64_t, 4> state;
+    std::array<std::uint64_t, 4> words;
 };
 
 } // namespace amdahl

@@ -10,44 +10,18 @@ namespace amdahl {
 void
 OnlineStats::add(double x)
 {
-    ++n;
-    const double delta = x - m;
-    m += delta / static_cast<double>(n);
-    m2 += delta * (x - m);
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
-}
-
-void
-OnlineStats::merge(const OnlineStats &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n);
-    const double nb = static_cast<double>(other.n);
-    const double delta = other.m - m;
-    const double total = na + nb;
-    m += delta * nb / total;
-    m2 += other.m2 + delta * delta * na * nb / total;
-    n += other.n;
-    lo = std::min(lo, other.lo);
-    hi = std::max(hi, other.hi);
+    ++s_.n;
+    const double delta = x - s_.m;
+    s_.m += delta / static_cast<double>(s_.n);
+    s_.m2 += delta * (x - s_.m);
+    s_.lo = std::min(s_.lo, x);
+    s_.hi = std::max(s_.hi, x);
 }
 
 double
 OnlineStats::variance() const
 {
-    return n < 1 ? 0.0 : m2 / static_cast<double>(n);
-}
-
-double
-OnlineStats::sampleVariance() const
-{
-    return n < 2 ? 0.0 : m2 / static_cast<double>(n - 1);
+    return s_.n < 1 ? 0.0 : s_.m2 / static_cast<double>(s_.n);
 }
 
 double
@@ -161,19 +135,6 @@ meanAbsolutePercentageError(const std::vector<double> &actual,
         sum += std::abs(actual[i] - reference[i]) / std::abs(reference[i]);
     }
     return 100.0 * sum / static_cast<double>(actual.size());
-}
-
-double
-meanAbsoluteError(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() != b.size())
-        fatal("MAE: size mismatch ", a.size(), " vs ", b.size());
-    if (a.empty())
-        fatal("MAE of empty sample");
-    double sum = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        sum += std::abs(a[i] - b[i]);
-    return sum / static_cast<double>(a.size());
 }
 
 } // namespace amdahl

@@ -20,9 +20,9 @@ namespace amdahl {
 /**
  * The raw accumulator fields of an OnlineStats, for durable snapshots.
  *
- * Restoring from a saved state reproduces the accumulator exactly, so
- * statistics that span a crash/recovery boundary match an uninterrupted
- * run bit-for-bit.
+ * An accumulator rebuilt from its state continues exactly as the
+ * original would, so statistics that span a crash/recovery boundary
+ * match an uninterrupted run bit-for-bit.
  */
 struct OnlineStatsState
 {
@@ -41,55 +41,37 @@ struct OnlineStatsState
 class OnlineStats
 {
   public:
+    OnlineStats() = default;
+
+    /** Resume from a saved state (any field values are accepted). */
+    explicit OnlineStats(const OnlineStatsState &state) : s_(state) {}
+
     /** Add one observation. */
     void add(double x);
 
-    /** Merge another accumulator into this one (parallel Welford). */
-    void merge(const OnlineStats &other);
-
     /** @return Number of observations added. */
-    std::size_t count() const { return n; }
+    std::size_t count() const { return s_.n; }
 
     /** @return Sample mean; 0 when empty. */
-    double mean() const { return n == 0 ? 0.0 : m; }
+    double mean() const { return s_.n == 0 ? 0.0 : s_.m; }
 
     /** @return Population variance (divide by n); 0 when n < 1. */
     double variance() const;
-
-    /** @return Sample variance (divide by n-1); 0 when n < 2. */
-    double sampleVariance() const;
 
     /** @return sqrt of the population variance. */
     double stddev() const;
 
     /** @return Smallest observation; +inf when empty. */
-    double min() const { return lo; }
+    double min() const { return s_.lo; }
 
     /** @return Largest observation; -inf when empty. */
-    double max() const { return hi; }
+    double max() const { return s_.hi; }
 
-    /** @return The raw accumulator state (see OnlineStatsState). */
-    OnlineStatsState saveState() const { return {n, m, m2, lo, hi}; }
-
-    /** Rebuild an accumulator from a saved state. */
-    static OnlineStats
-    fromState(const OnlineStatsState &s)
-    {
-        OnlineStats st;
-        st.n = s.n;
-        st.m = s.m;
-        st.m2 = s.m2;
-        st.lo = s.lo;
-        st.hi = s.hi;
-        return st;
-    }
+    /** @return The raw accumulator state (for snapshots). */
+    const OnlineStatsState &state() const { return s_; }
 
   private:
-    std::size_t n = 0;
-    double m = 0.0;
-    double m2 = 0.0;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
+    OnlineStatsState s_;
 };
 
 /** Five-number summary for boxplots (Figure 8). */
@@ -152,10 +134,6 @@ BoxplotSummary boxplot(const std::vector<double> &xs);
  */
 double meanAbsolutePercentageError(const std::vector<double> &actual,
                                    const std::vector<double> &reference);
-
-/** Mean Absolute Error (Figure 12). Requires equal non-empty sizes. */
-double meanAbsoluteError(const std::vector<double> &a,
-                         const std::vector<double> &b);
 
 } // namespace amdahl
 

@@ -298,7 +298,6 @@ finalizeAllocation(const FisherMarket &market, BiddingResult &result,
                    bool checkFeasible)
 {
     const std::size_t n = market.userCount();
-    const std::size_t m = market.serverCount();
     result.allocation.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const auto &jobs = market.user(i).jobs;
@@ -315,14 +314,9 @@ finalizeAllocation(const FisherMarket &market, BiddingResult &result,
     // and never over-subscribes capacity.
     if constexpr (checkedBuild) {
         if (checkFeasible) {
-            std::vector<double> loads(m, 0.0);
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto &jobs = market.user(i).jobs;
-                for (std::size_t k = 0; k < jobs.size(); ++k)
-                    loads[jobs[k].server] += result.allocation[i][k];
-            }
             invariants::CheckAllocationFeasible(
-                loads, market.capacities(), 1e-6, "bidding allocation");
+                result.serverLoads(market), market.capacities(), 1e-6,
+                "bidding allocation");
         }
     }
 }

@@ -49,7 +49,8 @@ allocatedCoresPerUser(const FisherMarket &market,
 }
 
 double
-entitlementMape(const FisherMarket &market, const JobMatrix &allocation)
+entitlementMape(const FisherMarket &market,
+                const std::vector<std::vector<int>> &allocation)
 {
     return meanAbsolutePercentageError(
         allocatedCoresPerUser(market, allocation),

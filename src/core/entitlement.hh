@@ -32,12 +32,13 @@ allocatedCoresPerUser(const FisherMarket &market,
                       const std::vector<std::vector<int>> &allocation);
 
 /**
- * MAPE of datacenter-wide allocations against entitlements (Figure 11).
+ * MAPE of integral datacenter-wide allocations against entitlements
+ * (Figure 11), summed in user order.
  *
  * @return 100/n * sum_i |alloc_i - ent_i| / ent_i.
  */
 double entitlementMape(const FisherMarket &market,
-                       const JobMatrix &allocation);
+                       const std::vector<std::vector<int>> &allocation);
 
 } // namespace amdahl::core
 

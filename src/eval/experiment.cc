@@ -165,18 +165,8 @@ ExperimentDriver::runDensityPoint(int density)
                         evaluator.systemProgress(pop, result.cores);
                     ev.iterations = result.outcome.iterations;
 
-                    // Entitlement MAPE over integral datacenter-wide
-                    // cores.
-                    const auto entitled =
-                        core::entitledCoresPerUser(market);
-                    double mape = 0.0;
-                    for (std::size_t i = 0; i < pop.userCount(); ++i) {
-                        mape += std::abs(result.userCores(i) -
-                                         entitled[i]) /
-                                entitled[i];
-                    }
-                    ev.mape = 100.0 * mape /
-                              static_cast<double>(pop.userCount());
+                    ev.mape =
+                        core::entitlementMape(market, result.cores);
 
                     ev.progress =
                         evaluator.allUserProgress(pop, result.cores);

@@ -1,6 +1,7 @@
 #include "online.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 #include <span>
@@ -84,6 +85,23 @@ namespace {
 /** Cap on the deficit-compensation budget multiplier. */
 constexpr double kMaxCompensation = 3.0;
 
+/** Epochs in the options' horizon: ceil(horizon / epoch). */
+int
+epochsIn(const OnlineOptions &opts)
+{
+    return static_cast<int>(
+        std::ceil(opts.horizonSeconds / opts.epochSeconds));
+}
+
+/** Jobs admitted and not yet done; every admission appends to the job
+ *  log and every completion counts in jobsCompleted. */
+std::size_t
+inFlight(const OnlineRunState &s)
+{
+    return s.jobs.size() -
+           static_cast<std::size_t>(s.metrics.jobsCompleted);
+}
+
 /** Cores of server j under the options' cluster shape. */
 int
 coresOf(const OnlineOptions &opts, std::size_t j)
@@ -112,7 +130,7 @@ emitRunStart(const OnlineOptions &opts, const std::string &policyName)
 }
 
 /** Layout version of encodeOnlineState; bump on any field change. */
-constexpr std::uint32_t kStateVersion = 4;
+constexpr std::uint32_t kStateVersion = 5;
 
 void
 putJob(ByteWriter &w, const OnlineJob &job)
@@ -287,7 +305,7 @@ putHead(ByteWriter &w, const OnlineRunState &s, const OnlineOptions &opts)
     w.putU32(kStateVersion);
     w.putU32(onlineStateFingerprint(opts, s.metrics.policyName));
     w.putU64(static_cast<std::uint64_t>(s.epoch));
-    for (std::uint64_t word : s.rngState)
+    for (std::uint64_t word : s.rng.state())
         w.putU64(word);
     w.putF64Vector(s.budgets);
     w.putU64(s.jobs.size());
@@ -300,16 +318,15 @@ putTail(ByteWriter &w, const OnlineRunState &s)
     w.putU64(s.waitQueue.size());
     for (const auto &job : s.waitQueue)
         putJob(w, job);
-    w.putU64(static_cast<std::uint64_t>(s.inFlight));
     w.putF64(s.queueDelaySum);
-    putCharVector(w, s.live);
-    putIntVector(w, s.placer.loads);
-    putCharVector(w, s.placer.live);
-    w.putF64Vector(s.placer.prices);
-    putIntVector(w, s.placer.sinceUpdate);
-    w.putU64(static_cast<std::uint64_t>(s.placer.nextRoundRobin));
-    putStats(w, s.occupancy);
-    putStats(w, s.weightedSpeedup);
+    const alloc::JobPlacerState &placer = s.placer.state();
+    putIntVector(w, placer.loads);
+    putCharVector(w, placer.live);
+    w.putF64Vector(placer.prices);
+    putIntVector(w, placer.sinceUpdate);
+    w.putU64(static_cast<std::uint64_t>(placer.nextRoundRobin));
+    putStats(w, s.occupancy.state());
+    putStats(w, s.weightedSpeedup.state());
     w.putF64Vector(s.granted);
     w.putF64Vector(s.entitled);
     w.putF64Vector(s.entitledAvail);
@@ -447,8 +464,10 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
 
     OnlineRunState s;
     s.epoch = static_cast<int>(r.readU64());
-    for (auto &word : s.rngState)
+    std::array<std::uint64_t, 4> rng_words{};
+    for (auto &word : rng_words)
         word = r.readU64();
+    s.rng = Rng(rng_words);
     s.budgets = r.readF64Vector();
     const std::uint64_t job_count = r.readU64();
     for (std::uint64_t i = 0; r.ok() && i < job_count; ++i)
@@ -456,16 +475,15 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
     const std::uint64_t queue_count = r.readU64();
     for (std::uint64_t i = 0; r.ok() && i < queue_count; ++i)
         s.waitQueue.push_back(readJob(r));
-    s.inFlight = static_cast<std::size_t>(r.readU64());
     s.queueDelaySum = r.readF64();
-    s.live = readCharVector(r);
-    s.placer.loads = readIntVector(r);
-    s.placer.live = readCharVector(r);
-    s.placer.prices = r.readF64Vector();
-    s.placer.sinceUpdate = readIntVector(r);
-    s.placer.nextRoundRobin = static_cast<std::size_t>(r.readU64());
-    s.occupancy = readStats(r);
-    s.weightedSpeedup = readStats(r);
+    alloc::JobPlacerState placer;
+    placer.loads = readIntVector(r);
+    placer.live = readCharVector(r);
+    placer.prices = r.readF64Vector();
+    placer.sinceUpdate = readIntVector(r);
+    placer.nextRoundRobin = static_cast<std::size_t>(r.readU64());
+    s.occupancy = OnlineStats(readStats(r));
+    s.weightedSpeedup = OnlineStats(readStats(r));
     s.granted = r.readF64Vector();
     s.entitled = r.readF64Vector();
     s.entitledAvail = r.readF64Vector();
@@ -501,8 +519,7 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
     // every inconsistent state, not just the probable ones.
     const auto users = static_cast<std::size_t>(opts.users);
     const auto servers = static_cast<std::size_t>(opts.servers);
-    const int epochs = static_cast<int>(
-        std::ceil(opts.horizonSeconds / opts.epochSeconds));
+    const int epochs = epochsIn(opts);
     if (s.epoch < 0 || s.epoch > epochs) {
         return Status::error(ErrorKind::SemanticError, 0,
                              "snapshot is at epoch ", s.epoch,
@@ -514,12 +531,17 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
                              "snapshot tenant vectors do not match ",
                              users, " users");
     }
-    if (s.live.size() != servers || s.placer.loads.size() != servers ||
-        s.placer.live.size() != servers ||
-        s.placer.prices.size() != servers ||
-        s.placer.sinceUpdate.size() != servers) {
+    if (placer.loads.size() != servers || placer.live.size() != servers ||
+        placer.prices.size() != servers ||
+        placer.sinceUpdate.size() != servers) {
         return Status::error(ErrorKind::SemanticError, 0,
                              "snapshot server vectors do not match ",
+                             servers, " servers");
+    }
+    if (placer.nextRoundRobin >= servers) {
+        return Status::error(ErrorKind::SemanticError, 0,
+                             "snapshot round-robin cursor ",
+                             placer.nextRoundRobin, " is past ",
                              servers, " servers");
     }
     if (!s.net.edgeSeq.empty() &&
@@ -552,14 +574,26 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
                              servers, " servers and ", workloads,
                              " workloads");
     }
+    // The in-flight count is derived from the completion count, so
+    // the count must be the job log's done jobs (a negative one wraps
+    // and fails too).
+    const auto done_jobs = static_cast<std::size_t>(
+        std::count_if(s.jobs.begin(), s.jobs.end(),
+                      [](const OnlineJob &job) { return job.done(); }));
+    if (static_cast<std::size_t>(s.metrics.jobsCompleted) != done_jobs) {
+        return Status::error(ErrorKind::SemanticError, 0,
+                             "snapshot counts ", s.metrics.jobsCompleted,
+                             " completed jobs but its job log holds ",
+                             done_jobs, " done ones");
+    }
+    s.placer = alloc::JobPlacer(opts.placement, std::move(placer));
     return s;
 }
 
 int
 OnlineSimulator::epochCount() const
 {
-    return static_cast<int>(
-        std::ceil(opts_.horizonSeconds / opts_.epochSeconds));
+    return epochsIn(opts_);
 }
 
 OnlineRunState
@@ -568,21 +602,16 @@ OnlineSimulator::initState(const alloc::AllocationPolicy &policy) const
     // All randomness is re-seeded per run: every policy faces the
     // identical arrival stream. The fault schedule draws from its own
     // seed, so toggling it never shifts the arrivals either.
-    Rng rng(opts_.seed);
-
     OnlineRunState s;
+    s.rng = Rng(opts_.seed);
     s.budgets.resize(static_cast<std::size_t>(opts_.users));
     for (auto &b : s.budgets) {
         b = static_cast<double>(
-            rng.uniformInt(opts_.minBudget, opts_.maxBudget));
+            s.rng.uniformInt(opts_.minBudget, opts_.maxBudget));
     }
-    s.rngState = rng.saveState();
     s.metrics.policyName = policy.name();
-    s.jobs.clear();
-    s.live.assign(static_cast<std::size_t>(opts_.servers), 1);
-    const alloc::JobPlacer placer(
-        opts_.placement, static_cast<std::size_t>(opts_.servers));
-    s.placer = placer.saveState();
+    s.placer = alloc::JobPlacer(opts_.placement,
+                                static_cast<std::size_t>(opts_.servers));
     s.granted.assign(static_cast<std::size_t>(opts_.users), 0.0);
     s.entitled.assign(static_cast<std::size_t>(opts_.users), 0.0);
     s.entitledAvail.assign(static_cast<std::size_t>(opts_.users), 0.0);
@@ -601,36 +630,23 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
     const bool admission = opts_.admission.enabled;
     const auto &library = sim::workloadLibrary();
 
-    // Rebuild the live accumulators from their serialized state; they
-    // are saved back on every exit path. A placer/RNG restored from
-    // state behaves identically to one that ran continuously, which is
-    // what makes a replayed epoch bit-identical to the original.
-    Rng rng(opts_.seed);
-    rng.restoreState(s.rngState);
-    alloc::JobPlacer placer(opts_.placement,
-                            static_cast<std::size_t>(opts_.servers));
-    placer.restoreState(s.placer);
-    OnlineStats occupancy = OnlineStats::fromState(s.occupancy);
-    OnlineStats weighted_speedup =
-        OnlineStats::fromState(s.weightedSpeedup);
+    auto &rng = s.rng;
+    auto &placer = s.placer;
+    // Liveness lives in the placer alone; setServerLive writes
+    // through to what this reads.
+    const std::vector<char> &live = placer.state().live;
     auto &metrics = s.metrics;
     auto &jobs = s.jobs;
-    auto &live = s.live;
     auto &budgets = s.budgets;
     auto &wait_queue = s.waitQueue;
     auto &granted = s.granted;
     auto &entitled = s.entitled;
     auto &entitled_avail = s.entitledAvail;
-    auto &in_flight = s.inFlight;
     auto &queue_delay_sum = s.queueDelaySum;
     std::vector<char> crashing(static_cast<std::size_t>(opts_.servers),
                                0);
 
-    auto save_back = [&] {
-        s.rngState = rng.saveState();
-        s.placer = placer.saveState();
-        s.occupancy = occupancy.saveState();
-        s.weightedSpeedup = weighted_speedup.saveState();
+    auto end_epoch = [&] {
         ++s.epoch;
         advanceFrozenJobs(s);
     };
@@ -671,7 +687,6 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
     if (faulty) {
         for (std::size_t j : injector.recoveriesAt(epoch)) {
             if (!live[j]) {
-                live[j] = 1;
                 placer.setServerLive(j, true);
                 if (auto *sink = obs::traceSink()) {
                     obs::TraceEvent(*sink, "churn")
@@ -704,7 +719,6 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
              j < static_cast<std::size_t>(opts_.servers); ++j) {
             if (!crashing[j])
                 continue;
-            live[j] = 0;
             placer.setServerLive(j, false);
             ++metrics.crashEvents;
             if (auto *sink = obs::traceSink()) {
@@ -757,7 +771,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         admit_cap = opts_.admission.maxLoadFactor *
                     static_cast<double>(live_servers);
         while (!wait_queue.empty() &&
-               static_cast<double>(in_flight) < admit_cap &&
+               static_cast<double>(inFlight(s)) < admit_cap &&
                placer.anyLive()) {
             OnlineJob job = wait_queue.front();
             wait_queue.pop_front();
@@ -773,7 +787,6 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
                     .field("queue_len", wait_queue.size());
             }
             jobs.push_back(job);
-            ++in_flight;
         }
     }
 
@@ -817,13 +830,11 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
                 job.server = placer.place();
             trace_arrival(job.unplaced() ? "park" : "admit");
             jobs.push_back(job);
-            ++in_flight;
-        } else if (static_cast<double>(in_flight) < admit_cap &&
+        } else if (static_cast<double>(inFlight(s)) < admit_cap &&
                    (!faulty || placer.anyLive())) {
             job.server = placer.place();
             trace_arrival("admit");
             jobs.push_back(job);
-            ++in_flight;
         } else {
             // Backpressure: over-cap arrivals wait. A full queue
             // sheds one job: the earliest lowest-budget one.
@@ -871,7 +882,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         if (!jobs[k].unplaced())
             active.push_back(k);
     }
-    occupancy.add(static_cast<double>(in_system));
+    s.occupancy.add(static_cast<double>(in_system));
     metrics.occupancyHistory.push_back(
         static_cast<double>(in_system));
     if (active.empty()) {
@@ -884,7 +895,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
                 .field("idle", true);
         }
         emitEpochSpan(true);
-        save_back();
+        end_epoch();
         return;
     }
 
@@ -1022,6 +1033,15 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         }
     }
 
+    // The cores of the live servers, crashed or not this epoch.
+    double live_capacity = 0.0;
+    for (int j = 0; j < opts_.servers; ++j) {
+        if (live[static_cast<std::size_t>(j)]) {
+            live_capacity += static_cast<double>(
+                coresOf(opts_, static_cast<std::size_t>(j)));
+        }
+    }
+
     // Contract: an epoch's integral grants never exceed the live
     // capacity — crashed servers' cores must be out of the market.
     if constexpr (checkedBuild) {
@@ -1029,13 +1049,6 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         for (const auto &row : result.cores) {
             for (int c : row)
                 total_cores += static_cast<double>(c);
-        }
-        double live_capacity = 0.0;
-        for (int j = 0; j < opts_.servers; ++j) {
-            if (live[static_cast<std::size_t>(j)]) {
-                live_capacity += static_cast<double>(
-                    coresOf(opts_, static_cast<std::size_t>(j)));
-            }
         }
         AMDAHL_ASSERT(total_cores <= live_capacity + 1e-9,
                       "epoch ", epoch, " granted ", total_cores,
@@ -1053,13 +1066,6 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         }
         for (double c : capacities)
             active_capacity += c;
-        double live_capacity = 0.0;
-        for (int j = 0; j < opts_.servers; ++j) {
-            if (live[static_cast<std::size_t>(j)]) {
-                live_capacity += static_cast<double>(
-                    coresOf(opts_, static_cast<std::size_t>(j)));
-            }
-        }
         for (std::size_t ui = 0; ui < user_job_ids.size(); ++ui) {
             const std::size_t tenant =
                 jobs[user_job_ids[ui][0]].user;
@@ -1128,7 +1134,6 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
                 job.completionSeconds = now + used;
                 job.remainingWork = 0.0;
                 ++metrics.jobsCompleted;
-                --in_flight;
                 placer.jobFinished(job.server);
             } else {
                 job.remainingWork -= done_work;
@@ -1141,7 +1146,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         budget_sum += b;
     }
     if (budget_sum > 0.0) {
-        weighted_speedup.add(epoch_speedup / budget_sum);
+        s.weightedSpeedup.add(epoch_speedup / budget_sum);
         metrics.speedupHistory.push_back(epoch_speedup /
                                          budget_sum);
     } else {
@@ -1178,7 +1183,7 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
             .field("jobs_completed", metrics.jobsCompleted);
     }
     emitEpochSpan(false);
-    save_back();
+    end_epoch();
 }
 
 OnlineMetrics
@@ -1202,10 +1207,8 @@ OnlineSimulator::finalize(const OnlineRunState &s) const
         metrics.meanCompletionSeconds = mean(completions);
         metrics.p95CompletionSeconds = quantile(completions, 0.95);
     }
-    metrics.meanJobsInSystem =
-        OnlineStats::fromState(s.occupancy).mean();
-    metrics.meanWeightedSpeedup =
-        OnlineStats::fromState(s.weightedSpeedup).mean();
+    metrics.meanJobsInSystem = s.occupancy.mean();
+    metrics.meanWeightedSpeedup = s.weightedSpeedup.mean();
 
     double mape = 0.0;
     double mape_avail = 0.0;

@@ -21,7 +21,6 @@
 #ifndef AMDAHL_EVAL_ONLINE_HH
 #define AMDAHL_EVAL_ONLINE_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -30,6 +29,7 @@
 
 #include "alloc/placement.hh"
 #include "alloc/policy.hh"
+#include "common/random.hh"
 #include "common/stats.hh"
 #include "common/status.hh"
 #include "eval/characterization.hh"
@@ -365,10 +365,10 @@ struct OnlineMetrics
 /**
  * The complete mutable state of an online run between two epochs.
  *
- * Everything the epoch loop reads or writes lives here — the RNG
- * engine words, the job log, the admission queue, the placer, the
- * Welford accumulators, and the partial metrics counters. Two
- * properties the durability layer relies on:
+ * Everything the epoch loop reads or writes lives here — the RNG, the
+ * job log, the admission queue, the placer, the Welford accumulators,
+ * and the partial metrics counters — and runEpoch works on them in
+ * place. Two properties the durability layer relies on:
  *
  *  - runEpoch(state) is a pure function of (state, options, policy):
  *    advancing a restored state replays exactly the epochs the
@@ -385,16 +385,17 @@ struct OnlineRunState
 {
     /** Next epoch index to run (== completed epoch count). */
     int epoch = 0;
-    std::array<std::uint64_t, 4> rngState{};
+    Rng rng;
     std::vector<double> budgets;
+    /** Every admitted job; those not done() are in flight, so the
+     *  in-flight count is jobs.size() - metrics.jobsCompleted. */
     std::vector<OnlineJob> jobs;
     std::deque<OnlineJob> waitQueue;
-    std::size_t inFlight = 0;
     double queueDelaySum = 0.0;
-    std::vector<char> live;
-    alloc::JobPlacerState placer;
-    OnlineStatsState occupancy;
-    OnlineStatsState weightedSpeedup;
+    /** Also the one record of which servers are live. */
+    alloc::JobPlacer placer;
+    OnlineStats occupancy;
+    OnlineStats weightedSpeedup;
     std::vector<double> granted;
     std::vector<double> entitled;
     std::vector<double> entitledAvail;

@@ -135,15 +135,6 @@ generatePopulation(Rng &rng, const PopulationOptions &opts)
     return pop;
 }
 
-std::vector<int>
-paperUserLadder()
-{
-    std::vector<int> ladder;
-    for (int n = 40; n <= 1000; n += 80)
-        ladder.push_back(n);
-    return ladder;
-}
-
 std::vector<double>
 paperServerMultipliers()
 {

@@ -92,11 +92,6 @@ struct PopulationOptions
  */
 Population generatePopulation(Rng &rng, const PopulationOptions &opts);
 
-/**
- * The paper's n ladder: 40 to 1000 in increments of 80.
- */
-std::vector<int> paperUserLadder();
-
 /** The paper's server multipliers {0.25, 0.5, 1, 2, 4}. */
 std::vector<double> paperServerMultipliers();
 

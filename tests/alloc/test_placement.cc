@@ -80,6 +80,37 @@ TEST(Placement, Validation)
     EXPECT_THROW(placer.load(2), FatalError);
     EXPECT_THROW(placer.updatePrices({0.1}), FatalError);
     EXPECT_THROW(placer.jobFinished(0), PanicError); // none placed
+
+    // A saved state must size every vector to the servers and keep the
+    // round-robin cursor inside them.
+    EXPECT_THROW(JobPlacer(PlacementRule::RoundRobin, JobPlacerState{}),
+                 FatalError);
+    JobPlacerState bad = placer.state();
+    bad.nextRoundRobin = 2;
+    EXPECT_THROW(JobPlacer(PlacementRule::RoundRobin, bad), FatalError);
+    bad = placer.state();
+    bad.prices.pop_back();
+    EXPECT_THROW(JobPlacer(PlacementRule::RoundRobin, bad), FatalError);
+}
+
+TEST(Placement, ResumesFromItsState)
+{
+    // A placer built from another's state() continues its sequence:
+    // the round-robin cursor, the dead server and the price inflation
+    // all carry over.
+    for (PlacementRule rule : {PlacementRule::RoundRobin,
+                               PlacementRule::LeastLoaded,
+                               PlacementRule::PriceAware}) {
+        JobPlacer original(rule, 4);
+        original.updatePrices({0.4, 0.1, 0.2, 0.3});
+        original.setServerLive(2, false);
+        original.place();
+        original.place();
+        JobPlacer resumed(rule, original.state());
+        for (int k = 0; k < 6; ++k)
+            EXPECT_EQ(resumed.place(), original.place())
+                << toString(rule);
+    }
 }
 
 } // namespace

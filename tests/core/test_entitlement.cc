@@ -57,7 +57,8 @@ TEST(Entitlement, MapeOfSectionTwoExample)
     // The Fair Share allocation (10, 10, 16) against entitlements
     // (12, 12, 12): per-user errors 2/12, 2/12, 4/12 -> mean 22.22%.
     const auto market = threeUserMarket();
-    const JobMatrix alloc = {{6.0, 4.0}, {4.0, 6.0}, {6.0, 4.0, 6.0}};
+    const std::vector<std::vector<int>> alloc = {
+        {6, 4}, {4, 6}, {6, 4, 6}};
     EXPECT_NEAR(entitlementMape(market, alloc), 100.0 * (8.0 / 36.0),
                 1e-9);
 }
@@ -66,7 +67,8 @@ TEST(Entitlement, PerfectAllocationHasZeroMape)
 {
     // The trading allocation of Section II-B: everyone gets 12.
     const auto market = threeUserMarket();
-    const JobMatrix alloc = {{8.0, 4.0}, {4.0, 8.0}, {4.0, 4.0, 4.0}};
+    const std::vector<std::vector<int>> alloc = {
+        {8, 4}, {4, 8}, {4, 4, 4}};
     EXPECT_NEAR(entitlementMape(market, alloc), 0.0, 1e-12);
 }
 

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
@@ -197,6 +198,25 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
         return decodeOnlineState(encodeOnlineState(bad, opts), opts,
                                  ab.name());
     };
+    // The placer refuses a round-robin cursor past the cluster, so such
+    // a state exists only as bytes: the cursor is the one word in which
+    // the encodings of cursors 0 and 1 differ, and its low byte comes
+    // first.
+    const auto encodeWithCursor = [&](std::size_t cursor) {
+        OnlineRunState st = ran;
+        alloc::JobPlacerState placer = st.placer.state();
+        placer.nextRoundRobin = cursor;
+        st.placer = alloc::JobPlacer(opts.placement, placer);
+        return encodeOnlineState(st, opts);
+    };
+    const auto cursorPastCluster = [&] {
+        std::string bytes = encodeWithCursor(0);
+        const std::string other = encodeWithCursor(1);
+        const auto at =
+            std::mismatch(bytes.begin(), bytes.end(), other.begin()).first;
+        *at = static_cast<char>(opts.servers);
+        return decodeOnlineState(bytes, opts, ab.name());
+    };
     const std::size_t huge = 1000000;
     const Result<OnlineRunState> cases[] = {
         tampered([&](OnlineRunState &st) { st.jobs[0].user = huge; }),
@@ -208,6 +228,11 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
             st.waitQueue.push_back(st.jobs[0]);
             st.waitQueue.back().user = huge;
         }),
+        // The in-flight count is jobs minus completions, so the
+        // completion count must match the done jobs in the log.
+        tampered([](OnlineRunState &st) { ++st.metrics.jobsCompleted; }),
+        tampered([](OnlineRunState &st) { --st.metrics.jobsCompleted; }),
+        cursorPastCluster(),
     };
     for (const auto &bad : cases) {
         EXPECT_FALSE(bad.ok());
@@ -391,7 +416,7 @@ TEST(Recovery, DeltaStateRoundTripsAndResumes)
     // Pins the state bytes. The literal changes with kStateVersion
     // (src/eval/online.cc) and with the options fingerprint in bytes
     // 4-8, which onlineStateFingerprint hashes from the scenario.
-    EXPECT_EQ(crc32(encoded), 0xa7003291u);
+    EXPECT_EQ(crc32(encoded), 0x3493df1du);
     auto decoded = decodeOnlineState(encoded, opts, ab.name());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_EQ(encodeOnlineState(decoded.value(), opts), encoded);
