@@ -132,12 +132,4 @@ JobPlacer::updatePrices(const std::vector<double> &prices)
     std::fill(s_.sinceUpdate.begin(), s_.sinceUpdate.end(), 0);
 }
 
-int
-JobPlacer::load(std::size_t server) const
-{
-    if (server >= s_.loads.size())
-        fatal("server index ", server, " out of range");
-    return s_.loads[server];
-}
-
 } // namespace amdahl::alloc

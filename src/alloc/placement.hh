@@ -82,9 +82,6 @@ class JobPlacer
      *  until a sized one is assigned over it. */
     JobPlacer() = default;
 
-    /** @return The discipline in use. */
-    PlacementRule rule() const { return rule_; }
-
     /**
      * Choose a server for an arriving job and record the placement.
      * Ties break toward the lowest server index (deterministic).
@@ -118,10 +115,8 @@ class JobPlacer
      */
     void updatePrices(const std::vector<double> &prices);
 
-    /** @return Current jobs placed on @p server (and not finished). */
-    int load(std::size_t server) const;
-
-    /** @return The full mutable state (for snapshots). */
+    /** @return The full mutable state: the encoder's view, and the
+     *  current jobs on each server (`loads`). */
     const JobPlacerState &state() const { return s_; }
 
   private:

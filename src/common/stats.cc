@@ -73,22 +73,6 @@ median(const std::vector<double> &xs)
 }
 
 double
-trimmedMean(std::vector<double> xs, double trim)
-{
-    if (xs.empty())
-        fatal("trimmed mean of empty sample");
-    if (trim < 0.0 || trim >= 0.5)
-        fatal("trim fraction ", trim, " outside [0, 0.5)");
-    std::sort(xs.begin(), xs.end());
-    const auto drop = static_cast<std::size_t>(
-        std::floor(trim * static_cast<double>(xs.size())));
-    double sum = 0.0;
-    for (std::size_t i = drop; i < xs.size() - drop; ++i)
-        sum += xs[i];
-    return sum / static_cast<double>(xs.size() - 2 * drop);
-}
-
-double
 quantile(std::vector<double> xs, double q)
 {
     if (xs.empty())

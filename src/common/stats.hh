@@ -101,18 +101,6 @@ double geometricMean(const std::vector<double> &xs);
 double median(const std::vector<double> &xs);
 
 /**
- * Symmetrically trimmed mean: drop floor(trim * n) samples from each
- * tail, average the rest. The robust middle ground between the mean
- * (trim 0) and the median (trim -> 0.5): single outliers — one noisy
- * profiling run, one adversarial report — cannot drag it.
- *
- * @param xs   Samples (any order; copied and sorted internally).
- * @param trim Fraction to drop per tail, in [0, 0.5).
- * @return Mean of the retained samples. Requires non-empty input.
- */
-double trimmedMean(std::vector<double> xs, double trim);
-
-/**
  * Linear-interpolation sample quantile (type-7, the R/NumPy default).
  *
  * @param xs Samples (any order; copied and sorted internally).

@@ -102,6 +102,52 @@ inFlight(const OnlineRunState &s)
            static_cast<std::size_t>(s.metrics.jobsCompleted);
 }
 
+/**
+ * What the job log and the wait queue determine, so the encoding leaves
+ * it out: per-server placer loads (the not-done jobs placed there), the
+ * completion count (the done jobs) and the arrival count (every arrival
+ * was logged, waits in the queue, or was shed).
+ */
+struct LogFacts
+{
+    std::vector<int> loads;
+    int jobsCompleted = 0;
+    int jobsArrived = 0;
+
+    bool operator==(const LogFacts &) const = default;
+};
+
+LogFacts
+logFacts(const OnlineRunState &s, std::size_t servers)
+{
+    LogFacts f;
+    f.loads.assign(servers, 0);
+    for (const auto &job : s.jobs) {
+        if (job.done())
+            ++f.jobsCompleted;
+        else if (!job.unplaced())
+            ++f.loads[job.server];
+    }
+    // Unsigned, so a decoded shed count cannot overflow the sum.
+    f.jobsArrived = static_cast<int>(
+        s.jobs.size() + s.waitQueue.size() +
+        static_cast<std::size_t>(s.metrics.jobsShed));
+    return f;
+}
+
+/** Tenant budgets: the first draws of a run's RNG, so a pure function
+ *  of the seed. */
+std::vector<double>
+drawBudgets(Rng &rng, const OnlineOptions &opts)
+{
+    std::vector<double> budgets(static_cast<std::size_t>(opts.users));
+    for (auto &b : budgets) {
+        b = static_cast<double>(
+            rng.uniformInt(opts.minBudget, opts.maxBudget));
+    }
+    return budgets;
+}
+
 /** Cores of server j under the options' cluster shape. */
 int
 coresOf(const OnlineOptions &opts, std::size_t j)
@@ -130,7 +176,7 @@ emitRunStart(const OnlineOptions &opts, const std::string &policyName)
 }
 
 /** Layout version of encodeOnlineState; bump on any field change. */
-constexpr std::uint32_t kStateVersion = 5;
+constexpr std::uint32_t kStateVersion = 6;
 
 void
 putJob(ByteWriter &w, const OnlineJob &job)
@@ -182,19 +228,6 @@ readStats(ByteReader &r)
     st.lo = r.readF64();
     st.hi = r.readF64();
     return st;
-}
-
-void
-putCharVector(ByteWriter &w, const std::vector<char> &v)
-{
-    w.putString(std::string_view(v.data(), v.size()));
-}
-
-std::vector<char>
-readCharVector(ByteReader &r)
-{
-    const std::string s = r.readString();
-    return {s.begin(), s.end()};
 }
 
 void
@@ -307,7 +340,6 @@ putHead(ByteWriter &w, const OnlineRunState &s, const OnlineOptions &opts)
     w.putU64(static_cast<std::uint64_t>(s.epoch));
     for (std::uint64_t word : s.rng.state())
         w.putU64(word);
-    w.putF64Vector(s.budgets);
     w.putU64(s.jobs.size());
 }
 
@@ -320,19 +352,14 @@ putTail(ByteWriter &w, const OnlineRunState &s)
         putJob(w, job);
     w.putF64(s.queueDelaySum);
     const alloc::JobPlacerState &placer = s.placer.state();
-    putIntVector(w, placer.loads);
-    putCharVector(w, placer.live);
+    w.putString(std::string_view(placer.live.data(), placer.live.size()));
     w.putF64Vector(placer.prices);
     putIntVector(w, placer.sinceUpdate);
     w.putU64(static_cast<std::uint64_t>(placer.nextRoundRobin));
-    putStats(w, s.occupancy.state());
     putStats(w, s.weightedSpeedup.state());
     w.putF64Vector(s.granted);
     w.putF64Vector(s.entitled);
     w.putF64Vector(s.entitledAvail);
-    w.putString(s.metrics.policyName);
-    putCount(w, s.metrics.jobsArrived);
-    putCount(w, s.metrics.jobsCompleted);
     putCount(w, s.metrics.nonConvergedEpochs);
     putCount(w, s.metrics.fallbackEpochsDamped);
     putCount(w, s.metrics.fallbackEpochsProportional);
@@ -355,7 +382,8 @@ putTail(ByteWriter &w, const OnlineRunState &s)
     w.putU64(s.metrics.netQuorumCollapses);
     // The kernel cache and the frozen-prefix cursor are deliberately
     // absent: a recovered run rebuilds the one and restarts the other,
-    // and both are bitwise invisible.
+    // and both are bitwise invisible. So is all that decodeOnlineState
+    // derives.
 }
 
 /**
@@ -436,6 +464,12 @@ onlineStateDigest(OnlineRunState &s, const OnlineOptions &opts)
     AMDAHL_ASSERT(digest == crc32(encodeOnlineState(s, opts)),
                   "state digest ", digest, " at epoch ", s.epoch,
                   " differs from the CRC of the full encoding");
+    // The live values of what decode derives must be the derived ones.
+    AMDAHL_ASSERT((LogFacts{s.placer.state().loads, s.metrics.jobsCompleted,
+                            s.metrics.jobsArrived} ==
+                   logFacts(s, s.placer.state().loads.size())),
+                  "placer loads or job counts at epoch ", s.epoch,
+                  " differ from the job log's");
     return digest;
 }
 
@@ -468,7 +502,6 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
     for (auto &word : rng_words)
         word = r.readU64();
     s.rng = Rng(rng_words);
-    s.budgets = r.readF64Vector();
     const std::uint64_t job_count = r.readU64();
     for (std::uint64_t i = 0; r.ok() && i < job_count; ++i)
         s.jobs.push_back(readJob(r));
@@ -477,19 +510,15 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
         s.waitQueue.push_back(readJob(r));
     s.queueDelaySum = r.readF64();
     alloc::JobPlacerState placer;
-    placer.loads = readIntVector(r);
-    placer.live = readCharVector(r);
+    const std::string live = r.readString();
+    placer.live.assign(live.begin(), live.end());
     placer.prices = r.readF64Vector();
     placer.sinceUpdate = readIntVector(r);
     placer.nextRoundRobin = static_cast<std::size_t>(r.readU64());
-    s.occupancy = OnlineStats(readStats(r));
     s.weightedSpeedup = OnlineStats(readStats(r));
     s.granted = r.readF64Vector();
     s.entitled = r.readF64Vector();
     s.entitledAvail = r.readF64Vector();
-    s.metrics.policyName = r.readString();
-    s.metrics.jobsArrived = readCount(r);
-    s.metrics.jobsCompleted = readCount(r);
     s.metrics.nonConvergedEpochs = readCount(r);
     s.metrics.fallbackEpochsDamped = readCount(r);
     s.metrics.fallbackEpochsProportional = readCount(r);
@@ -525,14 +554,13 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
                              "snapshot is at epoch ", s.epoch,
                              " of a ", epochs, "-epoch horizon");
     }
-    if (s.budgets.size() != users || s.granted.size() != users ||
+    if (s.granted.size() != users ||
         s.entitled.size() != users || s.entitledAvail.size() != users) {
         return Status::error(ErrorKind::SemanticError, 0,
                              "snapshot tenant vectors do not match ",
                              users, " users");
     }
-    if (placer.loads.size() != servers || placer.live.size() != servers ||
-        placer.prices.size() != servers ||
+    if (placer.live.size() != servers || placer.prices.size() != servers ||
         placer.sinceUpdate.size() != servers) {
         return Status::error(ErrorKind::SemanticError, 0,
                              "snapshot server vectors do not match ",
@@ -574,18 +602,15 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
                              servers, " servers and ", workloads,
                              " workloads");
     }
-    // The in-flight count is derived from the completion count, so
-    // the count must be the job log's done jobs (a negative one wraps
-    // and fails too).
-    const auto done_jobs = static_cast<std::size_t>(
-        std::count_if(s.jobs.begin(), s.jobs.end(),
-                      [](const OnlineJob &job) { return job.done(); }));
-    if (static_cast<std::size_t>(s.metrics.jobsCompleted) != done_jobs) {
-        return Status::error(ErrorKind::SemanticError, 0,
-                             "snapshot counts ", s.metrics.jobsCompleted,
-                             " completed jobs but its job log holds ",
-                             done_jobs, " done ones");
-    }
+    // Derived, never stored, so a snapshot cannot disagree with its
+    // own job log, seed or policy.
+    LogFacts facts = logFacts(s, servers);
+    placer.loads = std::move(facts.loads);
+    s.metrics.jobsCompleted = facts.jobsCompleted;
+    s.metrics.jobsArrived = facts.jobsArrived;
+    Rng budget_rng(opts.seed);
+    s.budgets = drawBudgets(budget_rng, opts);
+    s.metrics.policyName = std::string(policyName);
     s.placer = alloc::JobPlacer(opts.placement, std::move(placer));
     return s;
 }
@@ -604,11 +629,7 @@ OnlineSimulator::initState(const alloc::AllocationPolicy &policy) const
     // seed, so toggling it never shifts the arrivals either.
     OnlineRunState s;
     s.rng = Rng(opts_.seed);
-    s.budgets.resize(static_cast<std::size_t>(opts_.users));
-    for (auto &b : s.budgets) {
-        b = static_cast<double>(
-            s.rng.uniformInt(opts_.minBudget, opts_.maxBudget));
-    }
+    s.budgets = drawBudgets(s.rng, opts_);
     s.metrics.policyName = policy.name();
     s.placer = alloc::JobPlacer(opts_.placement,
                                 static_cast<std::size_t>(opts_.servers));
@@ -882,7 +903,6 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         if (!jobs[k].unplaced())
             active.push_back(k);
     }
-    s.occupancy.add(static_cast<double>(in_system));
     metrics.occupancyHistory.push_back(
         static_cast<double>(in_system));
     if (active.empty()) {
@@ -1084,20 +1104,17 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
     // equilibrium prices where the policy publishes them (idle
     // servers are free), current loads otherwise.
     {
-        std::vector<double> signal(
-            static_cast<std::size_t>(opts_.servers), 0.0);
+        const std::vector<int> &loads = placer.state().loads;
+        std::vector<double> signal(loads.size(), 0.0);
         const bool has_prices =
             result.outcome.prices.size() == capacities.size();
-        for (int j = 0; j < opts_.servers; ++j) {
-            const int slot = server_map[static_cast<std::size_t>(j)];
+        for (std::size_t j = 0; j < signal.size(); ++j) {
+            const int slot = server_map[j];
             if (has_prices && slot >= 0) {
-                signal[static_cast<std::size_t>(j)] =
-                    result.outcome
-                        .prices[static_cast<std::size_t>(slot)];
+                signal[j] = result.outcome
+                                .prices[static_cast<std::size_t>(slot)];
             } else if (!has_prices) {
-                signal[static_cast<std::size_t>(j)] =
-                    static_cast<double>(placer.load(
-                        static_cast<std::size_t>(j)));
+                signal[j] = static_cast<double>(loads[j]);
             }
         }
         placer.updatePrices(signal);
@@ -1207,7 +1224,12 @@ OnlineSimulator::finalize(const OnlineRunState &s) const
         metrics.meanCompletionSeconds = mean(completions);
         metrics.p95CompletionSeconds = quantile(completions, 0.95);
     }
-    metrics.meanJobsInSystem = s.occupancy.mean();
+    // Welford's fold in epoch order: the mean is a function of the
+    // history alone, so a recovered run's is the same to the last bit.
+    OnlineStats occupancy;
+    for (double jobs_in_system : s.metrics.occupancyHistory)
+        occupancy.add(jobs_in_system);
+    metrics.meanJobsInSystem = occupancy.mean();
     metrics.meanWeightedSpeedup = s.weightedSpeedup.mean();
 
     double mape = 0.0;

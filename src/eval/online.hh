@@ -366,7 +366,7 @@ struct OnlineMetrics
  * The complete mutable state of an online run between two epochs.
  *
  * Everything the epoch loop reads or writes lives here — the RNG, the
- * job log, the admission queue, the placer, the Welford accumulators,
+ * job log, the admission queue, the placer, the speedup accumulator,
  * and the partial metrics counters — and runEpoch works on them in
  * place. Two properties the durability layer relies on:
  *
@@ -376,6 +376,14 @@ struct OnlineMetrics
  *  - encodeOnlineState() is a pure function of this struct, so the
  *    per-epoch CRC digest and snapshot bytes are identical across the
  *    original run, a recovery replay, and the equivalence oracle.
+ *
+ * The encoding stores only what it cannot derive. decodeOnlineState()
+ * derives the rest, so a snapshot cannot disagree with it: `budgets`
+ * from the seed, `metrics.policyName` from its caller, and from the
+ * job log the placer's loads (the not-done jobs placed on each
+ * server), `metrics.jobsCompleted` (the done jobs) and
+ * `metrics.jobsArrived` (jobs logged, queued or shed). The mean
+ * occupancy is folded from `metrics.occupancyHistory` by finalize().
  *
  * `metrics.jobs` and `metrics.metricsSnapshot` stay empty until
  * finalize(); recovery counters on OnlineMetrics are excluded from the
@@ -394,7 +402,6 @@ struct OnlineRunState
     double queueDelaySum = 0.0;
     /** Also the one record of which servers are live. */
     alloc::JobPlacer placer;
-    OnlineStats occupancy;
     OnlineStats weightedSpeedup;
     std::vector<double> granted;
     std::vector<double> entitled;
@@ -466,7 +473,8 @@ std::uint32_t onlineStateDigest(OnlineRunState &state,
  *
  * @return ParseError on malformed bytes, SemanticError on a version
  * or fingerprint mismatch (the state was written by a different build
- * or scenario) or internally inconsistent sizes.
+ * or scenario), internally inconsistent sizes, or a job naming a
+ * user, server or workload outside the scenario.
  */
 Result<OnlineRunState> decodeOnlineState(std::string_view payload,
                                          const OnlineOptions &opts,

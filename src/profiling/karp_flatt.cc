@@ -45,41 +45,14 @@ estimateFraction(const WorkloadProfile &profile, double datasetGB)
     return est;
 }
 
-const char *
-toString(FractionAggregator aggregator)
-{
-    switch (aggregator) {
-      case FractionAggregator::GeometricMean:
-        return "geomean";
-      case FractionAggregator::Median:
-        return "median";
-      case FractionAggregator::TrimmedMean:
-        return "trimmed";
-    }
-    fatal("unknown fraction aggregator");
-}
-
 double
-estimateFractionFromSamples(const WorkloadProfile &profile,
-                            FractionAggregator aggregator)
+estimateFractionFromSamples(const WorkloadProfile &profile)
 {
     std::vector<double> expectations;
     expectations.reserve(profile.datasetsGB.size());
     for (double gb : profile.datasetsGB)
         expectations.push_back(estimateFraction(profile, gb).expected);
-    double combined = 0.0;
-    switch (aggregator) {
-      case FractionAggregator::GeometricMean:
-        combined = geometricMean(expectations);
-        break;
-      case FractionAggregator::Median:
-        combined = median(expectations);
-        break;
-      case FractionAggregator::TrimmedMean:
-        combined = trimmedMean(expectations, 0.2);
-        break;
-    }
-    const double f = std::min(1.0, combined);
+    const double f = std::min(1.0, geometricMean(expectations));
     if constexpr (checkedBuild)
         invariants::CheckParallelFraction(f, "sampled karp-flatt");
     return f;

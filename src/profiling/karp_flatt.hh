@@ -48,34 +48,13 @@ FractionEstimate estimateFraction(const WorkloadProfile &profile,
                                   double datasetGB);
 
 /**
- * How per-dataset expectations E[F_d] combine into the workload-level
- * estimate. The paper uses the geometric mean (Section IV-C); the
- * robust variants resist the outliers noisy sampled profiling
- * produces — one corrupted dataset profile drags a geometric mean but
- * barely moves a median.
- */
-enum class FractionAggregator
-{
-    GeometricMean, //!< The paper's aggregator (the default).
-    Median,        //!< Median of E[F_d]; breakdown point 50%.
-    TrimmedMean,   //!< 20%-per-tail trimmed mean of E[F_d].
-};
-
-/** @return Short label for an aggregator ("geomean", ...). */
-const char *toString(FractionAggregator aggregator);
-
-/**
- * The workload-level estimate from sampled datasets: the per-dataset
- * expectations E[F_d] combined by the chosen aggregator (paper
- * Section IV-C uses the geometric mean).
+ * The workload-level estimate from sampled datasets: the geometric
+ * mean of the per-dataset expectations E[F_d] (paper Section IV-C).
  *
- * @param profile    Grid profile over all sampled datasets.
- * @param aggregator How the per-dataset expectations combine.
+ * @param profile Grid profile over all sampled datasets.
  * @return Estimated parallel fraction in (0, 1].
  */
-double estimateFractionFromSamples(
-    const WorkloadProfile &profile,
-    FractionAggregator aggregator = FractionAggregator::GeometricMean);
+double estimateFractionFromSamples(const WorkloadProfile &profile);
 
 } // namespace amdahl::profiling
 

@@ -66,10 +66,9 @@ TEST(Placement, LoadTracking)
     placer.place();
     placer.place();
     placer.place();
-    EXPECT_EQ(placer.load(0), 2);
-    EXPECT_EQ(placer.load(1), 1);
+    EXPECT_EQ(placer.state().loads, (std::vector<int>{2, 1}));
     placer.jobFinished(0);
-    EXPECT_EQ(placer.load(0), 1);
+    EXPECT_EQ(placer.state().loads, (std::vector<int>{1, 1}));
 }
 
 TEST(Placement, Validation)
@@ -77,7 +76,6 @@ TEST(Placement, Validation)
     EXPECT_THROW(JobPlacer(PlacementRule::RoundRobin, 0), FatalError);
     JobPlacer placer(PlacementRule::RoundRobin, 2);
     EXPECT_THROW(placer.jobFinished(2), FatalError);
-    EXPECT_THROW(placer.load(2), FatalError);
     EXPECT_THROW(placer.updatePrices({0.1}), FatalError);
     EXPECT_THROW(placer.jobFinished(0), PanicError); // none placed
 

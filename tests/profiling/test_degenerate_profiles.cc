@@ -18,7 +18,6 @@
 #include "profiling/karp_flatt.hh"
 #include "profiling/predictor.hh"
 #include "profiling/profiler.hh"
-#include "profiling/sanitize.hh"
 
 namespace amdahl::profiling {
 namespace {
@@ -102,18 +101,14 @@ TEST(DegenerateProfiles, SubSerialSpeedupsClampNotExplode)
     }
     EXPECT_TRUE(std::isfinite(estimateFractionFromSamples(profile)));
 
-    auto speedups = profile.speedups(4.0);
-    const auto repair = sanitizeSpeedups(
-        speedups, profile.multiCoreCounts());
-    EXPECT_EQ(repair.subSerialClamped, 0); // s in (0,1) is legal
-    for (double s : speedups)
-        EXPECT_GT(s, 0.0);
+    for (double s : profile.speedups(4.0))
+        EXPECT_GT(s, 0.0); // s in (0,1) is legal
 }
 
 TEST(DegenerateProfiles, NonMonotoneCurveFlowsThroughPipeline)
 {
     // A dip at 4 cores (contention) then recovery: estimates stay
-    // finite, and the isotonic repair removes the dip when asked.
+    // finite.
     const auto profile = makeProfile(
         {1, 2, 4, 8}, {4.0}, [](double, int x) {
             if (x == 4)
@@ -124,15 +119,6 @@ TEST(DegenerateProfiles, NonMonotoneCurveFlowsThroughPipeline)
     for (double f : est.fractions)
         EXPECT_TRUE(std::isfinite(f));
     EXPECT_TRUE(std::isfinite(est.medianF));
-
-    auto speedups = profile.speedups(4.0);
-    SanitizeOptions opts;
-    opts.enforceMonotone = true;
-    const auto repair =
-        sanitizeSpeedups(speedups, profile.multiCoreCounts(), opts);
-    EXPECT_GE(repair.monotoneRaised, 1);
-    for (std::size_t k = 1; k < speedups.size(); ++k)
-        EXPECT_GE(speedups[k], speedups[k - 1]);
 }
 
 TEST(DegenerateProfiles, FlatCurveGivesSerialFractionAndClears)
@@ -196,43 +182,18 @@ TEST(DegenerateProfiles, PredictorSurvivesDegenerateGrid)
 
 TEST(DegenerateProfiles, SanitizedEstimateFeedsMarketEndToEnd)
 {
-    // The whole trust boundary in one pass: a hostile profile (dip +
-    // sub-serial tail) is sanitized, estimated, policed, and cleared.
+    // The whole pipeline in one pass: a hostile profile (dip +
+    // sub-serial point) is estimated, clamped by Karp-Flatt, and
+    // cleared.
     const auto profile = makeProfile(
         {1, 2, 4, 8}, {4.0}, [](double, int x) {
             if (x == 4)
                 return 12.0; // worse than serial
             return 10.0 * (0.3 + 0.7 / static_cast<double>(x));
         });
-    auto speedups = profile.speedups(4.0);
-    SanitizeOptions opts;
-    opts.enforceMonotone = true;
-    sanitizeSpeedups(speedups, profile.multiCoreCounts(), opts);
-
     const double f = estimateFraction(profile, 4.0).medianF;
     ASSERT_TRUE(std::isfinite(f));
-
-    core::MarketUser report;
-    report.name = "tenant";
-    report.budget = 1.0;
-    report.jobs.push_back({0, f, 1.0});
-    core::MarketUser peer;
-    peer.name = "peer";
-    peer.budget = 1.0;
-    peer.jobs.push_back({0, 0.5, 1.0});
-    ReportPolicy policy;
-    policy.minFraction = 0.01;
-    policy.maxFraction = 0.999;
-    std::vector<core::MarketUser> reports;
-    reports.push_back(std::move(report));
-    reports.push_back(std::move(peer));
-    const auto market = sanitizeMarketReports(
-        {16.0}, std::move(reports), policy);
-
-    const auto outcome = core::solveAmdahlBidding(market);
-    EXPECT_TRUE(outcome.converged);
-    invariants::CheckMarketState(outcome.prices, outcome.bids,
-                                 "sanitized end-to-end");
+    EXPECT_TRUE(clearWithFraction(f).converged);
 }
 
 } // namespace

@@ -838,6 +838,47 @@ cmdTraceAnalyze(const std::vector<std::string> &args)
     return 0;
 }
 
+/**
+ * Print a trace run's one-line summary to stderr; a durable run
+ * (@p durable) adds its commit, IO-fault and recovery counts.
+ */
+void
+printRunSummary(int epochs, const eval::OnlineOptions &opts,
+                const eval::OnlineMetrics &metrics, bool durable)
+{
+    std::cerr << "trace: " << epochs << " epoch(s), "
+              << metrics.jobsArrived << " job(s) arrived, "
+              << metrics.jobsCompleted << " completed, "
+              << metrics.nonConvergedEpochs
+              << " non-converged epoch(s)";
+    if (opts.faults.enabled)
+        std::cerr << ", " << metrics.crashEvents << " crash(es)";
+    if (opts.admission.enabled)
+        std::cerr << ", " << metrics.jobsShed << " shed";
+    if (opts.net.enabled()) {
+        std::cerr << ", " << metrics.netDegradedRounds
+                  << " degraded round(s), "
+                  << metrics.netQuorumCollapses
+                  << " quorum collapse(s), " << metrics.netRetransmits
+                  << " retransmit(s)";
+    }
+    if (durable) {
+        std::cerr << ", " << metrics.journalCommits
+                  << " journal commit(s), " << metrics.snapshotsWritten
+                  << " snapshot(s)";
+    }
+    if (metrics.ioInjectedFaults > 0)
+        std::cerr << ", " << metrics.ioInjectedFaults
+                  << " injected IO fault(s) (" << metrics.ioRetries
+                  << " retried)";
+    if (metrics.recovered)
+        std::cerr << "; recovered from epoch "
+                  << metrics.recoveryFrontierEpoch << " ("
+                  << metrics.recoveryReplayedEpochs
+                  << " epoch(s) replayed)";
+    std::cerr << "\n";
+}
+
 int
 cmdTrace(const std::vector<std::string> &args,
          const std::string &traceOut)
@@ -994,23 +1035,7 @@ cmdTrace(const std::vector<std::string> &args,
         if (int rc = finishTraceSink(sink, traceOut, 0); rc != 0)
             return rc;
 
-        std::cerr << "trace: " << epochs << " epoch(s), "
-                  << metrics.jobsArrived << " job(s) arrived, "
-                  << metrics.jobsCompleted << " completed, "
-                  << metrics.nonConvergedEpochs
-                  << " non-converged epoch(s)";
-        if (opts.faults.enabled)
-            std::cerr << ", " << metrics.crashEvents << " crash(es)";
-        if (opts.admission.enabled)
-            std::cerr << ", " << metrics.jobsShed << " shed";
-        if (opts.net.enabled()) {
-            std::cerr << ", " << metrics.netDegradedRounds
-                      << " degraded round(s), "
-                      << metrics.netQuorumCollapses
-                      << " quorum collapse(s), "
-                      << metrics.netRetransmits << " retransmit(s)";
-        }
-        std::cerr << "\n";
+        printRunSummary(epochs, opts, metrics, false);
         return 0;
     }
 
@@ -1110,35 +1135,7 @@ cmdTrace(const std::vector<std::string> &args,
     if (int rc = finishTraceSink(sink, traceOut, 0); rc != 0)
         return rc;
 
-    std::cerr << "trace: " << epochs << " epoch(s), "
-              << metrics.jobsArrived << " job(s) arrived, "
-              << metrics.jobsCompleted << " completed, "
-              << metrics.nonConvergedEpochs
-              << " non-converged epoch(s)";
-    if (opts.faults.enabled)
-        std::cerr << ", " << metrics.crashEvents << " crash(es)";
-    if (opts.admission.enabled)
-        std::cerr << ", " << metrics.jobsShed << " shed";
-    if (opts.net.enabled()) {
-        std::cerr << ", " << metrics.netDegradedRounds
-                  << " degraded round(s), "
-                  << metrics.netQuorumCollapses
-                  << " quorum collapse(s), " << metrics.netRetransmits
-                  << " retransmit(s)";
-    }
-    std::cerr << ", " << metrics.journalCommits
-              << " journal commit(s), " << metrics.snapshotsWritten
-              << " snapshot(s)";
-    if (metrics.ioInjectedFaults > 0)
-        std::cerr << ", " << metrics.ioInjectedFaults
-                  << " injected IO fault(s) (" << metrics.ioRetries
-                  << " retried)";
-    if (metrics.recovered)
-        std::cerr << "; recovered from epoch "
-                  << metrics.recoveryFrontierEpoch << " ("
-                  << metrics.recoveryReplayedEpochs
-                  << " epoch(s) replayed)";
-    std::cerr << "\n";
+    printRunSummary(epochs, opts, metrics, true);
     return 0;
 }
 
