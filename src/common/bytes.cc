@@ -42,13 +42,6 @@ ByteWriter::putString(std::string_view s)
 }
 
 void
-ByteWriter::putRaw(std::string_view bytes)
-{
-    flush();
-    buf.append(bytes.data(), bytes.size());
-}
-
-void
 ByteWriter::putF64Vector(const std::vector<double> &v)
 {
     putU64(v.size());

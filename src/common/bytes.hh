@@ -80,6 +80,15 @@ class ByteWriter
     /** Reserve room for @p n bytes in total. */
     void reserve(std::size_t n) { buf.reserve(n); }
 
+    /** Drop the bytes written so far and keep the capacity, so one
+     *  writer can encode chunk after chunk. */
+    void
+    clear()
+    {
+        buf.clear();
+        staged = 0;
+    }
+
     /** Fold one byte. */
     void putU8(std::uint8_t v) { put<1>(v); }
 
@@ -94,9 +103,6 @@ class ByteWriter
 
     /** Fold a byte string with a u64 length prefix. */
     void putString(std::string_view s);
-
-    /** Append bytes another writer produced, with no prefix. */
-    void putRaw(std::string_view bytes);
 
     /** Fold a vector of doubles with a u64 count prefix. */
     void putF64Vector(const std::vector<double> &v);

@@ -387,6 +387,25 @@ putTail(ByteWriter &w, const OnlineRunState &s)
 }
 
 /**
+ * Hand the records of @p jobs to @p sink, kStateChunkJobs at a time
+ * through one reused writer, so no piece grows with the job log.
+ */
+void
+emitJobs(std::span<const OnlineJob> jobs,
+         const durability::PayloadSink &sink)
+{
+    ByteWriter chunk;
+    chunk.reserve(kJobBytes * std::min(jobs.size(), kStateChunkJobs));
+    for (std::size_t k = 0; k < jobs.size(); k += kStateChunkJobs) {
+        chunk.clear();
+        for (const OnlineJob &job :
+             jobs.subspan(k, std::min(kStateChunkJobs, jobs.size() - k)))
+            putJob(chunk, job);
+        sink(chunk.bytes());
+    }
+}
+
+/**
  * Move the frozen-prefix cursor past the done jobs that follow it,
  * folding their records into the cached CRC. The only place the
  * cursor moves: jobs are only ever appended, and a done job is never
@@ -398,15 +417,12 @@ advanceFrozenJobs(OnlineRunState &s)
     std::size_t end = s.frozenJobs;
     while (end < s.jobs.size() && s.jobs[end].done())
         ++end;
-    if (end == s.frozenJobs)
-        return;
-    ByteWriter w;
-    w.reserve((end - s.frozenJobs) * kJobBytes);
-    for (std::size_t k = s.frozenJobs; k < end; ++k)
-        putJob(w, s.jobs[k]);
-    const std::string &bytes = w.bytes();
-    s.frozenJobsCrc =
-        crc32Update(s.frozenJobsCrc, bytes.data(), bytes.size());
+    emitJobs(std::span<const OnlineJob>(s.jobs).subspan(
+                 s.frozenJobs, end - s.frozenJobs),
+             [&](std::string_view piece) {
+                 s.frozenJobsCrc = crc32Update(
+                     s.frozenJobsCrc, piece.data(), piece.size());
+             });
     s.frozenJobs = end;
 }
 
@@ -423,19 +439,30 @@ unfrozenJobs(OnlineRunState &s)
 std::string
 encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
 {
-    // The tail is small: encoded first, it sizes the buffer exactly, so
-    // the job log is written once into one allocation instead of
-    // doubling (and copying) its way up to a multi-megabyte state.
+    // Collecting the pieces never reads the declared CRC.
+    return onlineStatePayload(s, opts, 0).collect();
+}
+
+durability::SnapshotPayload
+onlineStatePayload(const OnlineRunState &s, const OnlineOptions &opts,
+                   std::uint32_t digest)
+{
+    ByteWriter head;
+    putHead(head, s, opts);
     ByteWriter tail;
     putTail(tail, s);
-    ByteWriter w;
-    putHead(w, s, opts);
-    w.reserve(w.bytes().size() + kJobBytes * s.jobs.size() +
-              tail.bytes().size());
-    for (const auto &job : s.jobs)
-        putJob(w, job);
-    w.putRaw(tail.bytes());
-    return w.take();
+    const std::span<const OnlineJob> jobs = s.jobs;
+    const std::uint64_t size = head.bytes().size() +
+                               kJobBytes * jobs.size() +
+                               tail.bytes().size();
+    return durability::SnapshotPayload(
+        size, digest,
+        [head = head.take(), jobs,
+         tail = tail.take()](const durability::PayloadSink &sink) {
+            sink(head);
+            emitJobs(jobs, sink);
+            sink(tail);
+        });
 }
 
 std::uint32_t
@@ -1414,12 +1441,13 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
         durability::OnlineSnapshotEnvelope env;
         env.traceBytes = entry.traceBytes;
         env.traceSeq = entry.traceSeq;
-        // The store calls the encoder only on a snapshot epoch, after
-        // the journal entry is written: the one full encoding a
-        // commit can need.
+        // The store calls this only on a snapshot epoch, after the
+        // journal entry is written. The state streams to disk in
+        // chunks, and the entry's digest is its CRC.
         if (Status st = store.commitEpoch(entry, [&] {
-                env.state = encodeOnlineState(state, opts_);
-                return durability::encodeSnapshotEnvelope(env);
+                return durability::streamSnapshotEnvelope(
+                    env, onlineStatePayload(state, opts_,
+                                            entry.eventCrc));
             });
             !st.isOk())
             return st;
@@ -1447,8 +1475,10 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
     if (Status st = store.finishRun(
             static_cast<std::uint64_t>(epochs),
             [&] {
-                final_env.state = encodeOnlineState(state, opts_);
-                return durability::encodeSnapshotEnvelope(final_env);
+                return durability::streamSnapshotEnvelope(
+                    final_env,
+                    onlineStatePayload(state, opts_,
+                                       onlineStateDigest(state, opts_)));
             });
         !st.isOk())
         return st;

@@ -455,6 +455,23 @@ std::uint32_t onlineStateFingerprint(const OnlineOptions &opts,
 std::string encodeOnlineState(const OnlineRunState &state,
                               const OnlineOptions &opts);
 
+/** Job records per piece of a streamed state (a 288 KiB buffer). */
+inline constexpr std::size_t kStateChunkJobs = 4096;
+
+/**
+ * encodeOnlineState(@p state, @p opts) as a streamed snapshot payload:
+ * the fields before the job log, then the job records kStateChunkJobs
+ * at a time through one reused buffer, then the fields after the log,
+ * so no piece grows with the log. encodeOnlineState is this stream
+ * appended to one string. @p digest is declared as the payload's CRC
+ * and must be onlineStateDigest(@p state, @p opts); checked builds
+ * verify it when the payload is written. The job records are read
+ * when emitted, so @p state must outlive the payload, unchanged.
+ */
+durability::SnapshotPayload onlineStatePayload(const OnlineRunState &state,
+                                               const OnlineOptions &opts,
+                                               std::uint32_t digest);
+
 /**
  * @return crc32(encodeOnlineState(@p state, @p opts)), the journal's
  * per-epoch state digest, without encoding the frozen job prefix: the

@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "common/bytes.hh"
+#include "common/crc32.hh"
 #include "robustness/durability/kill_points.hh"
 
 namespace amdahl::durability {
@@ -26,15 +27,43 @@ validateDurabilityOptions(const DurabilityOptions &opts)
     return validateIoFaultOptions(opts.ioFaults);
 }
 
+namespace {
+
+/** The envelope up to the state bytes: flag, frontier, state length. */
 std::string
-encodeSnapshotEnvelope(const OnlineSnapshotEnvelope &env)
+envelopePrefix(const OnlineSnapshotEnvelope &env, std::uint64_t stateLen)
 {
     ByteWriter w;
     w.putU32(env.completed ? 1 : 0);
     w.putU64(env.traceBytes);
     w.putU64(env.traceSeq);
-    w.putString(env.state);
+    w.putU64(stateLen);
     return w.take();
+}
+
+} // namespace
+
+std::string
+encodeSnapshotEnvelope(const OnlineSnapshotEnvelope &env)
+{
+    return envelopePrefix(env, env.state.size()) + env.state;
+}
+
+SnapshotPayload
+streamSnapshotEnvelope(const OnlineSnapshotEnvelope &env,
+                       SnapshotPayload state)
+{
+    std::string prefix = envelopePrefix(env, state.size);
+    const std::uint64_t size = prefix.size() + state.size;
+    const std::uint32_t crc =
+        crc32Combine(crc32(prefix), state.crc, state.size);
+    return SnapshotPayload(
+        size, crc,
+        [prefix = std::move(prefix),
+         emitState = std::move(state.emit)](const PayloadSink &sink) {
+            sink(prefix);
+            emitState(sink);
+        });
 }
 
 Result<OnlineSnapshotEnvelope>
@@ -224,9 +253,10 @@ DurableStateStore::beginResume(const RecoveredState &rec)
 
 Status
 DurableStateStore::takeSnapshot(
-    std::uint64_t epoch, const std::function<std::string()> &encodeState)
+    std::uint64_t epoch,
+    const std::function<SnapshotPayload()> &encodeState)
 {
-    const std::string payload = encodeState();
+    const SnapshotPayload payload = encodeState();
     if (Status st = snapshots_.write(epoch, payload, io_); !st.isOk())
         return st;
     ++counters_->snapshotsWritten;
@@ -240,7 +270,7 @@ DurableStateStore::takeSnapshot(
 Status
 DurableStateStore::commitEpoch(
     const JournalEntry &entry,
-    const std::function<std::string()> &encodeState)
+    const std::function<SnapshotPayload()> &encodeState)
 {
     if (!journal_)
         return Status::error(ErrorKind::SemanticError, 0,
@@ -264,7 +294,8 @@ DurableStateStore::commitEpoch(
 
 Status
 DurableStateStore::finishRun(
-    std::uint64_t epoch, const std::function<std::string()> &encodeState)
+    std::uint64_t epoch,
+    const std::function<SnapshotPayload()> &encodeState)
 {
     if (!journal_)
         return Status::error(ErrorKind::SemanticError, 0,

@@ -8,9 +8,12 @@
  *   1. journal.append(entry)      — the epoch's verification digest
  *      and trace frontier become durable (WAL rule: nothing the epoch
  *      produced is observable until this fsync returns);
- *   2. every snapshotEvery epochs: snapshot.write(full state) then
+ *   2. every snapshotEvery epochs: snapshot.write(state payload), then
  *      journal.reset() — the snapshot makes journaled epochs
- *      redundant, so the journal truncates back to a bare header.
+ *      redundant, so the journal truncates back to a bare header. The
+ *      payload is streamed (SnapshotPayload): the state goes to disk
+ *      in bounded pieces, and its CRC comes from the epoch's digest,
+ *      not from a second pass over the bytes.
  *
  * A journal entry is deliberately *not* a state delta. It records the
  * epoch number, a CRC digest of everything the epoch admitted
@@ -97,6 +100,16 @@ struct OnlineSnapshotEnvelope
 /** Encode a snapshot envelope to payload bytes. */
 std::string encodeSnapshotEnvelope(const OnlineSnapshotEnvelope &env);
 
+/**
+ * The envelope of @p env's flag and trace frontier around @p state,
+ * streamed: byte for byte encodeSnapshotEnvelope of an envelope that
+ * holds state.collect(), without collecting it (`env.state` is not
+ * read). The declared CRC is glued from the small prefix's and
+ * state.crc (crc32Combine), so no state byte is read to derive it.
+ */
+SnapshotPayload streamSnapshotEnvelope(const OnlineSnapshotEnvelope &env,
+                                       SnapshotPayload state);
+
 /** Decode a snapshot payload; ParseError/SemanticError on bad bytes. */
 Result<OnlineSnapshotEnvelope>
 decodeSnapshotEnvelope(std::string_view payload);
@@ -164,12 +177,13 @@ class DurableStateStore
      * when a snapshot is actually taken. Brackets the work with the
      * epoch.pre_commit / epoch.post_commit kill points.
      */
-    Status commitEpoch(const JournalEntry &entry,
-                       const std::function<std::string()> &encodeState);
+    Status
+    commitEpoch(const JournalEntry &entry,
+                const std::function<SnapshotPayload()> &encodeState);
 
     /** Final snapshot at @p epoch + journal reset (run completed). */
     Status finishRun(std::uint64_t epoch,
-                     const std::function<std::string()> &encodeState);
+                     const std::function<SnapshotPayload()> &encodeState);
 
     /** @return Cumulative IO/fault/commit counters. */
     const DurabilityCounters &counters() const { return *counters_; }
@@ -194,8 +208,9 @@ class DurableStateStore
     {}
 
     /** Snapshot + journal reset at @p epoch. */
-    Status takeSnapshot(std::uint64_t epoch,
-                        const std::function<std::string()> &encodeState);
+    Status
+    takeSnapshot(std::uint64_t epoch,
+                 const std::function<SnapshotPayload()> &encodeState);
 
     DurabilityOptions opts_;
     SnapshotStore snapshots_;

@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "common/bytes.hh"
+#include "common/check.hh"
 #include "common/crc32.hh"
 #include "robustness/durability/kill_points.hh"
 
@@ -133,10 +134,37 @@ SnapshotStore::pathFor(std::uint64_t epoch) const
            std::string(kSuffix);
 }
 
+SnapshotPayload::SnapshotPayload(
+    std::uint64_t size, std::uint32_t crc,
+    std::function<void(const PayloadSink &)> emit)
+    : size(size), crc(crc), emit(std::move(emit))
+{}
+
+SnapshotPayload::SnapshotPayload(std::string bytes)
+    : size(bytes.size()), crc(crc32(bytes)),
+      emit([bytes = std::move(bytes)](const PayloadSink &sink) {
+          sink(bytes);
+      })
+{}
+
+std::string
+SnapshotPayload::collect() const
+{
+    std::string out;
+    out.reserve(size);
+    emit([&](std::string_view piece) { out.append(piece); });
+    return out;
+}
+
 Status
-SnapshotStore::write(std::uint64_t epoch, std::string_view payload,
+SnapshotStore::write(std::uint64_t epoch, const SnapshotPayload &payload,
                      IoContext &io)
 {
+    if (payload.size > kMaxPayloadBytes)
+        return Status::error(ErrorKind::DomainError, 0,
+                             "snapshot payload of ", payload.size,
+                             " bytes exceeds the ", kMaxPayloadBytes,
+                             "-byte limit its reader accepts");
     ByteWriter header;
     header.putU32(static_cast<std::uint32_t>(kMagic[0]) |
                   static_cast<std::uint32_t>(kMagic[1]) << 8 |
@@ -144,8 +172,8 @@ SnapshotStore::write(std::uint64_t epoch, std::string_view payload,
                   static_cast<std::uint32_t>(kMagic[3]) << 24);
     header.putU32(kVersion);
     header.putU64(epoch);
-    header.putU64(payload.size());
-    header.putU32(crc32(payload));
+    header.putU64(payload.size);
+    header.putU32(payload.crc);
     const std::string head = header.take();
 
     const std::string finalPath = pathFor(epoch);
@@ -163,16 +191,45 @@ SnapshotStore::write(std::uint64_t epoch, std::string_view payload,
         PosixFile tmp = opened.take();
         if (Status w = tmp.writeAll(head.data(), head.size()); !w.isOk())
             return w;
-        const std::size_t half = payload.size() / 2;
-        if (Status w = tmp.writeAll(payload.data(), half); !w.isOk())
-            return w;
         // Torn-write crash site: a partial tmp file, never renamed —
-        // recovery must ignore it entirely.
-        killPoint("snapshot.mid_write");
-        if (Status w = tmp.writeAll(payload.data() + half,
-                                    payload.size() - half);
-            !w.isOk())
+        // recovery must ignore it entirely. It fires once the first
+        // half of the payload is written, splitting a piece if need be.
+        const std::uint64_t half = payload.size / 2;
+        std::uint64_t written = 0;
+        std::uint32_t folded = 0;
+        bool torn = false;
+        const auto tearAtHalf = [&] {
+            if (!torn && written == half) {
+                torn = true;
+                killPoint("snapshot.mid_write");
+            }
+        };
+        Status w = Status::ok();
+        tearAtHalf();
+        payload.emit([&](std::string_view piece) {
+            if constexpr (checkedBuild)
+                folded = crc32Update(folded, piece.data(), piece.size());
+            while (w.isOk() && !piece.empty()) {
+                std::size_t n = piece.size();
+                if (written < half)
+                    n = static_cast<std::size_t>(
+                        std::min<std::uint64_t>(n, half - written));
+                w = tmp.writeAll(piece.data(), n);
+                written += n;
+                piece.remove_prefix(n);
+                tearAtHalf();
+            }
+        });
+        if (!w.isOk())
             return w;
+        if (written != payload.size)
+            return Status::error(ErrorKind::SemanticError, 0,
+                                 "snapshot payload emitted ", written,
+                                 " bytes; its size was declared as ",
+                                 payload.size);
+        AMDAHL_ASSERT(folded == payload.crc, "snapshot payload for epoch ",
+                      epoch, " emitted bytes with CRC ", folded,
+                      "; its declared CRC is ", payload.crc);
         if (Status s = tmp.sync(); !s.isOk())
             return s;
         return tmp.close();

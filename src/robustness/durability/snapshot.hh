@@ -13,6 +13,11 @@
  * partially written snapshot under the final name; a crash can only
  * leave a stale `.tmp` (ignored and pruned) or no file at all.
  *
+ * A payload is streamed, not held: the writer takes its size and CRC
+ * as declared, writes the header from them, and then takes the bytes
+ * piece by piece from an emitter (SnapshotPayload), so a
+ * multi-megabyte state never has to exist as one buffer.
+ *
  * loadLatest() walks snapshots newest-first and returns the first one
  * that verifies — a corrupt newest snapshot (bit rot, version skew,
  * tampering) is *rejected with a note* and the previous one is used,
@@ -24,6 +29,7 @@
 #define AMDAHL_ROBUSTNESS_DURABILITY_SNAPSHOT_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -47,6 +53,32 @@ struct SnapshotLoad
     std::optional<SnapshotData> snapshot;
     /** Notes for every newer snapshot that failed verification. */
     std::vector<std::string> rejected;
+};
+
+/** Receives a payload's bytes, one piece at a time, in order. */
+using PayloadSink = std::function<void(std::string_view)>;
+
+/**
+ * A snapshot payload as the writer streams it: its size and CRC-32
+ * declared up front, and an emitter that hands its bytes to a sink in
+ * pieces. The writer calls `emit` once per write attempt, so it must
+ * hand over the same bytes every time.
+ */
+struct SnapshotPayload
+{
+    std::uint64_t size;
+    /** crc32 of the `size` bytes that emit hands over. */
+    std::uint32_t crc;
+    std::function<void(const PayloadSink &)> emit;
+
+    SnapshotPayload(std::uint64_t size, std::uint32_t crc,
+                    std::function<void(const PayloadSink &)> emit);
+
+    /** A payload held whole, handed over as one piece. */
+    SnapshotPayload(std::string bytes);
+
+    /** @return Every piece emit hands over, concatenated. */
+    std::string collect() const;
 };
 
 /** Manages the snapshot generation files in one state directory. */
@@ -79,9 +111,15 @@ class SnapshotStore
      * Durably publish a snapshot for @p epoch (tmp + fsync + rename +
      * dir fsync), then prune generations beyond the keep count and any
      * stale tmp files. Hits the snapshot.pre_write / mid_write /
-     * pre_rename / post_rename kill points.
+     * pre_rename / post_rename kill points; mid_write fires after
+     * exactly half the payload (rounded down), whatever its pieces.
+     * A payload declared larger than kMaxPayloadBytes, which
+     * decodeFile would reject, is refused before any file is
+     * created, and one whose emitter hands over a byte count other
+     * than the declared size is never published. Checked builds also
+     * assert that the bytes emitted have the declared CRC.
      */
-    Status write(std::uint64_t epoch, std::string_view payload,
+    Status write(std::uint64_t epoch, const SnapshotPayload &payload,
                  IoContext &io);
 
     /** @return The final path for @p epoch's snapshot file. */

@@ -95,25 +95,20 @@ TEST(ByteCodec, U8AndPatchedU32)
     EXPECT_EQ(r.status().kind(), ErrorKind::ParseError);
 }
 
-TEST(ByteCodec, RawBytesSpliceAnotherWritersOutput)
+TEST(ByteCodec, ClearedWriterStartsOver)
 {
-    // A sequence written in two writers and spliced with putRaw (the
-    // staged values before the splice flushed first) is the sequence
-    // written in one.
-    ByteWriter whole;
-    writeMixedSequence(whole);
-    whole.putU32(9);
-    whole.putU8(0x42);
-    writeMixedSequence(whole);
+    // clear() drops the staged values too, so a writer reused chunk
+    // after chunk writes each chunk as a fresh writer would.
+    ByteWriter fresh;
+    writeMixedSequence(fresh);
 
-    ByteWriter second;
-    second.putU8(0x42);
-    writeMixedSequence(second);
-    ByteWriter spliced;
-    writeMixedSequence(spliced);
-    spliced.putU32(9); // staged, not yet in the buffer
-    spliced.putRaw(second.bytes());
-    EXPECT_EQ(spliced.bytes(), whole.bytes());
+    ByteWriter reused;
+    writeMixedSequence(reused);
+    (void)reused.bytes();
+    reused.putU32(9); // staged, not yet in the buffer
+    reused.clear();
+    writeMixedSequence(reused);
+    EXPECT_EQ(reused.bytes(), fresh.bytes());
 }
 
 TEST(ByteCodec, VectorCountBeyondTheBytesIsAParseError)

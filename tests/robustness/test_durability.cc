@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -26,6 +27,7 @@
 #include "robustness/durability/durable_store.hh"
 #include "robustness/durability/io_faults.hh"
 #include "robustness/durability/journal.hh"
+#include "robustness/durability/kill_points.hh"
 #include "robustness/durability/posix_io.hh"
 #include "robustness/durability/snapshot.hh"
 
@@ -356,9 +358,9 @@ TEST(DurabilitySnapshot, PrunesBeyondTheKeepCountAndStaleTmp)
     PlainIo ctx;
     SnapshotStore store(dir.string(), 2);
     writeBytes(dir / "snapshot-00000099.amss.tmp", "crash residue");
-    ASSERT_TRUE(store.write(4, "gen four", ctx.io).isOk());
-    ASSERT_TRUE(store.write(8, "gen eight", ctx.io).isOk());
-    ASSERT_TRUE(store.write(12, "gen twelve", ctx.io).isOk());
+    ASSERT_TRUE(store.write(4, std::string("gen four"), ctx.io).isOk());
+    ASSERT_TRUE(store.write(8, std::string("gen eight"), ctx.io).isOk());
+    ASSERT_TRUE(store.write(12, std::string("gen twelve"), ctx.io).isOk());
 
     EXPECT_FALSE(fs::exists(store.pathFor(4)));
     EXPECT_TRUE(fs::exists(store.pathFor(8)));
@@ -374,8 +376,10 @@ TEST(DurabilitySnapshot, CorruptNewestFallsBackToThePreviousGeneration)
     const fs::path dir = freshDir();
     PlainIo ctx;
     SnapshotStore store(dir.string(), 2);
-    ASSERT_TRUE(store.write(4, "good older state", ctx.io).isOk());
-    ASSERT_TRUE(store.write(8, "rotten newer state", ctx.io).isOk());
+    ASSERT_TRUE(
+        store.write(4, std::string("good older state"), ctx.io).isOk());
+    ASSERT_TRUE(
+        store.write(8, std::string("rotten newer state"), ctx.io).isOk());
 
     std::string bytes = readBytes(store.pathFor(8));
     bytes[bytes.size() - 1] =
@@ -389,6 +393,97 @@ TEST(DurabilitySnapshot, CorruptNewestFallsBackToThePreviousGeneration)
     ASSERT_EQ(load.rejected.size(), 1u);
     EXPECT_NE(load.rejected[0].find("snapshot-00000008"),
               std::string::npos);
+}
+
+/** @p bytes as a payload handed over in pieces of the sizes in
+ *  @p cuts, then the rest in one last piece. */
+SnapshotPayload
+inPieces(const std::string &bytes, const std::vector<std::size_t> &cuts)
+{
+    return SnapshotPayload(
+        bytes.size(), crc32(bytes), [bytes, cuts](const PayloadSink &sink) {
+            std::size_t at = 0;
+            for (const std::size_t n : cuts) {
+                sink(std::string_view(bytes).substr(at, n));
+                at += n;
+            }
+            sink(std::string_view(bytes).substr(at));
+        });
+}
+
+/** 1001 bytes that differ from their neighbours. */
+std::string
+patternedPayload()
+{
+    std::string bytes(1001, '\0');
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<char>(i * 7 + 3);
+    return bytes;
+}
+
+TEST(DurabilitySnapshot, StreamedPiecesWriteTheOnePieceFile)
+{
+    const fs::path dir = freshDir();
+    PlainIo ctx;
+    const std::string payload = patternedPayload();
+    SnapshotStore whole((dir / "whole").string(), 2);
+    SnapshotStore pieces((dir / "pieces").string(), 2);
+    fs::create_directories(dir / "whole");
+    fs::create_directories(dir / "pieces");
+    ASSERT_TRUE(whole.write(3, payload, ctx.io).isOk());
+    ASSERT_TRUE(
+        pieces.write(3, inPieces(payload, {0, 1, 499, 0, 7, 300}), ctx.io)
+            .isOk());
+    EXPECT_EQ(readBytes(pieces.pathFor(3)), readBytes(whole.pathFor(3)));
+}
+
+TEST(DurabilitySnapshot, EmittedBytesMustMatchTheDeclaredSize)
+{
+    const fs::path dir = freshDir();
+    PlainIo ctx;
+    SnapshotStore store(dir.string(), 2);
+    const std::string payload = patternedPayload();
+    for (const std::uint64_t declared :
+         {payload.size() - 1, payload.size() + 1}) {
+        SCOPED_TRACE(declared);
+        const SnapshotPayload lying(
+            declared, crc32(payload),
+            [&](const PayloadSink &sink) { sink(payload); });
+        const Status st = store.write(5, lying, ctx.io);
+        ASSERT_FALSE(st.isOk());
+        EXPECT_NE(st.message().find("declared"), std::string::npos)
+            << st.toString();
+        EXPECT_FALSE(fs::exists(store.pathFor(5)));
+    }
+}
+
+TEST(DurabilitySnapshot, TornWriteStopsAtHalfThePayloadWhateverItsPieces)
+{
+    // The snapshot.mid_write crash leaves the header and exactly
+    // floor(size / 2) payload bytes in the tmp file, wherever the
+    // emitter's pieces happen to be cut.
+    const std::string payload = patternedPayload();
+    const std::vector<std::vector<std::size_t>> cutsList = {
+        {}, {500}, {499, 2}, {0, 0, 1000}, {1, 1, 1, 1}};
+    for (const auto &cuts : cutsList) {
+        SCOPED_TRACE(::testing::PrintToString(cuts));
+        const fs::path dir = freshDir();
+        EXPECT_EXIT(
+            {
+                PlainIo ctx;
+                SnapshotStore store(dir.string(), 2);
+                (void)armKillPoint("snapshot.mid_write");
+                (void)store.write(3, inPieces(payload, cuts), ctx.io);
+                std::_Exit(0);
+            },
+            ::testing::ExitedWithCode(kKillExitCode), "");
+        const std::string torn =
+            readBytes(dir / "snapshot-00000003.amss.tmp");
+        const std::size_t header = 28;
+        ASSERT_EQ(torn.size(), header + payload.size() / 2);
+        EXPECT_EQ(torn.substr(header), payload.substr(0, payload.size() / 2));
+        EXPECT_FALSE(fs::exists(dir / "snapshot-00000003.amss"));
+    }
 }
 
 // --- IO fault injection ----------------------------------------------
@@ -524,6 +619,39 @@ TEST(DurableStore, CommitRecoverRoundTripOnTheSnapshotCadence)
     EXPECT_FALSE(rec.tornTail);
     EXPECT_EQ(store.counters().journalAppends, 7u);
     EXPECT_EQ(store.counters().snapshotsWritten, 2u);
+}
+
+TEST(DurableStore, OversizedSnapshotIsRefusedBeforeAnyFile)
+{
+    // decodeFile rejects a payload above kMaxPayloadBytes, so writing
+    // one (and then resetting the journal) would leave a newest
+    // snapshot that can never load. The writer refuses it up front.
+    const fs::path dir = freshDir();
+    auto opened = DurableStateStore::open(storeOptions(dir, 2));
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    DurableStateStore store = opened.take();
+    ASSERT_TRUE(store.beginFresh().isOk());
+    commitEpochs(store, 1);
+
+    const Status st = store.commitEpoch(JournalEntry{2, 0, 200, 2}, [] {
+        return SnapshotPayload(SnapshotStore::kMaxPayloadBytes + 1, 0,
+                               [](const PayloadSink &) {
+                                   ADD_FAILURE() << "a refused payload "
+                                                    "was emitted";
+                               });
+    });
+    ASSERT_FALSE(st.isOk());
+    EXPECT_EQ(st.kind(), ErrorKind::DomainError);
+    for (const auto &entry : fs::directory_iterator(dir))
+        EXPECT_FALSE(entry.path().filename().string().starts_with(
+            "snapshot-"))
+            << entry.path();
+    EXPECT_EQ(store.counters().snapshotsWritten, 0u);
+    EXPECT_EQ(store.counters().journalResets, 0u);
+    const RecoveredState rec = store.recover();
+    EXPECT_FALSE(rec.hasSnapshot);
+    ASSERT_EQ(rec.entries.size(), 2u);
+    EXPECT_EQ(rec.entries.back().epoch, 2u);
 }
 
 TEST(DurableStore, BeginFreshDiscardsOwnedArtifactsOnly)
@@ -721,7 +849,8 @@ TEST(DurabilityCorpus, MalformedSnapshotInPlaceFallsBackToLastGood)
         const fs::path dir = freshDir() / path.stem();
         fs::create_directories(dir);
         SnapshotStore store(dir.string(), 3);
-        ASSERT_TRUE(store.write(2, "last good", ctx.io).isOk());
+        ASSERT_TRUE(
+            store.write(2, std::string("last good"), ctx.io).isOk());
         // The corrupt file masquerades as a newer generation.
         fs::copy_file(path, dir / "snapshot-00000009.amss");
 
