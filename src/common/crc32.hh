@@ -11,7 +11,15 @@
  * Crc32 is also used as a cheap deterministic digest of per-epoch
  * market events (arrivals, admissions, allocations): recovery replays
  * epochs and compares digests against the journal to prove the replay
- * reproduced exactly what the crashed process did.
+ * reproduced exactly what the crashed process did, and every network
+ * frame carries the CRC of its payload.
+ *
+ * On x86-64 CPUs with PCLMULQDQ, calls of 64 bytes or more fold 16
+ * bytes at a time with carry-less multiplies (crc32.cc); shorter
+ * calls, the last 0-15 bytes, and every CPU without it run
+ * slicing-by-8 tables. The CPU picks once per process
+ * and no option selects it. Both paths return the same bits at every
+ * length, offset and seed, so no digest depends on the CPU.
  */
 
 #ifndef AMDAHL_COMMON_CRC32_HH
@@ -29,6 +37,15 @@ namespace amdahl {
 /** @return crc32(@p seed) extended over @p size bytes at @p data. */
 std::uint32_t crc32Update(std::uint32_t seed, const void *data,
                           std::size_t size);
+
+namespace detail {
+
+/** crc32Update on the slicing-by-8 tables alone, whatever the CPU:
+ *  the tests compare both paths through it. */
+std::uint32_t crc32UpdateTables(std::uint32_t seed, const void *data,
+                                std::size_t size);
+
+} // namespace detail
 
 /**
  * @return The CRC-32 of A followed by B, given only @p crcA =

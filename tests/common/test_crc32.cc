@@ -2,12 +2,18 @@
  * @file
  * CRC-32 contract: the zlib polynomial, at every length and alignment.
  *
- * crc32Update consumes eight bytes per step with slicing-by-8 tables
- * and finishes the tail a byte at a time, so the cases that matter
- * are the lengths around each multiple of eight at every start
- * offset. Each is checked against a bit-at-a-time reference written
- * here from the polynomial alone, which shares no table with the code
- * under test.
+ * crc32Update has two paths that must return the same bits. On CPUs
+ * with PCLMULQDQ, a call of 64 bytes or more folds four 16-byte
+ * accumulators per 64-byte block, then single 16-byte blocks, and
+ * hands the 0-15-byte tail to the tables; every other call runs
+ * slicing-by-8 tables, eight bytes per step, then a byte at a time.
+ * So the cases that matter are one 64-byte block, the 4-way loop,
+ * every count of 16-byte folds and every tail length, at every start
+ * offset in a 16-byte load. Both crc32Update and the table path
+ * (detail::crc32UpdateTables) are checked against a bit-at-a-time
+ * reference written here from the polynomial alone, which shares no
+ * table or constant with the code under test, and against each other
+ * on long random buffers.
  */
 
 #include <array>
@@ -37,11 +43,11 @@ referenceCrc(const unsigned char *p, std::size_t n)
     return c ^ 0xFFFFFFFFu;
 }
 
-/** 80 deterministic, irregular bytes. */
-std::array<unsigned char, 80>
+/** 1 KiB of deterministic, irregular bytes. */
+std::array<unsigned char, 1024>
 sampleBytes()
 {
-    std::array<unsigned char, 80> b{};
+    std::array<unsigned char, 1024> b{};
     std::uint32_t x = 0x9E3779B9u;
     for (auto &v : b) {
         x ^= x << 13;
@@ -70,11 +76,14 @@ TEST(Crc32, CheckValue)
 TEST(Crc32, EveryLengthAndOffsetMatchesTheBitwiseReference)
 {
     const auto bytes = sampleBytes();
-    for (std::size_t offset = 0; offset <= 7; ++offset) {
-        for (std::size_t len = 0; len <= 72; ++len) {
+    for (std::size_t offset = 0; offset <= 15; ++offset) {
+        for (std::size_t len = 0; len <= 600; ++len) {
             const unsigned char *p = bytes.data() + offset;
-            EXPECT_EQ(crc32Update(0, p, len), referenceCrc(p, len))
+            const std::uint32_t want = referenceCrc(p, len);
+            ASSERT_EQ(crc32Update(0, p, len), want)
                 << "offset " << offset << ", length " << len;
+            ASSERT_EQ(detail::crc32UpdateTables(0, p, len), want)
+                << "tables, offset " << offset << ", length " << len;
         }
     }
 }
@@ -93,6 +102,11 @@ TEST(Crc32, UpdateChainsAtEverySplitPoint)
     std::uint32_t c = crc32Update(0, bytes.data(), 13);
     c = crc32Update(c, bytes.data() + 13, 5);
     c = crc32Update(c, bytes.data() + 18, bytes.size() - 18);
+    EXPECT_EQ(c, whole);
+    // Three pieces, each long enough to fold, none a multiple of 16.
+    c = crc32Update(0, bytes.data(), 100);
+    c = crc32Update(c, bytes.data() + 100, 333);
+    c = crc32Update(c, bytes.data() + 433, bytes.size() - 433);
     EXPECT_EQ(c, whole);
 }
 
@@ -154,6 +168,37 @@ randomBytes(std::size_t n, std::uint64_t seed)
         c = static_cast<char>(x >> 32);
     }
     return s;
+}
+
+TEST(Crc32, FoldedAndTablePathsAgreeOnLongRandomBuffers)
+{
+    // Seeded lengths up to 64 KiB, nonzero seeds and chained calls:
+    // the fold must carry a running CRC in and out exactly as the
+    // tables do.
+    std::uint64_t x = 0x2545F4914F6CDD1Dull;
+    const auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t len = next() % (64 * 1024 + 1);
+        const std::size_t offset = next() % 16;
+        const std::string buf = randomBytes(len + offset, next());
+        const char *p = buf.data() + offset;
+        auto seed = static_cast<std::uint32_t>(next());
+        if (seed == 0)
+            seed = 1;
+        ASSERT_EQ(crc32Update(seed, p, len),
+                  detail::crc32UpdateTables(seed, p, len))
+            << "trial " << trial << ", length " << len;
+        const std::size_t split = len == 0 ? 0 : next() % len;
+        const std::uint32_t head = crc32Update(seed, p, split);
+        ASSERT_EQ(crc32Update(head, p + split, len - split),
+                  detail::crc32UpdateTables(seed, p, len))
+            << "trial " << trial << ", split " << split << " of " << len;
+    }
 }
 
 TEST(Crc32, CombineMatchesConcatenation)

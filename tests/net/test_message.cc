@@ -47,6 +47,23 @@ sampleBid()
     return wire;
 }
 
+/**
+ * Shard 1's round-205 aggregate of 48 partials, seq 77: a ~1 KB
+ * frame, about the size of an average bid frame in a sharded run, so
+ * its payload CRC runs the 64-byte fold and not only the table tail.
+ */
+std::string
+frameSizedBid()
+{
+    BidFrameWriter writer(1, 205);
+    for (std::uint32_t i = 0; i < 48; ++i)
+        writer.add((i * 37 + 5) % 100, i / 3,
+                   1.0 / (i + 3) + 1.0e-3 * i * i);
+    std::string wire = writer.take();
+    stamp<kSeqOffset>(wire, 77);
+    return wire;
+}
+
 /** Round 118's prices for shard 0, seq 9. */
 std::string
 samplePrice()
@@ -118,6 +135,15 @@ TEST(NetMessage, BidFrameMatchesPinnedBytes)
     EXPECT_EQ(crc32(wire), 0x6c36a6ccu);
 }
 
+TEST(NetMessage, FrameSizedBidMatchesPinnedBytes)
+{
+    // Recorded from a build whose CRC-32 was slicing-by-8 alone, so
+    // the folded path is tied to the table path's bytes.
+    const std::string wire = frameSizedBid();
+    EXPECT_EQ(wire.size(), 1013u);
+    EXPECT_EQ(crc32(wire), 0x4866c349u);
+}
+
 TEST(NetMessage, PriceFrameMatchesPinnedBytes)
 {
     // Recorded from a build of the byte-at-a-time encoder.
@@ -185,7 +211,8 @@ TEST(NetMessage, CorruptedPayloadFailsCrc)
 {
     // Flip one bit in every payload byte position in turn: the CRC
     // must catch each, before any count or record is read.
-    for (const std::string &wire : {sampleBid(), samplePrice()}) {
+    for (const std::string &wire :
+         {sampleBid(), samplePrice(), frameSizedBid()}) {
         ASSERT_GT(wire.size(), kFrameHeaderBytes);
         for (std::size_t pos = kFrameHeaderBytes; pos < wire.size();
              ++pos) {

@@ -55,14 +55,17 @@ const RuleScope kScopeDetClock{{"src/"},
 const RuleScope kScopeDetExec{{"src/"}, {"src/exec/"}};
 const RuleScope kScopeDetUnordered{
     {"src/core/", "src/solver/", "src/eval/"}, {}};
-// Vector intrinsics live in exactly one translation unit
-// (src/core/bidding_simd.cc, plus its header's declarations), where
-// the bit-identity argument — elementwise correctly-rounded ops, no
-// FMA, serial semantic folds — is written down and tested. An
+// Vector intrinsics live in exactly two translation units, each with
+// its header: the bid kernel (src/core/bidding_simd.cc), where the
+// bit-identity argument — elementwise correctly-rounded ops, no FMA,
+// serial semantic folds — is written down and tested, and the CRC-32
+// fold (src/common/crc32.cc), whose output must equal the bitwise
+// reference at every length and offset, as its tests check. An
 // intrinsic anywhere else has no such contract and silently breaks
-// byte-identity between CPUs with and without AVX2.
+// byte-identity between CPUs with and without the instructions.
 const RuleScope kScopeDetSimd{{"src/", "bench/"},
-                              {"src/core/bidding_simd."}};
+                              {"src/core/bidding_simd.",
+                               "src/common/crc32."}};
 const RuleScope kScopeTrustThrow{{"src/", "tools/"},
                                  {"src/common/logging.hh"}};
 const RuleScope kScopeTrustCatch{{}, {}};
@@ -370,7 +373,7 @@ checkDetUnordered(RuleContext &ctx)
 }
 
 // ---------------------------------------------------------------------
-// DET-simd: vector intrinsics outside the designated kernel TU.
+// DET-simd: vector intrinsics outside the two designated TUs.
 
 const std::unordered_set<std::string_view> kSimdHeaders{
     "immintrin.h", "x86intrin.h", "xmmintrin.h", "emmintrin.h",
@@ -413,10 +416,11 @@ checkDetSimd(RuleContext &ctx)
             if (line.find(header) != std::string_view::npos) {
                 report(ctx, "DET-simd", static_cast<int>(n + 1),
                        "intrinsics header <" + std::string(header) +
-                           "> outside core/bidding_simd; vector code "
-                           "is confined to the one kernel whose "
-                           "bit-identity contract is proven and "
-                           "pinned by tests");
+                           "> outside core/bidding_simd and "
+                           "common/crc32; vector code is confined "
+                           "to the two files whose bit-identity "
+                           "contracts are proven and pinned by "
+                           "tests");
                 break;
             }
         }
@@ -425,10 +429,11 @@ checkDetSimd(RuleContext &ctx)
         if (t.kind == TokKind::Identifier && isIntrinsicName(t.text)) {
             report(ctx, "DET-simd", t.line,
                    "vector intrinsic `" + t.text +
-                       "` outside core/bidding_simd; an intrinsic "
-                       "here has no bit-identity contract with the "
-                       "scalar reference kernel — move it into the "
-                       "designated TU or justify with an ALINT");
+                       "` outside core/bidding_simd and common/crc32; "
+                       "an intrinsic here has no bit-identity "
+                       "contract with a scalar reference — move it "
+                       "into a designated TU or justify with an "
+                       "ALINT");
         }
     }
 }
@@ -764,8 +769,8 @@ ruleCatalog()
          "accumulation in core/, solver/, eval/"},
         {"DET-simd",
          "vector intrinsics or intrinsics headers outside "
-         "core/bidding_simd, the one TU with a bit-identity "
-         "contract"},
+         "core/bidding_simd and common/crc32, the two TUs with a "
+         "bit-identity contract"},
         {"TRUST-throw",
          "literal `throw` outside common/logging.hh; boundary code "
          "returns Result<T>/Status"},

@@ -30,13 +30,16 @@
  *                 are reduction-order hazards in the deterministic
  *                 kernels. Scope: src/core/, src/solver/, src/eval/.
  *  DET-simd       Vector intrinsics (_mm… or __m… names) or an intrinsics
- *                 header (<immintrin.h> family) outside the one
- *                 designated kernel TU. core/bidding_simd.cc carries
- *                 the proven bit-identity contract with the scalar
+ *                 header (<immintrin.h> family) outside the two
+ *                 designated TUs. core/bidding_simd.cc carries the
+ *                 proven bit-identity contract with the scalar
  *                 reference (elementwise correctly-rounded ops, no
- *                 FMA, serial semantic folds); an intrinsic anywhere
- *                 else has no such contract. Scope: src/, bench/;
- *                 allow: src/core/bidding_simd.*.
+ *                 FMA, serial semantic folds); common/crc32.cc's
+ *                 carry-less fold must equal the bitwise CRC
+ *                 reference at every length and offset. An intrinsic
+ *                 anywhere else has no such contract. Scope: src/,
+ *                 bench/; allow: src/core/bidding_simd.*,
+ *                 src/common/crc32.*.
  *  TRUST-throw    A literal `throw` outside common/logging.hh (the
  *                 single place fatal()/panic() raise their typed
  *                 errors). Ingestion and parse paths must return
