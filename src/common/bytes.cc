@@ -61,13 +61,6 @@ ByteWriter::putU64Vector(const std::vector<std::uint64_t> &v)
         storeLe<8>(out + 8 * i, v[i]);
 }
 
-void
-ByteWriter::patchU32(std::size_t offset, std::uint32_t v)
-{
-    flush();
-    storeLe<4>(buf.data() + offset, v);
-}
-
 bool
 ByteReader::fail(std::size_t n, const char *what)
 {

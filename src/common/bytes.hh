@@ -110,10 +110,6 @@ class ByteWriter
     /** Fold a vector of u64 with a u64 count prefix. */
     void putU64Vector(const std::vector<std::uint64_t> &v);
 
-    /** Overwrite the u32 written at byte @p offset (a field such as a
-     *  checksum that is known only after the bytes that follow it). */
-    void patchU32(std::size_t offset, std::uint32_t v);
-
     /** @return The accumulated bytes. */
     const std::string &
     bytes()

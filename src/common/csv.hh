@@ -1,28 +1,18 @@
 /**
  * @file
- * Minimal RFC-4180-style CSV emission and validated ingestion.
+ * Minimal RFC-4180-style CSV emission.
  *
  * Bench binaries optionally dump their series as CSV so the figures can be
  * re-plotted outside the repo. Values containing commas, quotes, or
  * newlines are quoted and escaped.
- *
- * The reader side sits on the trust boundary (status.hh): profiled
- * speedup curves and replayed bench artifacts arrive as
- * tenant-supplied CSV, so parsing returns structured, line-numbered
- * errors instead of throwing — unterminated quotes and stray bytes
- * after a closing quote are parse errors, ragged rows are semantic
- * errors.
  */
 
 #ifndef AMDAHL_COMMON_CSV_HH
 #define AMDAHL_COMMON_CSV_HH
 
-#include <iosfwd>
 #include <ostream>
 #include <string>
 #include <vector>
-
-#include "common/status.hh"
 
 namespace amdahl {
 
@@ -57,44 +47,6 @@ class CsvWriter
     std::size_t arity;
     std::size_t nRows = 0;
 };
-
-/** A parsed CSV document: a header row plus zero or more data rows. */
-struct CsvTable
-{
-    std::vector<std::string> header;
-    std::vector<std::vector<std::string>> rows; //!< Each header-arity.
-
-    /** @return Index of a header column, or npos when absent. */
-    std::size_t columnIndex(const std::string &name) const;
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-};
-
-/** Knobs for parseCsv. */
-struct CsvParseOptions
-{
-    /** Hard cap on data rows — backpressure against unbounded
-     *  attacker-supplied input. Exceeding it is a semantic error. */
-    std::size_t maxRows = 1u << 20;
-};
-
-/**
- * Parse an RFC-4180 CSV document (quoted fields, doubled quotes, CRLF
- * or LF line ends; embedded newlines inside quoted fields).
- *
- * The first record is the header and must be non-empty. Never throws
- * on malformed input.
- *
- * @param in   The untrusted byte stream.
- * @param opts Strictness knobs.
- * @return The table, or a line-numbered parse/semantic error.
- */
-Result<CsvTable> parseCsv(std::istream &in,
-                          const CsvParseOptions &opts = {});
-
-/** Convenience: parse from a string. */
-Result<CsvTable> parseCsvString(const std::string &text,
-                                const CsvParseOptions &opts = {});
 
 } // namespace amdahl
 

@@ -1,7 +1,5 @@
 #include "amdahl.hh"
 
-#include <limits>
-
 #include "common/check.hh"
 #include "common/logging.hh"
 
@@ -47,15 +45,6 @@ amdahlSpeedupDerivative(double f, double x)
 }
 
 double
-amdahlSpeedupLimit(double f)
-{
-    checkFraction(f);
-    if (f == 1.0)
-        return std::numeric_limits<double>::infinity();
-    return 1.0 / (1.0 - f);
-}
-
-double
 karpFlatt(double speedup, double x)
 {
     if (speedup <= 0.0)
@@ -71,23 +60,6 @@ karpFlatt(double speedup, double x)
         return speedup > 1.0 ? 1.0 : 0.0;
     }
     return (1.0 - 1.0 / speedup) / (1.0 - 1.0 / x);
-}
-
-double
-coresForSpeedup(double f, double target)
-{
-    checkFraction(f);
-    if (f == 0.0)
-        fatal("a serial workload cannot be sped up");
-    if (target < 0.0)
-        fatal("target speedup must be non-negative, got ", target);
-    if (target >= amdahlSpeedupLimit(f)) {
-        fatal("target speedup ", target, " unreachable; limit is ",
-              amdahlSpeedupLimit(f));
-    }
-    // Solve s = x / (f + (1-f) x) for x: x = s f / (1 - s (1-f)).
-    AMDAHL_CHECK_FINITE(target * f / (1.0 - target * (1.0 - f)));
-    return target * f / (1.0 - target * (1.0 - f));
 }
 
 } // namespace amdahl::core

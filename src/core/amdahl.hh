@@ -35,12 +35,6 @@ double amdahlSpeedup(double f, double x);
 double amdahlSpeedupDerivative(double f, double x);
 
 /**
- * Asymptotic speedup limit: lim_{x->inf} s(x) = 1 / (1 - f)
- * (infinite for f == 1).
- */
-double amdahlSpeedupLimit(double f);
-
-/**
  * The Karp-Flatt metric: the parallel fraction implied by a measured
  * speedup.
  *
@@ -51,15 +45,6 @@ double amdahlSpeedupLimit(double f);
  *         to treat such estimates.
  */
 double karpFlatt(double speedup, double x);
-
-/**
- * Invert the speedup curve: the allocation achieving a target speedup.
- *
- * @param f      Parallel fraction in (0, 1].
- * @param target Desired speedup; must be below amdahlSpeedupLimit(f).
- * @return x with s(x) == target.
- */
-double coresForSpeedup(double f, double target);
 
 } // namespace amdahl::core
 

@@ -71,10 +71,4 @@ AmdahlUtility::gradient(const std::vector<double> &x) const
     return grad;
 }
 
-double
-AmdahlUtility::unitAllocationValue() const
-{
-    return value(std::vector<double>(terms_.size(), 1.0));
-}
-
 } // namespace amdahl::core

@@ -64,12 +64,6 @@ class AmdahlUtility
     /** @return Gradient of u at x. */
     std::vector<double> gradient(const std::vector<double> &x) const;
 
-    /**
-     * Utility of the "one core per job" allocation — always exactly 1
-     * (the paper's normalization property).
-     */
-    double unitAllocationValue() const;
-
   private:
     std::vector<UtilityTerm> terms_;
     double weightSum = 0.0;

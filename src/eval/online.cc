@@ -13,6 +13,7 @@
 #include "common/random.hh"
 #include "core/bidding.hh"
 #include "core/bidding_kernel.hh"
+#include "eval/population.hh"
 #include "obs/span.hh"
 #include "obs/timer.hh"
 #include "obs/trace.hh"
@@ -46,8 +47,6 @@ OnlineSimulator::OnlineSimulator(CharacterizationCache &cache,
         fatal("invalid work-scale range [", opts_.workScaleMin, ", ",
               opts_.workScaleMax, "]");
     }
-    if (opts_.minBudget < 1 || opts_.maxBudget < opts_.minBudget)
-        fatal("invalid budget class range");
     if (!opts_.serverCores.empty() &&
         opts_.serverCores.size() !=
             static_cast<std::size_t>(opts_.servers)) {
@@ -143,7 +142,7 @@ drawBudgets(Rng &rng, const OnlineOptions &opts)
     std::vector<double> budgets(static_cast<std::size_t>(opts.users));
     for (auto &b : budgets) {
         b = static_cast<double>(
-            rng.uniformInt(opts.minBudget, opts.maxBudget));
+            rng.uniformInt(kMinBudgetClass, kMaxBudgetClass));
     }
     return budgets;
 }
@@ -281,8 +280,8 @@ onlineStateFingerprint(const OnlineOptions &opts,
     d.updateF64(opts.arrivalsPerServerEpoch);
     d.updateF64(opts.workScaleMin);
     d.updateF64(opts.workScaleMax);
-    d.updateU64(static_cast<std::uint64_t>(opts.minBudget));
-    d.updateU64(static_cast<std::uint64_t>(opts.maxBudget));
+    d.updateU64(static_cast<std::uint64_t>(kMinBudgetClass));
+    d.updateU64(static_cast<std::uint64_t>(kMaxBudgetClass));
     d.updateU32(static_cast<std::uint32_t>(opts.placement));
     d.updateU32(opts.deficitCompensation ? 1 : 0);
     d.updateU32(opts.faults.enabled ? 1 : 0);
@@ -292,9 +291,11 @@ onlineStateFingerprint(const OnlineOptions &opts,
     d.updateU64(
         static_cast<std::uint64_t>(opts.faults.checkpointEpochs));
     d.updateF64(opts.faults.bidLossRate);
-    d.updateF64(opts.faults.fractionNoiseStddev);
-    d.updateU64(
-        static_cast<std::uint64_t>(opts.faults.staleRefreshEpochs));
+    // The values of two retired fault knobs (profile-noise stddev,
+    // refresh period) keep their slots, so snapshots written before
+    // their removal still match and resume.
+    d.updateF64(0.0);
+    d.updateU64(4);
     d.updateU64(opts.faults.scriptedCrashes.size());
     for (const auto &ev : opts.faults.scriptedCrashes) {
         d.updateU64(static_cast<std::uint64_t>(ev.server));
@@ -986,15 +987,8 @@ OnlineSimulator::runEpoch(OnlineRunState &s,
         core::JobSpec spec;
         spec.server = static_cast<std::size_t>(
             server_map[jobs[k].server]);
-        double fraction =
+        spec.parallelFraction =
             cache_.fraction(jobs[k].workloadIndex, source);
-        if (faulty) {
-            // Stale profiles: the market prices tomorrow's cores
-            // with yesterday's estimates.
-            fraction = injector.perturbFraction(
-                epoch, jobs[k].workloadIndex, fraction);
-        }
-        spec.parallelFraction = fraction;
         spec.weight = 1.0;
         market_users[static_cast<std::size_t>(slot)]
             .jobs.push_back(spec);

@@ -164,8 +164,6 @@ struct OnlineOptions
      *  workload's full-dataset single-core time. */
     double workScaleMin = 0.1;
     double workScaleMax = 0.5;
-    int minBudget = 1; //!< Tenant entitlement classes, as in §VI.
-    int maxBudget = 5;
 
     /**
      * Where arriving jobs are placed. PriceAware steers arrivals to
@@ -188,11 +186,11 @@ struct OnlineOptions
     bool deficitCompensation = false;
 
     /**
-     * Fault schedule (robustness/fault_injector.hh): server churn,
-     * bid-message loss, and profile staleness. Disabled by default;
-     * when disabled the run is bit-identical to fault-free operation
-     * (the schedule draws from its own seed, so the arrival stream
-     * never shifts either way).
+     * Fault schedule (robustness/fault_injector.hh): server churn
+     * and bid-message loss. Disabled by default; when disabled the
+     * run is bit-identical to fault-free operation (the schedule draws
+     * from its own seed, so the arrival stream never shifts either
+     * way).
      */
     robustness::FaultOptions faults;
 

@@ -21,18 +21,7 @@ Population::coresOf(std::size_t j) const
 {
     if (j >= serverCount)
         fatal("server index ", j, " out of range");
-    if (serverCores.empty())
-        return coresPerServer;
-    return serverCores[j];
-}
-
-double
-Population::totalCores() const
-{
-    double total = 0.0;
-    for (std::size_t j = 0; j < serverCount; ++j)
-        total += coresOf(j);
-    return total;
+    return coresPerServer;
 }
 
 int
@@ -54,8 +43,6 @@ generatePopulation(Rng &rng, const PopulationOptions &opts)
         fatal("density must be at least 1");
     if (opts.coresPerServer < 1)
         fatal("servers need at least one core");
-    if (opts.minBudget < 1 || opts.maxBudget < opts.minBudget)
-        fatal("invalid budget class range");
     if (opts.workloadCount == 0)
         fatal("need at least one workload to draw from");
 
@@ -66,25 +53,10 @@ generatePopulation(Rng &rng, const PopulationOptions &opts)
     if (pop.serverCount == 0)
         pop.serverCount = 1;
 
-    if (!opts.coreChoices.empty()) {
-        for (int c : opts.coreChoices) {
-            if (c < 1)
-                fatal("core choices must be positive");
-        }
-        pop.serverCores.resize(pop.serverCount);
-        for (auto &cores : pop.serverCores) {
-            cores = opts.coreChoices[static_cast<std::size_t>(
-                rng.uniformInt(0,
-                               static_cast<std::int64_t>(
-                                   opts.coreChoices.size()) -
-                                   1))];
-        }
-    }
-
     pop.budgets.resize(opts.users);
     for (auto &budget : pop.budgets) {
         budget = static_cast<double>(
-            rng.uniformInt(opts.minBudget, opts.maxBudget));
+            rng.uniformInt(kMinBudgetClass, kMaxBudgetClass));
     }
     pop.userJobs.resize(opts.users);
 

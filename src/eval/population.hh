@@ -22,6 +22,11 @@
 
 namespace amdahl::eval {
 
+/** Budget (entitlement) classes, inclusive: §VI draws every tenant's
+ *  budget uniformly from these integers. */
+inline constexpr int kMinBudgetClass = 1;
+inline constexpr int kMaxBudgetClass = 5;
+
 /** One job in a generated population. */
 struct PopulationJob
 {
@@ -36,12 +41,6 @@ struct Population
     std::size_t serverCount = 0;
     int coresPerServer = 24;
 
-    /**
-     * Per-server core counts for heterogeneous clusters. Empty means
-     * homogeneous (every server has coresPerServer cores).
-     */
-    std::vector<int> serverCores;
-
     /** Jobs grouped per user; defines the market's job ordering. */
     std::vector<std::vector<PopulationJob>> userJobs;
 
@@ -51,11 +50,8 @@ struct Population
     /** @return Total jobs across users. */
     std::size_t jobCount() const;
 
-    /** @return Cores of server j (handles both cluster shapes). */
+    /** @return Cores of server j. */
     int coresOf(std::size_t j) const;
-
-    /** @return Sum of all server capacities. */
-    double totalCores() const;
 
     /** @return Entitlement class (1-5) of user i: her integer budget. */
     int entitlementClass(std::size_t i) const;
@@ -68,15 +64,6 @@ struct PopulationOptions
     double serverMultiplier = 0.5; //!< s, so m = ceil(s * n).
     int density = 12;             //!< d: max colocated jobs per server.
     int coresPerServer = 24;      //!< C_j for every server.
-
-    /**
-     * Heterogeneous clusters: when non-empty, each server's core
-     * count is drawn uniformly from these choices instead of using
-     * coresPerServer (e.g. {12, 24, 48} for mixed generations).
-     */
-    std::vector<int> coreChoices;
-    int minBudget = 1;            //!< Budget class range (inclusive).
-    int maxBudget = 5;
     std::size_t workloadCount = 22; //!< Library size to draw jobs from.
 };
 

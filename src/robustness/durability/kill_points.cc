@@ -83,12 +83,6 @@ armKillPoint(std::string_view spec)
 }
 
 void
-disarmKillPoints()
-{
-    armed() = Armed{};
-}
-
-void
 killPoint(std::string_view site)
 {
     Armed &a = armed();

@@ -49,9 +49,6 @@ const std::vector<std::string_view> &killPointCatalog();
  */
 Status armKillPoint(std::string_view spec);
 
-/** Disarm and reset hit counting (used between in-process tests). */
-void disarmKillPoints();
-
 /**
  * Crash site marker. No-op unless @p site is armed and this is the
  * armed occurrence; then the process exits immediately with

@@ -1,7 +1,6 @@
 #include "fault_injector.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -49,14 +48,6 @@ validateFaultOptions(const FaultOptions &opts)
     if (!(opts.bidLossRate >= 0.0 && opts.bidLossRate <= 1.0))
         fatal("bid loss rate must be in [0, 1], got ",
               opts.bidLossRate);
-    if (!(opts.fractionNoiseStddev >= 0.0 &&
-          std::isfinite(opts.fractionNoiseStddev))) {
-        fatal("fraction noise stddev must be non-negative and finite, "
-              "got ", opts.fractionNoiseStddev);
-    }
-    if (opts.staleRefreshEpochs < 1)
-        fatal("staleRefreshEpochs must be >= 1, got ",
-              opts.staleRefreshEpochs);
     for (const auto &event : opts.scriptedCrashes) {
         if (event.recoverEpoch <= event.crashEpoch) {
             fatal("scripted crash of server ", event.server,
@@ -142,41 +133,6 @@ FaultInjector::recoveriesAt(int epoch) const
             recovered.push_back(event.server);
     }
     return recovered;
-}
-
-bool
-FaultInjector::liveForClearing(std::size_t server, int epoch) const
-{
-    for (const auto &event : events) {
-        if (event.server == server && event.crashEpoch < epoch &&
-            epoch < event.recoverEpoch) {
-            return false;
-        }
-    }
-    return true;
-}
-
-double
-FaultInjector::perturbFraction(int epoch, std::size_t workload,
-                               double f) const
-{
-    if (!opts_.enabled || opts_.fractionNoiseStddev <= 0.0)
-        return f;
-    // Noise is a pure function of (seed, staleness window, workload):
-    // within a window every epoch sees the same wrong estimate, as a
-    // stale profile would supply.
-    const auto window = static_cast<std::uint64_t>(
-        epoch / opts_.staleRefreshEpochs);
-    SplitMix64 mixer(opts_.seed);
-    const std::uint64_t stream =
-        mixer.next() ^
-        (0x9e3779b97f4a7c15ULL * (window + 1)) ^
-        (0xbf58476d1ce4e5b9ULL *
-         (static_cast<std::uint64_t>(workload) + 1));
-    Rng noise(stream);
-    const double perturbed =
-        f + noise.gaussian(0.0, opts_.fractionNoiseStddev);
-    return std::clamp(perturbed, 0.005, 0.999);
 }
 
 std::uint64_t

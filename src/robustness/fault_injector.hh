@@ -4,12 +4,11 @@
  *
  * The paper evaluates one-shot allocations on a healthy cluster; a
  * deployed market must keep clearing when servers crash mid-epoch,
- * bid messages are lost by the distributed (Synchronous) deployment,
- * and profiled parallel fractions go stale. This module generates a
- * reproducible fault schedule so those scenarios can be simulated,
- * tested, and swept in benches without any nondeterminism: the same
- * options always yield the same crashes, the same message losses, and
- * the same profile perturbations.
+ * and bid messages are lost by the distributed (Synchronous)
+ * deployment. This module generates a reproducible fault schedule so
+ * those scenarios can be simulated, tested, and swept in benches
+ * without any nondeterminism: the same options always yield the same
+ * crashes and the same message losses.
  *
  * Fault model (epoch granularity, matching the online simulator):
  *
@@ -21,9 +20,6 @@
  *  - Bid-message loss perturbs the proportional-response iteration
  *    (see BiddingOptions::transport); the injector supplies a
  *    distinct deterministic seed per epoch.
- *  - Profile staleness perturbs the f estimates the market is built
- *    from; noise is re-drawn every staleRefreshEpochs so estimates
- *    stay wrong in a correlated way, as stale profiles do.
  */
 
 #ifndef AMDAHL_ROBUSTNESS_FAULT_INJECTOR_HH
@@ -77,14 +73,6 @@ struct FaultOptions
      *  BiddingOptions::transport). */
     double bidLossRate = 0.0;
 
-    /** Stddev of additive gaussian noise on profiled parallel
-     *  fractions (0 disables staleness). */
-    double fractionNoiseStddev = 0.0;
-
-    /** Epochs between staleness re-draws (>= 1): estimates stay wrong
-     *  the same way until the next profile refresh. */
-    int staleRefreshEpochs = 4;
-
     /**
      * Explicit outage script; when non-empty it replaces the random
      * crash schedule (crashRatePerServerEpoch is ignored). Events must
@@ -128,21 +116,6 @@ class FaultInjector
 
     /** @return Servers whose capacity rejoins at @p epoch's clearing. */
     std::vector<std::size_t> recoveriesAt(int epoch) const;
-
-    /** @return true when @p server participates in @p epoch's clearing. */
-    bool liveForClearing(std::size_t server, int epoch) const;
-
-    /**
-     * Apply profile staleness to a parallel-fraction estimate.
-     *
-     * @param epoch    Current epoch (selects the staleness window).
-     * @param workload Library workload index (each drifts separately).
-     * @param f        The clean estimate.
-     * @return Perturbed estimate, clamped to (0, 1); @p f unchanged
-     *         when staleness is disabled.
-     */
-    double perturbFraction(int epoch, std::size_t workload,
-                           double f) const;
 
     /** @return Deterministic bid-transport seed for @p epoch. */
     std::uint64_t bidSeed(int epoch) const;

@@ -9,24 +9,6 @@
 
 namespace amdahl::sim {
 
-int
-ExecutionResult::totalTasks() const
-{
-    int total = 0;
-    for (const auto &stage : stages)
-        total += stage.tasks;
-    return total;
-}
-
-double
-ExecutionResult::totalCommSeconds() const
-{
-    double total = 0.0;
-    for (const auto &stage : stages)
-        total += stage.commSeconds;
-    return total;
-}
-
 TaskSimulator::TaskSimulator(ServerConfig server) : config(std::move(server))
 {
     if (config.cores() <= 0)

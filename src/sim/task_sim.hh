@@ -50,12 +50,6 @@ struct ExecutionResult
     int cores = 0;
     double datasetGB = 0.0;
     std::vector<StageResult> stages;
-
-    /** @return Total parallel tasks across stages. */
-    int totalTasks() const;
-
-    /** @return Sum of per-stage communication time. */
-    double totalCommSeconds() const;
 };
 
 /**

@@ -11,15 +11,6 @@ toString(Suite suite)
 }
 
 double
-WorkloadSpec::referenceSingleCoreSeconds() const
-{
-    double total = 0.0;
-    for (const auto &stage : stages)
-        total += stage.serialSeconds + stage.parallelSeconds;
-    return total;
-}
-
-double
 WorkloadSpec::structuralParallelFraction() const
 {
     double serial = 0.0;

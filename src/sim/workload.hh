@@ -150,12 +150,6 @@ struct WorkloadSpec
     std::uint64_t seed = 0;
 
     /**
-     * @return Total single-core stage time (serial + parallel) at the
-     * reference dataset, excluding overheads.
-     */
-    double referenceSingleCoreSeconds() const;
-
-    /**
      * @return The structural parallel fraction implied by the stage
      * list: parallel work / total work at the reference dataset. The
      * *measured* (Karp-Flatt) fraction is below this whenever overheads

@@ -131,7 +131,7 @@ solveEisenbergGale(const std::vector<double> &capacities,
     };
 
     double phi = objective(result.allocation);
-    double step = opts.initialStep;
+    double step = 1.0; // Grows on an accepted step, halves on a rejected one.
     int stall = 0;
     auto trial = result.allocation;
     for (int it = 0; it < opts.maxIterations; ++it) {

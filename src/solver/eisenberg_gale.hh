@@ -56,7 +56,6 @@ struct EgOptions
 {
     double tolerance = 1e-9;   //!< Relative objective improvement stop.
     int maxIterations = 20000; //!< Gradient steps cap.
-    double initialStep = 1.0;  //!< Starting step size (adapted).
 };
 
 /** Result of the Eisenberg-Gale solve. */

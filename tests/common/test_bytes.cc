@@ -79,13 +79,12 @@ TEST(ByteCodec, MixedSequenceReadsBackInBulk)
     EXPECT_TRUE(r.ok()) << r.status().toString();
 }
 
-TEST(ByteCodec, U8AndPatchedU32)
+TEST(ByteCodec, U8AndU32)
 {
     ByteWriter w;
     w.putU8(0xA5);
-    w.putU32(0);
+    w.putU32(0x01020304u);
     w.putU8(0x5A);
-    w.patchU32(1, 0x01020304u);
     EXPECT_EQ(w.bytes(), std::string("\xA5\x04\x03\x02\x01\x5A", 6));
     ByteReader r(w.bytes());
     EXPECT_EQ(r.readU8(), 0xA5);

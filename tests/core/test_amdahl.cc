@@ -59,7 +59,7 @@ TEST(Amdahl, MonotonicInParallelFraction)
 TEST(Amdahl, SpeedupBoundedByLimit)
 {
     for (double f : {0.5, 0.9, 0.99}) {
-        const double limit = amdahlSpeedupLimit(f);
+        const double limit = 1.0 / (1.0 - f);
         EXPECT_LT(amdahlSpeedup(f, 1e9), limit);
         EXPECT_NEAR(amdahlSpeedup(f, 1e9), limit, limit * 1e-6);
     }
@@ -67,9 +67,11 @@ TEST(Amdahl, SpeedupBoundedByLimit)
 
 TEST(Amdahl, LimitValues)
 {
-    EXPECT_DOUBLE_EQ(amdahlSpeedupLimit(0.5), 2.0);
-    EXPECT_DOUBLE_EQ(amdahlSpeedupLimit(0.9), 10.0);
-    EXPECT_TRUE(std::isinf(amdahlSpeedupLimit(1.0)));
+    // lim s(x) = 1 / (1 - f): 2 at f = 0.5, 10 at f = 0.9, unbounded
+    // (linear scaling) at f = 1.
+    EXPECT_NEAR(amdahlSpeedup(0.5, 1e12), 2.0, 1e-9);
+    EXPECT_NEAR(amdahlSpeedup(0.9, 1e12), 10.0, 1e-9);
+    EXPECT_DOUBLE_EQ(amdahlSpeedup(1.0, 1e12), 1e12);
 }
 
 TEST(Amdahl, DerivativeMatchesFiniteDifference)
@@ -116,7 +118,7 @@ TEST(Amdahl, ValidatesInputs)
     EXPECT_THROW(amdahlSpeedup(1.1, 1.0), FatalError);
     EXPECT_THROW(amdahlSpeedup(0.5, -1.0), FatalError);
     EXPECT_THROW(amdahlSpeedupDerivative(0.5, -1.0), FatalError);
-    EXPECT_THROW(amdahlSpeedupLimit(2.0), FatalError);
+    EXPECT_THROW(amdahlSpeedupDerivative(2.0, 1.0), FatalError);
 }
 
 TEST(KarpFlatt, InvertsAmdahlExactly)
@@ -169,25 +171,6 @@ TEST(KarpFlatt, SingleCoreIsWellDefined)
     EXPECT_DOUBLE_EQ(karpFlatt(0.5, 1.0), 0.0);
     EXPECT_DOUBLE_EQ(karpFlatt(2.0, 1.0), 1.0);
     EXPECT_TRUE(std::isfinite(karpFlatt(1.0, 1.0)));
-}
-
-TEST(CoresForSpeedup, InvertsTheLaw)
-{
-    for (double f : {0.6, 0.9, 0.99}) {
-        for (double target : {1.0, 1.5, 3.0}) {
-            if (target >= amdahlSpeedupLimit(f))
-                continue;
-            const double x = coresForSpeedup(f, target);
-            EXPECT_NEAR(amdahlSpeedup(f, x), target, 1e-9);
-        }
-    }
-}
-
-TEST(CoresForSpeedup, RejectsUnreachableTargets)
-{
-    EXPECT_THROW(coresForSpeedup(0.5, 2.0), FatalError);
-    EXPECT_THROW(coresForSpeedup(0.5, 5.0), FatalError);
-    EXPECT_THROW(coresForSpeedup(0.0, 1.5), FatalError);
 }
 
 } // namespace

@@ -16,7 +16,6 @@ TEST(Utility, UnitAllocationIsExactlyOne)
 {
     // "Utility is one when the user receives one core per server."
     const AmdahlUtility u({{0.53, 1.0}, {0.93, 2.5}, {0.99, 0.3}});
-    EXPECT_DOUBLE_EQ(u.unitAllocationValue(), 1.0);
     EXPECT_DOUBLE_EQ(u.value({1.0, 1.0, 1.0}), 1.0);
 }
 

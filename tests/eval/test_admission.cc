@@ -145,8 +145,6 @@ TEST(Admission, EntitlementSheddingConserves)
     opts.admission.enabled = true;
     opts.admission.maxLoadFactor = 3.0;
     opts.admission.maxQueueLength = 4;
-    opts.minBudget = 1;
-    opts.maxBudget = 5;
 
     const auto m = runWith(opts);
     EXPECT_GT(m.jobsShed, 0);

@@ -241,7 +241,6 @@ churnScenario()
     opts.faults.downEpochs = 2;
     opts.faults.checkpointEpochs = 4;
     opts.faults.bidLossRate = 0.1;
-    opts.faults.fractionNoiseStddev = 0.05;
     return opts;
 }
 

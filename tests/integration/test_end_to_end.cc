@@ -148,20 +148,19 @@ TEST(EndToEnd, MarketBeatsProportionalShareOnMeasuredProgress)
 
 TEST(EndToEnd, HeterogeneousClusterClearsEveryServer)
 {
-    // Mixed-generation cluster: 12- and 24-core servers. The market
-    // must clear each server at its own capacity.
-    Rng rng(77);
-    eval::PopulationOptions opts;
-    opts.users = 20;
-    opts.serverMultiplier = 0.5;
-    opts.density = 10;
-    opts.coreChoices = {12, 24};
-    opts.workloadCount = sim::workloadLibrary().size();
-    const auto pop = eval::generatePopulation(rng, opts);
-
+    // Mixed-generation cluster: 12- and 24-core servers in turn. The
+    // market must clear each server at its own capacity.
+    const auto pop = makePopulation(77, 20, 10);
     eval::CharacterizationCache cache;
-    const auto market =
+    const auto uniform =
         eval::buildMarket(pop, cache, eval::FractionSource::Estimated);
+    std::vector<double> capacities(pop.serverCount);
+    for (std::size_t j = 0; j < capacities.size(); ++j)
+        capacities[j] = j % 2 == 0 ? 12.0 : 24.0;
+    ASSERT_GE(capacities.size(), 2u);
+    core::FisherMarket market(capacities);
+    for (std::size_t i = 0; i < uniform.userCount(); ++i)
+        market.addUser(uniform.user(i));
     const auto result = alloc::AmdahlBiddingPolicy().allocate(market);
 
     std::vector<int> load(pop.serverCount, 0);
@@ -171,7 +170,7 @@ TEST(EndToEnd, HeterogeneousClusterClearsEveryServer)
             load[jobs[k].server] += result.cores[i][k];
     }
     for (std::size_t j = 0; j < pop.serverCount; ++j)
-        EXPECT_EQ(load[j], pop.coresOf(j)) << "server " << j;
+        EXPECT_EQ(load[j], capacities[j]) << "server " << j;
 
     // And measured progress is still computable (allocations never
     // exceed the characterization simulator's 24-core server).

@@ -2,15 +2,13 @@
  * @file
  * Malformed-input corpus: nothing crosses the trust boundary.
  *
- * Every file under tests/data/malformed/ is a hostile or corrupted
- * input for one of the three ingestion paths — market files
- * (market_*.txt), raw CSV (csv_*.csv), and profile CSV
- * (profile_*.csv). The contract under test: each produces a
- * *structured* error — classified kind, diagnostic message — and
- * never a crash, an uncaught exception, or a silently accepted value.
- * The corrupted span traces there (trace_*.jsonl) go through
- * `amdahl_market trace analyze` instead, as ctest cases defined in
- * tools/CMakeLists.txt.
+ * Every market file under tests/data/malformed/ (market_*.txt) is a
+ * hostile or corrupted input to the market parser. The contract under
+ * test: each produces a *structured* error — classified kind,
+ * diagnostic message — and never a crash, an uncaught exception, or a
+ * silently accepted value. The corrupted span traces there
+ * (trace_*.jsonl) go through `amdahl_market trace analyze` instead, as
+ * ctest cases defined in tools/CMakeLists.txt.
  *
  * A prefix-truncation fuzz pass complements the corpus: every byte
  * prefix of a known-good document must either parse cleanly or fail
@@ -22,15 +20,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/csv.hh"
 #include "common/status.hh"
 #include "core/market_io.hh"
-#include "profiling/profile_io.hh"
 
 namespace amdahl {
 namespace {
@@ -60,8 +54,6 @@ TEST(MalformedCorpus, CorpusIsPresent)
     ASSERT_TRUE(fs::exists(corpusDir()))
         << "missing corpus dir " << corpusDir();
     EXPECT_GE(corpusFiles("market_").size(), 10u);
-    EXPECT_GE(corpusFiles("csv_").size(), 4u);
-    EXPECT_GE(corpusFiles("profile_").size(), 6u);
 }
 
 TEST(MalformedCorpus, MarketFilesProduceStructuredErrors)
@@ -78,41 +70,12 @@ TEST(MalformedCorpus, MarketFilesProduceStructuredErrors)
     }
 }
 
-TEST(MalformedCorpus, CsvFilesProduceStructuredErrors)
-{
-    for (const auto &path : corpusFiles("csv_")) {
-        SCOPED_TRACE(path.filename().string());
-        std::ifstream in(path);
-        ASSERT_TRUE(in.good());
-        auto result = parseCsv(in);
-        ASSERT_FALSE(result.ok()) << "malformed CSV accepted: " << path;
-        EXPECT_FALSE(result.status().toString().empty());
-    }
-}
-
-TEST(MalformedCorpus, ProfileFilesProduceStructuredErrors)
-{
-    for (const auto &path : corpusFiles("profile_")) {
-        SCOPED_TRACE(path.filename().string());
-        auto result =
-            profiling::loadProfileCsv(path.string(), "corpus");
-        ASSERT_FALSE(result.ok())
-            << "malformed profile accepted: " << path;
-        EXPECT_FALSE(result.status().message().empty());
-    }
-}
-
 TEST(MalformedCorpus, MissingFileIsAnIoError)
 {
     auto market = core::loadMarket(
         (corpusDir() / "no_such_file.txt").string());
     ASSERT_FALSE(market.ok());
     EXPECT_EQ(market.status().kind(), ErrorKind::IoError);
-
-    auto profile = profiling::loadProfileCsv(
-        (corpusDir() / "no_such_file.csv").string(), "missing");
-    ASSERT_FALSE(profile.ok());
-    EXPECT_EQ(profile.status().kind(), ErrorKind::IoError);
 }
 
 // --- Prefix-truncation fuzz ------------------------------------------
@@ -126,21 +89,6 @@ const char kGoodMarket[] =
     "user Bob budget 1\n"
     "job server 0 fraction 0.96\n"
     "job server 1 fraction 0.68\n";
-
-const char kGoodProfile[] =
-    "dataset_gb,cores,seconds\n"
-    "1.0,1,100\n"
-    "1.0,2,60\n"
-    "1.0,4,40\n"
-    "2.0,1,210\n"
-    "2.0,2,120\n"
-    "2.0,4,75\n";
-
-const char kGoodCsv[] =
-    "name,\"the value\",note\n"
-    "alpha,1,\"line\nbreak\"\n"
-    "beta,2,\"say \"\"hi\"\"\"\n"
-    "gamma,3,plain\r\n";
 
 TEST(MalformedCorpus, EveryMarketPrefixIsOkOrStructuredError)
 {
@@ -158,32 +106,6 @@ TEST(MalformedCorpus, EveryMarketPrefixIsOkOrStructuredError)
     // complete user block.
     EXPECT_GT(ok_count, 0);
     EXPECT_TRUE(core::tryParseMarketString(text).ok());
-}
-
-TEST(MalformedCorpus, EveryProfilePrefixIsOkOrStructuredError)
-{
-    const std::string text(kGoodProfile);
-    for (std::size_t n = 0; n <= text.size(); ++n) {
-        auto result = profiling::tryParseProfileCsvString(
-            text.substr(0, n), "fuzz");
-        if (!result.ok()) {
-            EXPECT_FALSE(result.status().message().empty());
-        }
-    }
-    EXPECT_TRUE(
-        profiling::tryParseProfileCsvString(text, "fuzz").ok());
-}
-
-TEST(MalformedCorpus, EveryCsvPrefixIsOkOrStructuredError)
-{
-    const std::string text(kGoodCsv);
-    for (std::size_t n = 0; n <= text.size(); ++n) {
-        auto result = parseCsvString(text.substr(0, n));
-        if (!result.ok()) {
-            EXPECT_FALSE(result.status().toString().empty());
-        }
-    }
-    EXPECT_TRUE(parseCsvString(text).ok());
 }
 
 // Single-character corruption at every position of a valid market:

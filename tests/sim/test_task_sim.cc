@@ -116,9 +116,11 @@ TEST(TaskSim, BlockScalingCreatesOneTaskPerBlock)
 
     TaskSimulator sim;
     const auto result = sim.execute(w, 1.0, 4);
-    EXPECT_EQ(result.totalTasks(), 32); // ceil(1.0 / 0.032) = 32.
+    ASSERT_EQ(result.stages.size(), 1u);
+    EXPECT_EQ(result.stages[0].tasks, 32); // ceil(1.0 / 0.032) = 32.
     const auto result24 = sim.execute(w, 24.0, 4);
-    EXPECT_EQ(result24.totalTasks(), 750); // the paper's ~800 blocks.
+    ASSERT_EQ(result24.stages.size(), 1u);
+    EXPECT_EQ(result24.stages[0].tasks, 750); // the paper's ~800 blocks.
 }
 
 TEST(TaskSim, DispatchOverheadSerializesTinyTasks)
@@ -140,8 +142,10 @@ TEST(TaskSim, CommunicationGrowsWithWorkers)
     TaskSimulator sim;
     const auto r4 = sim.execute(w, 1.0, 4);
     const auto r24 = sim.execute(w, 1.0, 24);
-    EXPECT_NEAR(r4.totalCommSeconds(), 3.0, 1e-9);
-    EXPECT_NEAR(r24.totalCommSeconds(), 23.0, 1e-9);
+    ASSERT_EQ(r4.stages.size(), 1u);
+    ASSERT_EQ(r24.stages.size(), 1u);
+    EXPECT_NEAR(r4.stages[0].commSeconds, 3.0, 1e-9);
+    EXPECT_NEAR(r24.stages[0].commSeconds, 23.0, 1e-9);
 }
 
 TEST(TaskSim, BandwidthCeilingThrottlesParallelWork)

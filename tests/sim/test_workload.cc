@@ -33,11 +33,6 @@ TEST(Workload, SuiteNames)
     EXPECT_EQ(toString(Suite::Parsec), "PARSEC");
 }
 
-TEST(Workload, ReferenceSingleCoreSeconds)
-{
-    EXPECT_DOUBLE_EQ(minimalSpec().referenceSingleCoreSeconds(), 100.0);
-}
-
 TEST(Workload, StructuralParallelFraction)
 {
     EXPECT_DOUBLE_EQ(minimalSpec().structuralParallelFraction(), 0.9);
