@@ -175,7 +175,7 @@ emitRunStart(const OnlineOptions &opts, const std::string &policyName)
 }
 
 /** Layout version of encodeOnlineState; bump on any field change. */
-constexpr std::uint32_t kStateVersion = 6;
+constexpr std::uint32_t kStateVersion = 7;
 
 void
 putJob(ByteWriter &w, const OnlineJob &job)
@@ -332,7 +332,8 @@ namespace {
 /** Bytes putJob writes: nine fixed-width 8-byte fields. */
 constexpr std::size_t kJobBytes = 72;
 
-/** The encoding up to the job records: version through job count. */
+/** The encoding up to the unfrozen job records: version through the
+ *  frozen prefix's length and CRC. */
 void
 putHead(ByteWriter &w, const OnlineRunState &s, const OnlineOptions &opts)
 {
@@ -342,6 +343,8 @@ putHead(ByteWriter &w, const OnlineRunState &s, const OnlineOptions &opts)
     for (std::uint64_t word : s.rng.state())
         w.putU64(word);
     w.putU64(s.jobs.size());
+    w.putU64(s.frozenJobs);
+    w.putU32(s.frozenJobsCrc);
 }
 
 /** The encoding after the job records: the wait queue to the end. */
@@ -381,10 +384,9 @@ putTail(ByteWriter &w, const OnlineRunState &s)
     w.putU64(s.metrics.netStaleBidRounds);
     w.putU64(s.metrics.netRetransmits);
     w.putU64(s.metrics.netQuorumCollapses);
-    // The kernel cache and the frozen-prefix cursor are deliberately
-    // absent: a recovered run rebuilds the one and restarts the other,
-    // and both are bitwise invisible. So is all that decodeOnlineState
-    // derives.
+    // The kernel cache is deliberately absent: a recovered run
+    // rebuilds it, and it is bitwise invisible. So is all that
+    // decodeOnlineState derives.
 }
 
 /**
@@ -408,9 +410,10 @@ emitJobs(std::span<const OnlineJob> jobs,
 
 /**
  * Move the frozen-prefix cursor past the done jobs that follow it,
- * folding their records into the cached CRC. The only place the
- * cursor moves: jobs are only ever appended, and a done job is never
- * touched again, so the prefix stays frozen.
+ * folding their records into the cached CRC. The only place a run
+ * moves the cursor (decode restores it from a snapshot): jobs are only
+ * ever appended, and a done job is never touched again, so the prefix
+ * stays frozen.
  */
 void
 advanceFrozenJobs(OnlineRunState &s)
@@ -444,15 +447,38 @@ encodeOnlineState(const OnlineRunState &s, const OnlineOptions &opts)
     return onlineStatePayload(s, opts, 0).collect();
 }
 
+durability::SegmentRecords
+onlineJobSegment(const OnlineRunState &s)
+{
+    const std::span<const OnlineJob> frozen =
+        std::span<const OnlineJob>(s.jobs).first(s.frozenJobs);
+    return {kJobBytes * frozen.size(),
+            [frozen](std::uint64_t from,
+                     const durability::PayloadSink &sink) {
+                AMDAHL_ASSERT(from % kJobBytes == 0 &&
+                                  from <= kJobBytes * frozen.size(),
+                              "job segment emitted from byte ", from,
+                              ", not a record boundary of its ",
+                              frozen.size(), " records");
+                emitJobs(frozen.subspan(from / kJobBytes), sink);
+            }};
+}
+
 durability::SnapshotPayload
 onlineStatePayload(const OnlineRunState &s, const OnlineOptions &opts,
                    std::uint32_t digest)
 {
+    AMDAHL_ASSERT(s.frozenJobs == s.jobs.size() ||
+                      !s.jobs[s.frozenJobs].done(),
+                  "encoding epoch ", s.epoch, " with its frozen-prefix "
+                  "cursor at ", s.frozenJobs,
+                  ", short of the done prefix of the job log");
     ByteWriter head;
     putHead(head, s, opts);
     ByteWriter tail;
     putTail(tail, s);
-    const std::span<const OnlineJob> jobs = s.jobs;
+    const std::span<const OnlineJob> jobs =
+        std::span<const OnlineJob>(s.jobs).subspan(s.frozenJobs);
     const std::uint64_t size = head.bytes().size() +
                                kJobBytes * jobs.size() +
                                tail.bytes().size();
@@ -467,31 +493,12 @@ onlineStatePayload(const OnlineRunState &s, const OnlineOptions &opts,
 }
 
 std::uint32_t
-onlineStateDigest(OnlineRunState &s, const OnlineOptions &opts)
+onlineStateDigest(const OnlineRunState &s, const OnlineOptions &opts)
 {
-    advanceFrozenJobs(s);
-    ByteWriter w;
-    putHead(w, s, opts);
-    const std::size_t head = w.bytes().size();
-    for (std::size_t k = s.frozenJobs; k < s.jobs.size(); ++k)
-        putJob(w, s.jobs[k]);
-    const std::size_t tail = w.bytes().size();
-    putTail(w, s);
-    const std::string &bytes = w.bytes();
-
-    // crc(head || frozen || unfrozen || tail): the cached frozen CRC
-    // runs on over the unfrozen records, the head is glued in front,
-    // and the result runs on over the tail.
-    const std::uint32_t records = crc32Update(
-        s.frozenJobsCrc, bytes.data() + head, tail - head);
-    const std::uint32_t through_records =
-        crc32Combine(crc32Update(0, bytes.data(), head), records,
-                     s.jobs.size() * kJobBytes);
-    const std::uint32_t digest = crc32Update(
-        through_records, bytes.data() + tail, bytes.size() - tail);
-    AMDAHL_ASSERT(digest == crc32(encodeOnlineState(s, opts)),
-                  "state digest ", digest, " at epoch ", s.epoch,
-                  " differs from the CRC of the full encoding");
+    std::uint32_t digest = 0;
+    onlineStatePayload(s, opts, 0).emit([&](std::string_view piece) {
+        digest = crc32Update(digest, piece.data(), piece.size());
+    });
     // The live values of what decode derives must be the derived ones.
     AMDAHL_ASSERT((LogFacts{s.placer.state().loads, s.metrics.jobsCompleted,
                             s.metrics.jobsArrived} ==
@@ -502,8 +509,8 @@ onlineStateDigest(OnlineRunState &s, const OnlineOptions &opts)
 }
 
 Result<OnlineRunState>
-decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
-                  std::string_view policyName)
+decodeOnlineState(std::string_view payload, std::string_view segment,
+                  const OnlineOptions &opts, std::string_view policyName)
 {
     ByteReader r(payload);
     const std::uint32_t version = r.readU32();
@@ -531,7 +538,39 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
         word = r.readU64();
     s.rng = Rng(rng_words);
     const std::uint64_t job_count = r.readU64();
-    for (std::uint64_t i = 0; r.ok() && i < job_count; ++i)
+    const std::uint64_t frozen = r.readU64();
+    s.frozenJobsCrc = r.readU32();
+    if (r.ok() && frozen > job_count) {
+        return Status::error(ErrorKind::SemanticError, 0,
+                             "snapshot's frozen job prefix of ", frozen,
+                             " records is longer than its job log of ",
+                             job_count);
+    }
+    // The frozen records come from the segment, checked against the
+    // length and CRC the snapshot names before any is read.
+    if (r.ok() && frozen > segment.size() / kJobBytes) {
+        return Status::error(ErrorKind::ParseError, 0,
+                             "job segment holds ",
+                             segment.size() / kJobBytes,
+                             " records; the snapshot names ", frozen);
+    }
+    if (r.ok()) {
+        const std::string_view prefix = segment.substr(0, frozen * kJobBytes);
+        if (const std::uint32_t crc = crc32(prefix); crc != s.frozenJobsCrc) {
+            return Status::error(ErrorKind::ParseError, 0,
+                                 "job segment's first ", frozen,
+                                 " records have CRC ", crc,
+                                 "; the snapshot names ",
+                                 s.frozenJobsCrc);
+        }
+        ByteReader records(prefix);
+        s.jobs.reserve(static_cast<std::size_t>(
+            frozen + std::min(job_count - frozen, r.remaining() / kJobBytes)));
+        for (std::uint64_t i = 0; i < frozen; ++i)
+            s.jobs.push_back(readJob(records));
+        s.frozenJobs = static_cast<std::size_t>(frozen);
+    }
+    for (std::uint64_t i = frozen; r.ok() && i < job_count; ++i)
         s.jobs.push_back(readJob(r));
     const std::uint64_t queue_count = r.readU64();
     for (std::uint64_t i = 0; r.ok() && i < queue_count; ++i)
@@ -615,6 +654,18 @@ decodeOnlineState(std::string_view payload, const OnlineOptions &opts,
         return Status::error(ErrorKind::SemanticError, 0,
                              "snapshot history length does not match "
                              "its epoch count ", s.epoch);
+    }
+    // The cursor is where runEpoch leaves it: the longest done prefix.
+    const auto first_unfrozen = s.jobs.begin() +
+                                static_cast<std::ptrdiff_t>(s.frozenJobs);
+    if (!std::all_of(s.jobs.begin(), first_unfrozen,
+                     [](const OnlineJob &job) { return job.done(); }) ||
+        (first_unfrozen != s.jobs.end() && first_unfrozen->done())) {
+        return Status::error(ErrorKind::SemanticError, 0,
+                             "snapshot's frozen job prefix of ",
+                             s.frozenJobs,
+                             " records is not the job log's longest "
+                             "done prefix");
     }
     // runEpoch indexes tenant, server and workload tables with these.
     const std::size_t workloads = sim::workloadLibrary().size();
@@ -1351,6 +1402,8 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
     bool completed_on_disk = false;
     int replayed = 0;
     std::uint64_t frontier = 0;
+    // Record bytes of the job segment the resumed snapshot names.
+    std::uint64_t segment_bytes = 0;
     const bool resuming =
         resume != nullptr &&
         (resume->hasSnapshot || !resume->entries.empty());
@@ -1363,11 +1416,13 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
             if (!envelope.ok())
                 return envelope.status();
             completed_on_disk = envelope.value().completed;
-            auto decoded = decodeOnlineState(envelope.value().state,
-                                             opts_, policy.name());
+            auto decoded =
+                decodeOnlineState(envelope.value().state, resume->segment,
+                                  opts_, policy.name());
             if (!decoded.ok())
                 return decoded.status();
             state = decoded.take();
+            segment_bytes = kJobBytes * state.frozenJobs;
         } else {
             // Crash before the first snapshot: replay from epoch 0.
             state = initState(policy);
@@ -1406,7 +1461,8 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
             ++replayed;
         }
         obs::setTraceSink(saved);
-        if (Status st = store.beginResume(*resume); !st.isOk())
+        if (Status st = store.beginResume(*resume, segment_bytes);
+            !st.isOk())
             return st;
     } else {
         state = initState(policy);
@@ -1436,13 +1492,18 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
         env.traceBytes = entry.traceBytes;
         env.traceSeq = entry.traceSeq;
         // The store calls this only on a snapshot epoch, after the
-        // journal entry is written. The state streams to disk in
-        // chunks, and the entry's digest is its CRC.
-        if (Status st = store.commitEpoch(entry, [&] {
-                return durability::streamSnapshotEnvelope(
-                    env, onlineStatePayload(state, opts_,
-                                            entry.eventCrc));
-            });
+        // journal entry is written and the job records frozen since
+        // the last snapshot are appended to the segment. The state
+        // streams to disk in chunks, and the entry's digest is its
+        // CRC.
+        if (Status st = store.commitEpoch(
+                entry,
+                [&] {
+                    return durability::streamSnapshotEnvelope(
+                        env, onlineStatePayload(state, opts_,
+                                                entry.eventCrc));
+                },
+                onlineJobSegment(state));
             !st.isOk())
             return st;
     }
@@ -1473,7 +1534,8 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
                     final_env,
                     onlineStatePayload(state, opts_,
                                        onlineStateDigest(state, opts_)));
-            });
+            },
+            onlineJobSegment(state));
         !st.isOk())
         return st;
 

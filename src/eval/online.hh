@@ -423,13 +423,14 @@ struct OnlineRunState
     /** Partial accumulators; aggregates are computed by finalize(). */
     OnlineMetrics metrics;
     /**
-     * The frozen-prefix cursor, derived from `jobs` and never encoded.
-     * Every job before `frozenJobs` is done(), and a done job's record
-     * never changes again, so per-epoch job scans start here and
-     * `frozenJobsCrc` caches the CRC-32 of those records' encoding
-     * (onlineStateDigest). runEpoch advances both as it ends;
-     * initState and decodeOnlineState start them at zero, which is
-     * always valid.
+     * The frozen-prefix cursor: every job before `frozenJobs` is
+     * done(), and a done job's record never changes again, so
+     * per-epoch job scans start here. `frozenJobsCrc` is the CRC-32 of
+     * those records' encoding. runEpoch advances both as it ends, to
+     * the longest done prefix of the job log, so the cursor is a pure
+     * function of the log. The encoding stores the pair in place of
+     * the records, which go once to the job segment
+     * (onlineJobSegment), and decodeOnlineState restores it.
      */
     std::size_t frozenJobs = 0;
     std::uint32_t frozenJobsCrc = 0;
@@ -447,24 +448,38 @@ std::uint32_t onlineStateFingerprint(const OnlineOptions &opts,
 /**
  * Serialize a run state to portable bytes (common/bytes.hh
  * framing: little-endian fixed-width fields, length-prefixed
- * containers). Pure function of (@p state, @p opts) — the recovery
- * oracle compares these bytes directly.
+ * containers). The records of the frozen job prefix are not among
+ * them: the bytes hold its length and CRC, and the records themselves
+ * live in the job segment (onlineJobSegment). Pure function of
+ * (@p state, @p opts) — the recovery oracle compares these bytes
+ * directly.
  */
 std::string encodeOnlineState(const OnlineRunState &state,
                               const OnlineOptions &opts);
+
+/**
+ * The job segment a snapshot of @p state names: the records of the
+ * frozen prefix, 72 bytes each, as encodeOnlineState writes a job.
+ * `emit(from, sink)` hands over the records from byte @p from (a
+ * whole number of records) to the end of the prefix, kStateChunkJobs
+ * at a time. The records are read when emitted, so @p state must
+ * outlive the result, unchanged.
+ */
+durability::SegmentRecords onlineJobSegment(const OnlineRunState &state);
 
 /** Job records per piece of a streamed state (a 288 KiB buffer). */
 inline constexpr std::size_t kStateChunkJobs = 4096;
 
 /**
  * encodeOnlineState(@p state, @p opts) as a streamed snapshot payload:
- * the fields before the job log, then the job records kStateChunkJobs
- * at a time through one reused buffer, then the fields after the log,
- * so no piece grows with the log. encodeOnlineState is this stream
- * appended to one string. @p digest is declared as the payload's CRC
- * and must be onlineStateDigest(@p state, @p opts); checked builds
- * verify it when the payload is written. The job records are read
- * when emitted, so @p state must outlive the payload, unchanged.
+ * the fields before the job log, then the unfrozen job records
+ * kStateChunkJobs at a time through one reused buffer, then the
+ * fields after the log, so no piece grows with the live state.
+ * encodeOnlineState is this stream appended to one string. @p digest
+ * is declared as the payload's CRC and must be
+ * onlineStateDigest(@p state, @p opts); checked builds verify it when
+ * the payload is written. The job records are read when emitted, so
+ * @p state must outlive the payload, unchanged.
  */
 durability::SnapshotPayload onlineStatePayload(const OnlineRunState &state,
                                                const OnlineOptions &opts,
@@ -472,26 +487,28 @@ durability::SnapshotPayload onlineStatePayload(const OnlineRunState &state,
 
 /**
  * @return crc32(encodeOnlineState(@p state, @p opts)), the journal's
- * per-epoch state digest, without encoding the frozen job prefix: the
- * cached CRC of the records before `state.frozenJobs` is extended over
- * the rest of the job log, glued behind the CRC of the fields that
- * precede the log (crc32Combine), and carried on over the fields that
- * follow it. Linear in the live suffix of the job log, not in its
- * history. Advances @p state's frozen-prefix cursor first; touches
- * nothing else.
+ * per-epoch state digest. The encoding carries the frozen prefix's
+ * CRC, so the digest covers the whole job log while it reads only the
+ * live suffix: linear in the live state, not in the run's history.
  */
-std::uint32_t onlineStateDigest(OnlineRunState &state,
+std::uint32_t onlineStateDigest(const OnlineRunState &state,
                                 const OnlineOptions &opts);
 
 /**
- * Deserialize a run state.
+ * Deserialize a run state from its encoding and the records of the
+ * job segment it names.
  *
- * @return ParseError on malformed bytes, SemanticError on a version
- * or fingerprint mismatch (the state was written by a different build
- * or scenario), internally inconsistent sizes, or a job naming a
- * user, server or workload outside the scenario.
+ * @param segment The segment's record bytes; those beyond the frozen
+ *                prefix @p payload names are ignored.
+ * @return ParseError on malformed bytes, or a segment shorter than the
+ * frozen prefix or whose prefix has another CRC; SemanticError on a
+ * version or fingerprint mismatch (the state was written by a
+ * different build or scenario), internally inconsistent sizes, a
+ * frozen prefix that is not the log's longest done prefix, or a job
+ * naming a user, server or workload outside the scenario.
  */
 Result<OnlineRunState> decodeOnlineState(std::string_view payload,
+                                         std::string_view segment,
                                          const OnlineOptions &opts,
                                          std::string_view policyName);
 

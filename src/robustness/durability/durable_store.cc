@@ -144,6 +144,11 @@ DurableStateStore::recover() const
         rec.snapshotPayload = snap.snapshot->payload;
     }
 
+    SegmentScan segment = Segment::scan(segmentPath());
+    for (const std::string &note : segment.notes)
+        rec.notes.push_back("segment: " + note);
+    rec.segment = std::move(segment.records);
+
     const JournalScan scan = Journal::scan(journalPath());
     for (const std::string &note : scan.notes)
         rec.notes.push_back("journal: " + note);
@@ -211,7 +216,7 @@ DurableStateStore::beginFresh()
          std::filesystem::directory_iterator(opts_.stateDir, ec)) {
         const std::string name = entry.path().filename().string();
         const bool ours =
-            name == "journal.amjl" ||
+            name == "journal.amjl" || name == "jobs.amsg" ||
             (name.starts_with("snapshot-") &&
              (name.ends_with(".amss") || name.ends_with(".amss.tmp")));
         if (ours) {
@@ -224,13 +229,23 @@ DurableStateStore::beginFresh()
     if (!journal.ok())
         return journal.status();
     journal_ = journal.take();
+    auto segment = Segment::create(segmentPath(), opts_.stateDir, io_);
+    if (!segment.ok())
+        return segment.status();
+    segment_ = segment.take();
     lastSnapshotEpoch_ = 0;
     return Status::ok();
 }
 
 Status
-DurableStateStore::beginResume(const RecoveredState &rec)
+DurableStateStore::beginResume(const RecoveredState &rec,
+                               std::uint64_t segmentBytes)
 {
+    if (segmentBytes > rec.segment.size())
+        return Status::error(ErrorKind::SemanticError, 0,
+                             "cannot resume a segment of ",
+                             rec.segment.size(), " record bytes at ",
+                             segmentBytes);
     if (rec.journalUsable) {
         auto journal =
             Journal::openResume(journalPath(), rec.journalValidBytes,
@@ -247,6 +262,15 @@ DurableStateStore::beginResume(const RecoveredState &rec)
             return journal.status();
         journal_ = journal.take();
     }
+    // No byte the resumed snapshot names is cut, and no kept older
+    // snapshot names more: the segment only ever grows by appends.
+    auto segment = segmentBytes == 0
+                       ? Segment::create(segmentPath(), opts_.stateDir, io_)
+                       : Segment::openResume(segmentPath(), segmentBytes,
+                                             io_);
+    if (!segment.ok())
+        return segment.status();
+    segment_ = segment.take();
     lastSnapshotEpoch_ = rec.snapshotEpoch;
     return Status::ok();
 }
@@ -254,8 +278,14 @@ DurableStateStore::beginResume(const RecoveredState &rec)
 Status
 DurableStateStore::takeSnapshot(
     std::uint64_t epoch,
-    const std::function<SnapshotPayload()> &encodeState)
+    const std::function<SnapshotPayload()> &encodeState,
+    const SegmentRecords &segment)
 {
+    // The records a snapshot names are durable before it is.
+    if (segment.emit) {
+        if (Status st = segment_->append(segment, io_); !st.isOk())
+            return st;
+    }
     const SnapshotPayload payload = encodeState();
     if (Status st = snapshots_.write(epoch, payload, io_); !st.isOk())
         return st;
@@ -270,7 +300,8 @@ DurableStateStore::takeSnapshot(
 Status
 DurableStateStore::commitEpoch(
     const JournalEntry &entry,
-    const std::function<SnapshotPayload()> &encodeState)
+    const std::function<SnapshotPayload()> &encodeState,
+    const SegmentRecords &segment)
 {
     if (!journal_)
         return Status::error(ErrorKind::SemanticError, 0,
@@ -284,7 +315,7 @@ DurableStateStore::commitEpoch(
     if (opts_.snapshotEvery > 0 &&
         entry.epoch >= lastSnapshotEpoch_ +
                            static_cast<std::uint64_t>(opts_.snapshotEvery)) {
-        if (Status st = takeSnapshot(entry.epoch, encodeState);
+        if (Status st = takeSnapshot(entry.epoch, encodeState, segment);
             !st.isOk())
             return st;
     }
@@ -295,7 +326,8 @@ DurableStateStore::commitEpoch(
 Status
 DurableStateStore::finishRun(
     std::uint64_t epoch,
-    const std::function<SnapshotPayload()> &encodeState)
+    const std::function<SnapshotPayload()> &encodeState,
+    const SegmentRecords &segment)
 {
     if (!journal_)
         return Status::error(ErrorKind::SemanticError, 0,
@@ -303,7 +335,7 @@ DurableStateStore::finishRun(
     // Always rewrite the final snapshot, even when the cadence already
     // anchored at this epoch: the finishing envelope differs (its
     // completed flag and trace frontier cover the run_end event).
-    return takeSnapshot(epoch, encodeState);
+    return takeSnapshot(epoch, encodeState, segment);
 }
 
 } // namespace amdahl::durability

@@ -8,9 +8,14 @@
  *   1. journal.append(entry)      — the epoch's verification digest
  *      and trace frontier become durable (WAL rule: nothing the epoch
  *      produced is observable until this fsync returns);
- *   2. every snapshotEvery epochs: snapshot.write(state payload), then
- *      journal.reset() — the snapshot makes journaled epochs
- *      redundant, so the journal truncates back to a bare header. The
+ *   2. every snapshotEvery epochs: segment.append(records) — the
+ *      records the state has frozen since the last snapshot go once
+ *      to the append-only segment (segment.hh) and are fsynced — then
+ *      snapshot.write(state payload), then journal.reset() — the
+ *      snapshot makes journaled epochs redundant, so the journal
+ *      truncates back to a bare header. The snapshot names the
+ *      segment prefix it builds on instead of holding it, so it stays
+ *      the size of the live state, not of the run's history. The
  *      payload is streamed (SnapshotPayload): the state goes to disk
  *      in bounded pieces, and its CRC comes from the epoch's digest,
  *      not from a second pass over the bytes.
@@ -43,6 +48,7 @@
 #include "robustness/durability/io_faults.hh"
 #include "robustness/durability/journal.hh"
 #include "robustness/durability/posix_io.hh"
+#include "robustness/durability/segment.hh"
 #include "robustness/durability/snapshot.hh"
 
 namespace amdahl::durability {
@@ -130,6 +136,10 @@ struct RecoveredState
     std::uint64_t journalValidBytes = 0;
     /** true when the journal file needs re-creation (unusable). */
     bool journalUsable = false;
+    /** The segment's record bytes (empty when it is missing or its
+     *  header is bad); the snapshot's decoder checks the prefix it
+     *  names, beginResume cuts the rest. */
+    std::string segment;
     /** Human-readable anomaly notes, in detection order. */
     std::vector<std::string> notes;
 
@@ -144,7 +154,7 @@ struct RecoveredState
 /**
  * The per-run persistence handle. Lifecycle:
  *
- *     open() -> recover() -> beginFresh() | beginResume(rec)
+ *     open() -> recover() -> beginFresh() | beginResume(rec, bytes)
  *            -> commitEpoch()*            (once per epoch)
  *            -> finishRun()               (final snapshot)
  */
@@ -158,32 +168,42 @@ class DurableStateStore
      * Read-only scan of the state directory: last good snapshot,
      * verified journal prefix filtered to epochs after the snapshot
      * and checked for contiguity (a gap or duplicate ends the usable
-     * prefix with a note). Never mutates disk.
+     * prefix with a note), and the segment's records. Never mutates
+     * disk.
      */
     RecoveredState recover() const;
 
-    /** Discard any previous state and start a fresh journal. */
+    /** Discard any previous state and start a fresh journal and an
+     *  empty segment. */
     Status beginFresh();
 
     /**
      * Resume after recover(): truncate the journal to the verified
-     * prefix (or re-create it when unusable) and open for append.
+     * prefix (or re-create it when unusable) and open for append, and
+     * cut the segment to the @p segmentBytes record bytes the resumed
+     * snapshot names (0 without one: a fresh, empty segment). More
+     * bytes than rec.segment holds is a SemanticError.
      */
-    Status beginResume(const RecoveredState &rec);
+    Status beginResume(const RecoveredState &rec,
+                       std::uint64_t segmentBytes);
 
     /**
      * Commit one epoch: journal append, then on the snapshot cadence
-     * a full snapshot + journal reset. @p encodeState is only invoked
-     * when a snapshot is actually taken. Brackets the work with the
+     * the segment append (when @p segment has an emitter), a snapshot
+     * and a journal reset. @p encodeState is only invoked when a
+     * snapshot is actually taken. Brackets the work with the
      * epoch.pre_commit / epoch.post_commit kill points.
      */
     Status
     commitEpoch(const JournalEntry &entry,
-                const std::function<SnapshotPayload()> &encodeState);
+                const std::function<SnapshotPayload()> &encodeState,
+                const SegmentRecords &segment = {});
 
-    /** Final snapshot at @p epoch + journal reset (run completed). */
+    /** Final segment append, snapshot at @p epoch and journal reset
+     *  (run completed). */
     Status finishRun(std::uint64_t epoch,
-                     const std::function<SnapshotPayload()> &encodeState);
+                     const std::function<SnapshotPayload()> &encodeState,
+                     const SegmentRecords &segment = {});
 
     /** @return Cumulative IO/fault/commit counters. */
     const DurabilityCounters &counters() const { return *counters_; }
@@ -193,6 +213,9 @@ class DurableStateStore
 
     /** @return The journal file path inside the state directory. */
     std::string journalPath() const { return opts_.stateDir + "/journal.amjl"; }
+
+    /** @return The segment file path inside the state directory. */
+    std::string segmentPath() const { return opts_.stateDir + "/jobs.amsg"; }
 
     /** Encode one journal entry payload (exposed for tests). */
     static std::string encodeEntry(const JournalEntry &entry);
@@ -207,10 +230,11 @@ class DurableStateStore
           io_(IoFaultInjector(opts_.ioFaults), counters_.get())
     {}
 
-    /** Snapshot + journal reset at @p epoch. */
+    /** Segment append + snapshot + journal reset at @p epoch. */
     Status
     takeSnapshot(std::uint64_t epoch,
-                 const std::function<SnapshotPayload()> &encodeState);
+                 const std::function<SnapshotPayload()> &encodeState,
+                 const SegmentRecords &segment);
 
     DurabilityOptions opts_;
     SnapshotStore snapshots_;
@@ -220,6 +244,7 @@ class DurableStateStore
         std::make_unique<DurabilityCounters>();
     IoContext io_;
     std::optional<Journal> journal_;
+    std::optional<Segment> segment_;
     std::uint64_t lastSnapshotEpoch_ = 0;
 };
 

@@ -37,6 +37,8 @@ killPointCatalog()
         "journal.pre_append",   // record encoded, nothing written
         "journal.mid_append",   // half the record bytes on disk (torn)
         "journal.post_append",  // record written + fsynced
+        "segment.mid_append",   // half the new segment records on disk
+        "segment.pre_sync",     // segment records written, not fsynced
         "snapshot.pre_write",   // snapshot encoded, temp not created
         "snapshot.mid_write",   // half the temp file on disk (torn)
         "snapshot.pre_rename",  // temp complete + fsynced, not renamed

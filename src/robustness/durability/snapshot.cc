@@ -157,6 +157,43 @@ SnapshotPayload::collect() const
 }
 
 Status
+writeTearingAtHalf(PosixFile &file, std::uint64_t size,
+                   const std::function<void(const PayloadSink &)> &emit,
+                   std::string_view tearSite, std::string_view what)
+{
+    const std::uint64_t half = size / 2;
+    std::uint64_t written = 0;
+    bool torn = false;
+    const auto tearAtHalf = [&] {
+        if (!torn && written == half) {
+            torn = true;
+            killPoint(tearSite);
+        }
+    };
+    Status w = Status::ok();
+    tearAtHalf();
+    emit([&](std::string_view piece) {
+        while (w.isOk() && !piece.empty()) {
+            std::size_t n = piece.size();
+            if (written < half)
+                n = static_cast<std::size_t>(
+                    std::min<std::uint64_t>(n, half - written));
+            w = file.writeAll(piece.data(), n);
+            written += n;
+            piece.remove_prefix(n);
+            tearAtHalf();
+        }
+    });
+    if (!w.isOk())
+        return w;
+    if (written != size)
+        return Status::error(ErrorKind::SemanticError, 0, what,
+                             " emitted ", written,
+                             " bytes; its size was declared as ", size);
+    return Status::ok();
+}
+
+Status
 SnapshotStore::write(std::uint64_t epoch, const SnapshotPayload &payload,
                      IoContext &io)
 {
@@ -192,41 +229,21 @@ SnapshotStore::write(std::uint64_t epoch, const SnapshotPayload &payload,
         if (Status w = tmp.writeAll(head.data(), head.size()); !w.isOk())
             return w;
         // Torn-write crash site: a partial tmp file, never renamed —
-        // recovery must ignore it entirely. It fires once the first
-        // half of the payload is written, splitting a piece if need be.
-        const std::uint64_t half = payload.size / 2;
-        std::uint64_t written = 0;
+        // recovery must ignore it entirely.
         std::uint32_t folded = 0;
-        bool torn = false;
-        const auto tearAtHalf = [&] {
-            if (!torn && written == half) {
-                torn = true;
-                killPoint("snapshot.mid_write");
-            }
-        };
-        Status w = Status::ok();
-        tearAtHalf();
-        payload.emit([&](std::string_view piece) {
-            if constexpr (checkedBuild)
-                folded = crc32Update(folded, piece.data(), piece.size());
-            while (w.isOk() && !piece.empty()) {
-                std::size_t n = piece.size();
-                if (written < half)
-                    n = static_cast<std::size_t>(
-                        std::min<std::uint64_t>(n, half - written));
-                w = tmp.writeAll(piece.data(), n);
-                written += n;
-                piece.remove_prefix(n);
-                tearAtHalf();
-            }
-        });
-        if (!w.isOk())
+        if (Status w = writeTearingAtHalf(
+                tmp, payload.size,
+                [&](const PayloadSink &sink) {
+                    payload.emit([&](std::string_view piece) {
+                        if constexpr (checkedBuild)
+                            folded = crc32Update(folded, piece.data(),
+                                                 piece.size());
+                        sink(piece);
+                    });
+                },
+                "snapshot.mid_write", "snapshot payload");
+            !w.isOk())
             return w;
-        if (written != payload.size)
-            return Status::error(ErrorKind::SemanticError, 0,
-                                 "snapshot payload emitted ", written,
-                                 " bytes; its size was declared as ",
-                                 payload.size);
         AMDAHL_ASSERT(folded == payload.crc, "snapshot payload for epoch ",
                       epoch, " emitted bytes with CRC ", folded,
                       "; its declared CRC is ", payload.crc);

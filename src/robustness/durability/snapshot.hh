@@ -81,6 +81,19 @@ struct SnapshotPayload
     std::string collect() const;
 };
 
+/**
+ * Write every piece @p emit hands over to @p file, in order, and hit
+ * kill point @p tearSite once the first floor(@p size / 2) bytes are
+ * written (before any byte when that is zero), splitting a piece if
+ * need be: the torn-write crash site of a streamed write.
+ *
+ * @return The first write error, or a SemanticError naming @p what
+ * when the pieces add up to a byte count other than @p size.
+ */
+Status writeTearingAtHalf(PosixFile &file, std::uint64_t size,
+                          const std::function<void(const PayloadSink &)> &emit,
+                          std::string_view tearSite, std::string_view what);
+
 /** Manages the snapshot generation files in one state directory. */
 class SnapshotStore
 {

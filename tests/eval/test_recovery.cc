@@ -22,11 +22,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "alloc/amdahl_bidding_policy.hh"
+#include "common/bytes.hh"
 #include "common/crc32.hh"
 #include "eval/online.hh"
 #include "robustness/durability/durable_store.hh"
@@ -62,6 +64,34 @@ smallScenario()
     opts.horizonSeconds = 600.0; // 10 epochs
     opts.arrivalsPerServerEpoch = 0.5;
     return opts;
+}
+
+/** The job segment a snapshot of @p state names, as one string. */
+std::string
+segmentOf(const OnlineRunState &state)
+{
+    std::string bytes;
+    onlineJobSegment(state).emit(
+        0, [&](std::string_view piece) { bytes.append(piece); });
+    return bytes;
+}
+
+/** decode(encode(@p state)) over the segment the encoding names. */
+Result<OnlineRunState>
+roundTrip(const OnlineRunState &state, const OnlineOptions &opts,
+          std::string_view policyName)
+{
+    return decodeOnlineState(encodeOnlineState(state, opts),
+                             segmentOf(state), opts, policyName);
+}
+
+/** The bytes of @p path, or empty when it cannot be read. */
+std::string
+fileBytes(const fs::path &path)
+{
+    auto bytes = durability::readFileBytes(path.string());
+    EXPECT_TRUE(bytes.ok()) << bytes.status().toString();
+    return bytes.ok() ? bytes.take() : std::string();
 }
 
 durability::DurableStateStore
@@ -103,12 +133,13 @@ runAndAbandonAfter(const OnlineSimulator &sim,
         entry.eventCrc = crc32(encoded) ^ digestXor;
         durability::OnlineSnapshotEnvelope env;
         ASSERT_TRUE(store
-                        .commitEpoch(entry,
-                                     [&] {
-                                         env.state = encoded;
-                                         return encodeSnapshotEnvelope(
-                                             env);
-                                     })
+                        .commitEpoch(
+                            entry,
+                            [&] {
+                                env.state = encoded;
+                                return encodeSnapshotEnvelope(env);
+                            },
+                            onlineJobSegment(state))
                         .isOk());
     }
 }
@@ -154,7 +185,7 @@ TEST(Recovery, EncodedStateRoundTripsByteIdentically)
         sim.runEpoch(state, ab, FractionSource::Estimated, injector);
 
     const std::string encoded = encodeOnlineState(state, opts);
-    auto decoded = decodeOnlineState(encoded, opts, ab.name());
+    auto decoded = roundTrip(state, opts, ab.name());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_EQ(encodeOnlineState(decoded.value(), opts), encoded);
     EXPECT_EQ(decoded.value().epoch, 4);
@@ -169,36 +200,38 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
     const std::string encoded =
         encodeOnlineState(sim.initState(ab), opts);
 
-    auto wrongPolicy = decodeOnlineState(encoded, opts, "PS");
+    auto wrongPolicy = decodeOnlineState(encoded, "", opts, "PS");
     ASSERT_FALSE(wrongPolicy.ok());
     EXPECT_EQ(wrongPolicy.status().kind(), ErrorKind::SemanticError);
 
     OnlineOptions reseeded = opts;
     reseeded.seed ^= 1;
-    auto wrongScenario = decodeOnlineState(encoded, reseeded, ab.name());
+    auto wrongScenario =
+        decodeOnlineState(encoded, "", reseeded, ab.name());
     ASSERT_FALSE(wrongScenario.ok());
     EXPECT_EQ(wrongScenario.status().kind(), ErrorKind::SemanticError);
 
     auto truncated = decodeOnlineState(
-        std::string_view(encoded).substr(0, encoded.size() / 2), opts,
+        std::string_view(encoded).substr(0, encoded.size() / 2), "", opts,
         ab.name());
     EXPECT_FALSE(truncated.ok());
 
     // A job record whose user, server or workload index is out of
     // range would index past runEpoch's tables: the decoder refuses
-    // it even though the bytes are well formed.
+    // it even though the bytes are well formed. The edits go to the
+    // first unfrozen job, whose record is in the snapshot itself.
     const robustness::FaultInjector injector(
         opts.faults, static_cast<std::size_t>(opts.servers),
         sim.epochCount());
     OnlineRunState ran = sim.initState(ab);
     for (int e = 0; e < 3; ++e)
         sim.runEpoch(ran, ab, FractionSource::Estimated, injector);
-    ASSERT_FALSE(ran.jobs.empty());
+    ASSERT_LT(ran.frozenJobs, ran.jobs.size());
+    const std::size_t live = ran.frozenJobs;
     const auto tampered = [&](auto &&edit) {
         OnlineRunState bad = ran;
         edit(bad);
-        return decodeOnlineState(encodeOnlineState(bad, opts), opts,
-                                 ab.name());
+        return roundTrip(bad, opts, ab.name());
     };
     // The placer refuses a round-robin cursor past the cluster, so such
     // a state exists only as bytes: the cursor is the one word in which
@@ -217,17 +250,17 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
         const auto at =
             std::mismatch(bytes.begin(), bytes.end(), other.begin()).first;
         *at = static_cast<char>(opts.servers);
-        return decodeOnlineState(bytes, opts, ab.name());
+        return decodeOnlineState(bytes, segmentOf(ran), opts, ab.name());
     };
     const std::size_t huge = 1000000;
     const Result<OnlineRunState> cases[] = {
-        tampered([&](OnlineRunState &st) { st.jobs[0].user = huge; }),
-        tampered([&](OnlineRunState &st) { st.jobs[0].server = huge; }),
+        tampered([&](OnlineRunState &st) { st.jobs[live].user = huge; }),
+        tampered([&](OnlineRunState &st) { st.jobs[live].server = huge; }),
         tampered([&](OnlineRunState &st) {
-            st.jobs[0].workloadIndex = huge;
+            st.jobs[live].workloadIndex = huge;
         }),
         tampered([&](OnlineRunState &st) {
-            st.waitQueue.push_back(st.jobs[0]);
+            st.waitQueue.push_back(st.jobs[live]);
             st.waitQueue.back().user = huge;
         }),
         cursorPastCluster(),
@@ -238,8 +271,8 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
     }
     // kUnplaced is the one legal server index past the cluster: a
     // total outage parks jobs there.
-    auto parked = tampered([](OnlineRunState &st) {
-        st.jobs[0].server = OnlineJob::kUnplaced;
+    auto parked = tampered([&](OnlineRunState &st) {
+        st.jobs[live].server = OnlineJob::kUnplaced;
     });
     EXPECT_TRUE(parked.ok()) << parked.status().toString();
 }
@@ -302,6 +335,8 @@ TEST(Recovery, KillAfterAnyCommitRecoversTheUninterruptedOutcome)
         durability::SnapshotStore(goldenDir.string(), 2)
             .pathFor(static_cast<std::uint64_t>(sim.epochCount())));
     ASSERT_TRUE(goldenSnapshot.ok());
+    const std::string goldenSegment = fileBytes(goldenDir / "jobs.amsg");
+    ASSERT_GT(goldenSegment.size(), durability::Segment::kHeaderBytes);
 
     for (int killAfter = 1; killAfter < sim.epochCount(); ++killAfter) {
         SCOPED_TRACE("killed after epoch " + std::to_string(killAfter));
@@ -336,6 +371,10 @@ TEST(Recovery, KillAfterAnyCommitRecoversTheUninterruptedOutcome)
                 .pathFor(static_cast<std::uint64_t>(sim.epochCount())));
         ASSERT_TRUE(snapshot.ok());
         EXPECT_EQ(snapshot.value(), goldenSnapshot.value());
+        // The segment the snapshots name is the uninterrupted run's
+        // too: a resume cuts what no surviving snapshot names, and the
+        // redo appends the same records again.
+        EXPECT_EQ(fileBytes(dir / "jobs.amsg"), goldenSegment);
     }
 }
 
@@ -414,8 +453,7 @@ TEST(Recovery, ZeroedPlacerLoadsAreRederivedOnDecode)
     std::fill(placer.loads.begin(), placer.loads.end(), 0);
     zeroed.placer = alloc::JobPlacer(opts.placement, placer);
 
-    auto decoded = decodeOnlineState(encodeOnlineState(zeroed, opts),
-                                     opts, ab.name());
+    auto decoded = roundTrip(zeroed, opts, ab.name());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     OnlineRunState resumed = decoded.take();
     EXPECT_EQ(crc32(encodeOnlineState(resumed, opts)), digests[1]);
@@ -472,8 +510,7 @@ TEST(Recovery, DecodeDerivesLoadsCountsAndBudgetsUnderFaults)
                                        });
         queued = queued || !state.waitQueue.empty();
 
-        auto decoded = decodeOnlineState(encodeOnlineState(state, opts),
-                                         opts, ab.name());
+        auto decoded = roundTrip(state, opts, ab.name());
         ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
         const OnlineRunState &back = decoded.value();
         EXPECT_EQ(back.placer.state().loads, state.placer.state().loads);
@@ -522,11 +559,12 @@ TEST(Recovery, DeltaStateRoundTripsAndResumes)
         sim.runEpoch(state, ab, FractionSource::Estimated, injector);
 
     const std::string encoded = encodeOnlineState(state, opts);
-    // Pins the state bytes. The literal changes with kStateVersion
+    // Pins the state bytes, and through the frozen prefix's CRC they
+    // hold, the job segment's. The literal changes with kStateVersion
     // (src/eval/online.cc) and with the options fingerprint in bytes
     // 4-8, which onlineStateFingerprint hashes from the scenario.
-    EXPECT_EQ(crc32(encoded), 0xaf3ec470u);
-    auto decoded = decodeOnlineState(encoded, opts, ab.name());
+    EXPECT_EQ(crc32(encoded), 0xe238eb5du);
+    auto decoded = roundTrip(state, opts, ab.name());
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
     EXPECT_EQ(encodeOnlineState(decoded.value(), opts), encoded);
 
@@ -562,6 +600,266 @@ TEST(Recovery, KillMidRunRecoversTheDeltaOutcome)
     ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
     expectSameSimulation(resumed.value(), plain);
     EXPECT_TRUE(resumed.value().recovered);
+}
+
+/** What an uninterrupted durable run of a scenario leaves on disk. */
+struct Golden
+{
+    OnlineMetrics metrics;
+    std::string snapshot;
+    std::string segment;
+};
+
+/** Run @p sim to the end in a fresh @p dir, snapshotting every 3. */
+Golden
+goldenRun(OnlineSimulator &sim, const alloc::AllocationPolicy &policy,
+          const fs::path &dir)
+{
+    Golden g;
+    auto store = openStore(dir, 3);
+    auto run = sim.runDurable(policy, FractionSource::Estimated, store);
+    EXPECT_TRUE(run.ok()) << run.status().toString();
+    if (run.ok())
+        g.metrics = run.take();
+    g.snapshot = fileBytes(
+        durability::SnapshotStore(dir.string(), 2)
+            .pathFor(static_cast<std::uint64_t>(sim.epochCount())));
+    g.segment = fileBytes(dir / "jobs.amsg");
+    return g;
+}
+
+/** Resume @p dir and expect it to finish on @p golden's bytes. */
+void
+expectResumesTo(OnlineSimulator &sim, const alloc::AllocationPolicy &policy,
+                const fs::path &dir, const Golden &golden)
+{
+    auto store = openStore(dir, 3);
+    const durability::RecoveredState rec = store.recover();
+    auto resumed =
+        sim.runDurable(policy, FractionSource::Estimated, store, &rec);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+    EXPECT_TRUE(resumed.value().recovered);
+    expectSameSimulation(resumed.value(), golden.metrics);
+    EXPECT_EQ(fileBytes(durability::SnapshotStore(dir.string(), 2)
+                            .pathFor(static_cast<std::uint64_t>(
+                                sim.epochCount()))),
+              golden.snapshot);
+    EXPECT_EQ(fileBytes(dir / "jobs.amsg"), golden.segment);
+}
+
+/** A run of @p sim abandoned after its epoch-7 commit (snapshots at 3
+ *  and 6, epoch 7 journaled). */
+void
+abandonAfterSeven(const OnlineSimulator &sim,
+                  const alloc::AllocationPolicy &policy, const fs::path &dir)
+{
+    fs::create_directories(dir);
+    auto store = openStore(dir, 3);
+    runAndAbandonAfter(sim, policy, store, 7);
+}
+
+TEST(Recovery, TornSegmentTailIsCutOnResume)
+{
+    // A crash mid-append, or between the append and the snapshot that
+    // would have named it, leaves records past the newest snapshot's
+    // prefix. The resume cuts them and the redo writes them again.
+    CharacterizationCache cache;
+    OnlineSimulator sim(cache, smallScenario());
+    const alloc::AmdahlBiddingPolicy ab;
+    const fs::path root = freshDir();
+    const Golden golden = goldenRun(sim, ab, root / "golden");
+
+    const fs::path dir = root / "torn";
+    abandonAfterSeven(sim, ab, dir);
+    const std::string named = fileBytes(dir / "jobs.amsg");
+    ASSERT_GT(named.size(), durability::Segment::kHeaderBytes);
+    {
+        std::ofstream out(dir / "jobs.amsg",
+                          std::ios::binary | std::ios::app);
+        out << std::string(100, '\xab');
+    }
+    expectResumesTo(sim, ab, dir, golden);
+}
+
+TEST(Recovery, OlderKeptSnapshotResumesOverALongerSegment)
+{
+    // The newest snapshot is rejected, so recovery falls back to the
+    // kept generation before it, which names a shorter prefix of the
+    // same segment: no byte a kept snapshot names was ever dropped.
+    CharacterizationCache cache;
+    OnlineSimulator sim(cache, smallScenario());
+    const alloc::AmdahlBiddingPolicy ab;
+    const fs::path root = freshDir();
+    const Golden golden = goldenRun(sim, ab, root / "golden");
+
+    const fs::path dir = root / "fallback";
+    abandonAfterSeven(sim, ab, dir);
+    const fs::path newest = dir / "snapshot-00000006.amss";
+    std::string bytes = fileBytes(newest);
+    ASSERT_FALSE(bytes.empty());
+    bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+    {
+        std::ofstream out(newest, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    {
+        auto store = openStore(dir, 3);
+        const durability::RecoveredState rec = store.recover();
+        ASSERT_EQ(rec.snapshotEpoch, 3u);
+    }
+    expectResumesTo(sim, ab, dir, golden);
+}
+
+TEST(Recovery, DamagedSegmentIsAClassifiedError)
+{
+    // A segment shorter than the prefix the snapshot names, one whose
+    // prefix has another CRC, and one with a bad header all refuse the
+    // resume with a ParseError instead of replaying from wrong records.
+    CharacterizationCache cache;
+    OnlineSimulator sim(cache, smallScenario());
+    const alloc::AmdahlBiddingPolicy ab;
+    const fs::path root = freshDir();
+    const auto damaged = [&](const std::string &name, auto &&edit) {
+        SCOPED_TRACE(name);
+        const fs::path dir = root / name;
+        abandonAfterSeven(sim, ab, dir);
+        std::string bytes = fileBytes(dir / "jobs.amsg");
+        ASSERT_GT(bytes.size(), durability::Segment::kHeaderBytes);
+        edit(bytes);
+        {
+            std::ofstream out(dir / "jobs.amsg",
+                              std::ios::binary | std::ios::trunc);
+            out << bytes;
+        }
+        auto store = openStore(dir, 3);
+        const durability::RecoveredState rec = store.recover();
+        auto resumed =
+            sim.runDurable(ab, FractionSource::Estimated, store, &rec);
+        ASSERT_FALSE(resumed.ok());
+        EXPECT_EQ(resumed.status().kind(), ErrorKind::ParseError);
+        EXPECT_NE(resumed.status().message().find("job segment"),
+                  std::string::npos)
+            << resumed.status().toString();
+    };
+    damaged("short", [](std::string &b) { b.pop_back(); });
+    damaged("mismatched",
+            [](std::string &b) { b[b.size() - 5] ^= 0x20; });
+    damaged("bad_header", [](std::string &b) { b[0] = 'X'; });
+}
+
+TEST(Recovery, FreshRunNeverReadsAStaleSegment)
+{
+    // A fresh run in a directory that still holds another run's
+    // segment (or a damaged one) discards it with the journal and the
+    // snapshots, and finishes on the bytes of a run in an empty one.
+    CharacterizationCache cache;
+    OnlineSimulator sim(cache, smallScenario());
+    const alloc::AmdahlBiddingPolicy ab;
+    const fs::path root = freshDir();
+    const Golden golden = goldenRun(sim, ab, root / "golden");
+
+    std::string foreign = golden.segment;
+    for (std::size_t i = durability::Segment::kHeaderBytes;
+         i < foreign.size(); ++i)
+        foreign[i] = static_cast<char>(i);
+    for (const std::string &stale : {foreign, std::string("JUNK")}) {
+        const fs::path dir = root / ("stale" + std::to_string(stale.size()));
+        fs::create_directories(dir);
+        {
+            std::ofstream out(dir / "jobs.amsg",
+                              std::ios::binary | std::ios::trunc);
+            out << stale;
+        }
+        auto store = openStore(dir, 3);
+        auto run = sim.runDurable(ab, FractionSource::Estimated, store);
+        ASSERT_TRUE(run.ok()) << run.status().toString();
+        EXPECT_EQ(fileBytes(dir / "jobs.amsg"), golden.segment);
+        EXPECT_EQ(fileBytes(durability::SnapshotStore(dir.string(), 2)
+                                .pathFor(static_cast<std::uint64_t>(
+                                    sim.epochCount()))),
+                  golden.snapshot);
+    }
+}
+
+TEST(Recovery, DecodeRejectsEveryShortOrFlippedSegment)
+{
+    // The segment is read back from disk, so the decoder treats it as
+    // untrusted: every cut inside the named prefix and every flipped
+    // byte in it is a ParseError, while bytes past it are ignored.
+    CharacterizationCache cache;
+    const OnlineOptions opts = smallScenario();
+    OnlineSimulator sim(cache, opts);
+    const alloc::AmdahlBiddingPolicy ab;
+    const robustness::FaultInjector injector(
+        opts.faults, static_cast<std::size_t>(opts.servers),
+        sim.epochCount());
+    OnlineRunState state = sim.initState(ab);
+    for (int e = 0; e < 7; ++e)
+        sim.runEpoch(state, ab, FractionSource::Estimated, injector);
+    const std::string encoded = encodeOnlineState(state, opts);
+    const std::string segment = segmentOf(state);
+    ASSERT_GT(segment.size(), 0u);
+
+    const auto expectParseError = [&](const std::string &bytes) {
+        auto decoded = decodeOnlineState(encoded, bytes, opts, ab.name());
+        ASSERT_FALSE(decoded.ok());
+        EXPECT_EQ(decoded.status().kind(), ErrorKind::ParseError);
+    };
+    for (std::size_t n = 0; n < segment.size(); ++n) {
+        SCOPED_TRACE("cut at " + std::to_string(n));
+        expectParseError(segment.substr(0, n));
+        std::string flipped = segment;
+        flipped[n] = static_cast<char>(flipped[n] ^ 0x10);
+        SCOPED_TRACE("flip at " + std::to_string(n));
+        expectParseError(flipped);
+    }
+    auto extra = decodeOnlineState(encoded, segment + "extra records",
+                                   opts, ab.name());
+    ASSERT_TRUE(extra.ok()) << extra.status().toString();
+    EXPECT_EQ(encodeOnlineState(extra.value(), opts), encoded);
+}
+
+TEST(Recovery, DecodeRejectsAFrozenPrefixShortOfTheDoneJobs)
+{
+    // The cursor a snapshot names must be where runEpoch leaves it.
+    // A state whose done records sit in the snapshot with a frozen
+    // prefix of zero is well formed bytes, but not a state any run
+    // reaches: the decoder refuses it.
+    CharacterizationCache cache;
+    const OnlineOptions opts = smallScenario();
+    OnlineSimulator sim(cache, opts);
+    const alloc::AmdahlBiddingPolicy ab;
+    const robustness::FaultInjector injector(
+        opts.faults, static_cast<std::size_t>(opts.servers),
+        sim.epochCount());
+    OnlineRunState state = sim.initState(ab);
+    for (int e = 0; e < 7; ++e)
+        sim.runEpoch(state, ab, FractionSource::Estimated, injector);
+    ASSERT_GT(state.frozenJobs, 0u);
+
+    // Head: version, fingerprint, epoch, RNG, job count (56 bytes),
+    // then the frozen prefix's u64 length and u32 CRC.
+    const std::size_t head = 56;
+    const std::string encoded = encodeOnlineState(state, opts);
+    std::string unfrozen = encoded.substr(0, head);
+    unfrozen.append(12, '\0');
+    unfrozen += segmentOf(state) + encoded.substr(head + 12);
+    auto bad = decodeOnlineState(unfrozen, "", opts, ab.name());
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().kind(), ErrorKind::SemanticError);
+    EXPECT_NE(bad.status().message().find("longest done prefix"),
+              std::string::npos)
+        << bad.status().toString();
+
+    // The same bytes with the right prefix length and CRC decode.
+    ByteWriter prefix;
+    prefix.putU64(state.frozenJobs);
+    prefix.putU32(state.frozenJobsCrc);
+    auto good = decodeOnlineState(
+        encoded.substr(0, head) + prefix.take() + encoded.substr(head + 12),
+        segmentOf(state), opts, ab.name());
+    ASSERT_TRUE(good.ok()) << good.status().toString();
+    EXPECT_EQ(encodeOnlineState(good.value(), opts), encoded);
 }
 
 } // namespace

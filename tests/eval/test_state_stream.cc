@@ -11,8 +11,9 @@
  * final envelope, the concatenated pieces, the declared size and the
  * declared CRC are those of encodeSnapshotEnvelope over
  * encodeOnlineState. A second test pins the point of streaming: on a
- * state of tens of thousands of jobs, no piece exceeds one chunk of
- * records.
+ * state of tens of thousands of jobs, no piece of the snapshot or of
+ * the job segment exceeds one chunk of records, and the snapshot holds
+ * only the records past the frozen prefix.
  */
 
 #include <gtest/gtest.h>
@@ -119,15 +120,22 @@ TEST(OnlineStateStream, NoPieceIsStateSized)
     const OnlineSimulator sim(cache, opts);
     const alloc::FallbackPolicy policy;
     OnlineRunState s = sim.initState(policy);
-    // A job log of 50k records plus a partial chunk: the stream never
-    // looks at what the records mean, only at how many there are.
+    // A job log of 50k records plus a partial chunk, the first 8292
+    // of them done and frozen: the stream never looks at what the
+    // records mean, only at how many there are and where the cursor
+    // stands.
     const std::size_t jobs = 12 * kStateChunkJobs + 1234;
+    const std::size_t frozen = 2 * kStateChunkJobs + 100;
+    const std::size_t unfrozen = jobs - frozen;
     s.jobs.resize(jobs);
     for (std::size_t k = 0; k < jobs; ++k) {
         s.jobs[k].user = k % 10;
         s.jobs[k].server = k % 4;
         s.jobs[k].totalWork = static_cast<double>(k);
+        if (k < frozen)
+            s.jobs[k].completionSeconds = 1.0;
     }
+    s.frozenJobs = frozen;
 
     const durability::SnapshotPayload payload =
         onlineStatePayload(s, opts, 0);
@@ -138,17 +146,35 @@ TEST(OnlineStateStream, NoPieceIsStateSized)
         pieces.push_back(piece.size());
         joined.append(piece);
     });
-    // Head, one piece per chunk of records, tail.
-    ASSERT_EQ(pieces.size(), 2 + 13u);
+    // Head, one piece per chunk of unfrozen records, tail.
+    ASSERT_EQ(pieces.size(), 2 + 11u);
     std::size_t jobBytes = 0;
     for (std::size_t i = 0; i < pieces.size(); ++i) {
         EXPECT_LE(pieces[i], chunkBytes) << "piece " << i;
         if (i > 0 && i + 1 < pieces.size())
             jobBytes += pieces[i];
     }
-    EXPECT_EQ(jobBytes, 72 * jobs);
+    EXPECT_EQ(jobBytes, 72 * unfrozen);
     EXPECT_EQ(payload.size, joined.size());
     EXPECT_EQ(joined, encodeOnlineState(s, opts));
+
+    // The frozen records go to the segment in chunks too, from
+    // wherever its durable end is.
+    const durability::SegmentRecords segment = onlineJobSegment(s);
+    EXPECT_EQ(segment.size, 72 * frozen);
+    for (const std::size_t from : {std::size_t{0}, kStateChunkJobs + 7}) {
+        SCOPED_TRACE(from);
+        std::size_t segmentBytes = 0;
+        std::size_t segmentPieces = 0;
+        segment.emit(72 * from, [&](std::string_view piece) {
+            EXPECT_LE(piece.size(), chunkBytes);
+            segmentBytes += piece.size();
+            ++segmentPieces;
+        });
+        EXPECT_EQ(segmentBytes, 72 * (frozen - from));
+        EXPECT_EQ(segmentPieces,
+                  (frozen - from + kStateChunkJobs - 1) / kStateChunkJobs);
+    }
 }
 
 } // namespace

@@ -29,6 +29,7 @@
 #include "robustness/durability/journal.hh"
 #include "robustness/durability/kill_points.hh"
 #include "robustness/durability/posix_io.hh"
+#include "robustness/durability/segment.hh"
 #include "robustness/durability/snapshot.hh"
 
 #ifndef AMDAHL_TEST_DATA_DIR
@@ -486,6 +487,103 @@ TEST(DurabilitySnapshot, TornWriteStopsAtHalfThePayloadWhateverItsPieces)
     }
 }
 
+// --- segment ---------------------------------------------------------
+
+/** The first @p size bytes of @p bytes as the records a snapshot
+ *  names, handed over from any byte in pieces of at most 7. */
+SegmentRecords
+recordsOf(const std::string &bytes, std::size_t size)
+{
+    return {size, [bytes, size](std::uint64_t from, const PayloadSink &sink) {
+                for (std::size_t at = from; at < size; at += 7)
+                    sink(std::string_view(bytes).substr(
+                        at, std::min<std::size_t>(7, size - at)));
+            }};
+}
+
+TEST(DurabilitySegment, AppendsGrowTheRecordsAScanReads)
+{
+    const fs::path dir = freshDir();
+    const std::string path = (dir / "jobs.amsg").string();
+    PlainIo ctx;
+    const std::string bytes = patternedPayload();
+    auto created = Segment::create(path, dir.string(), ctx.io);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    Segment segment = created.take();
+    EXPECT_EQ(readBytes(path).size(), Segment::kHeaderBytes);
+    for (const std::size_t size : {0, 300, 300, 1001}) {
+        ASSERT_TRUE(segment.append(recordsOf(bytes, size), ctx.io).isOk());
+        const SegmentScan scan = Segment::scan(path);
+        EXPECT_TRUE(scan.notes.empty());
+        EXPECT_EQ(scan.records, bytes.substr(0, size));
+    }
+    // The durable end never moves back, and an emitter must hand over
+    // exactly the bytes it names.
+    const Status shrink = segment.append(recordsOf(bytes, 10), ctx.io);
+    EXPECT_EQ(shrink.kind(), ErrorKind::SemanticError);
+    const Status lying = segment.append(
+        {1100, [&](std::uint64_t, const PayloadSink &sink) { sink("x"); }},
+        ctx.io);
+    EXPECT_EQ(lying.kind(), ErrorKind::SemanticError);
+    EXPECT_NE(lying.message().find("declared"), std::string::npos);
+}
+
+TEST(DurabilitySegment, MissingOrBadHeaderScansEmpty)
+{
+    const fs::path dir = freshDir();
+    const SegmentScan missing = Segment::scan((dir / "none").string());
+    EXPECT_TRUE(missing.records.empty());
+    EXPECT_TRUE(missing.notes.empty());
+
+    ByteWriter skew;
+    skew.putU32(0x47534d41u); // "AMSG"
+    skew.putU32(Segment::kVersion + 1);
+    for (const std::string &bytes :
+         {std::string(), std::string("AMS"), std::string("JUNKJUNKrecords"),
+          skew.take() + "records"}) {
+        SCOPED_TRACE(bytes);
+        writeBytes(dir / "jobs.amsg", bytes);
+        const SegmentScan scan = Segment::scan((dir / "jobs.amsg").string());
+        EXPECT_TRUE(scan.records.empty());
+        EXPECT_EQ(scan.notes.size(), 1u);
+    }
+}
+
+TEST(DurabilitySegment, TornAppendStopsAtHalfTheNewRecords)
+{
+    // The segment.mid_append crash leaves the durable records and
+    // floor(n / 2) of the n new ones; segment.pre_sync leaves them
+    // all. Both fire on an append of nothing too, so every snapshot
+    // commit reaches them.
+    const std::string bytes = patternedPayload();
+    struct Case
+    {
+        const char *site;
+        std::size_t size;
+        std::size_t left;
+    };
+    for (const Case &c : {Case{"segment.mid_append", 1001, 300 + 350},
+                          Case{"segment.mid_append", 300, 300},
+                          Case{"segment.pre_sync", 1001, 1001},
+                          Case{"segment.pre_sync", 300, 300}}) {
+        SCOPED_TRACE(std::string(c.site) + " to " + std::to_string(c.size));
+        const fs::path dir = freshDir();
+        const std::string path = (dir / "jobs.amsg").string();
+        EXPECT_EXIT(
+            {
+                PlainIo ctx;
+                Segment segment =
+                    Segment::create(path, dir.string(), ctx.io).take();
+                (void)segment.append(recordsOf(bytes, 300), ctx.io);
+                (void)armKillPoint(c.site);
+                (void)segment.append(recordsOf(bytes, c.size), ctx.io);
+                std::_Exit(0);
+            },
+            ::testing::ExitedWithCode(kKillExitCode), "");
+        EXPECT_EQ(Segment::scan(path).records, bytes.substr(0, c.left));
+    }
+}
+
 // --- IO fault injection ----------------------------------------------
 
 TEST(DurabilityIoFaults, RealizationIsAPureFunctionOfTheSeed)
@@ -568,22 +666,31 @@ storeOptions(const fs::path &dir, int snapshotEvery)
     return opts;
 }
 
-/** Commit epochs 1..@p epochs with synthetic digests and payloads. */
+/**
+ * Commit epochs @p first..@p last with synthetic digests and payloads;
+ * epoch e names the first 10·e bytes of @p segment when one is given.
+ */
 void
-commitEpochs(DurableStateStore &store, int epochs)
+commitEpochs(DurableStateStore &store, int last, int first = 1,
+             const std::string *segment = nullptr)
 {
-    for (int e = 1; e <= epochs; ++e) {
+    for (int e = first; e <= last; ++e) {
         const JournalEntry entry{
             static_cast<std::uint64_t>(e),
             crc32("state " + std::to_string(e)),
             static_cast<std::uint64_t>(100 * e),
             static_cast<std::uint64_t>(e)};
         ASSERT_TRUE(store
-                        .commitEpoch(entry,
-                                     [e] {
-                                         return "payload for epoch " +
-                                                std::to_string(e);
-                                     })
+                        .commitEpoch(
+                            entry,
+                            [e] {
+                                return "payload for epoch " +
+                                       std::to_string(e);
+                            },
+                            segment ? recordsOf(*segment,
+                                                static_cast<std::size_t>(
+                                                    10 * e))
+                                    : SegmentRecords{})
                         .isOk())
             << "epoch " << e;
     }
@@ -658,18 +765,105 @@ TEST(DurableStore, BeginFreshDiscardsOwnedArtifactsOnly)
 {
     const fs::path dir = freshDir();
     writeBytes(dir / "unrelated.txt", "not ours");
+    writeBytes(dir / "jobs.amsg", "a stale segment of another run");
     auto opened = DurableStateStore::open(storeOptions(dir, 2));
     ASSERT_TRUE(opened.ok());
     DurableStateStore store = opened.take();
     ASSERT_TRUE(store.beginFresh().isOk());
-    commitEpochs(store, 4);
+    EXPECT_EQ(readBytes(dir / "jobs.amsg").size(), Segment::kHeaderBytes);
+    const std::string records = patternedPayload();
+    commitEpochs(store, 4, 1, &records);
     ASSERT_TRUE(store.recover().hasSnapshot);
+    ASSERT_EQ(store.recover().segment, records.substr(0, 40));
 
     ASSERT_TRUE(store.beginFresh().isOk());
     const RecoveredState rec = store.recover();
     EXPECT_FALSE(rec.hasSnapshot);
     EXPECT_TRUE(rec.entries.empty());
+    EXPECT_TRUE(rec.segment.empty());
+    EXPECT_TRUE(rec.notes.empty());
     EXPECT_TRUE(fs::exists(dir / "unrelated.txt"));
+}
+
+TEST(DurableStore, SegmentGrowsOnlyOnSnapshotEpochs)
+{
+    const fs::path dir = freshDir();
+    auto opened = DurableStateStore::open(storeOptions(dir, 3));
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    DurableStateStore store = opened.take();
+    EXPECT_FALSE(fs::exists(store.segmentPath())); // open() creates none
+    ASSERT_TRUE(store.beginFresh().isOk());
+    const std::string records = patternedPayload();
+    // Epoch e names 10·e bytes, but only snapshot epochs (3 and 6)
+    // write them.
+    const std::size_t durable[] = {0, 0, 30, 30, 30, 60, 60};
+    for (int e = 1; e <= 7; ++e) {
+        commitEpochs(store, e, e, &records);
+        EXPECT_EQ(readBytes(store.segmentPath()).size(),
+                  Segment::kHeaderBytes + durable[e - 1])
+            << "epoch " << e;
+    }
+    const RecoveredState rec = store.recover();
+    EXPECT_EQ(rec.snapshotEpoch, 6u);
+    EXPECT_EQ(rec.segment, records.substr(0, 60));
+    // A commit without records leaves the segment alone.
+    commitEpochs(store, 9, 8);
+    EXPECT_EQ(store.recover().segment, records.substr(0, 60));
+}
+
+TEST(DurableStore, ResumeCutsTheSegmentToTheBytesItNames)
+{
+    const fs::path dir = freshDir();
+    const std::string records = patternedPayload();
+    {
+        auto opened = DurableStateStore::open(storeOptions(dir, 3));
+        ASSERT_TRUE(opened.ok());
+        DurableStateStore store = opened.take();
+        ASSERT_TRUE(store.beginFresh().isOk());
+        commitEpochs(store, 7, 1, &records);
+    }
+    // A torn append past what the snapshot names.
+    {
+        std::ofstream out(dir / "jobs.amsg",
+                          std::ios::binary | std::ios::app);
+        out << "torn tail";
+    }
+    auto opened = DurableStateStore::open(storeOptions(dir, 3));
+    ASSERT_TRUE(opened.ok());
+    DurableStateStore store = opened.take();
+    const RecoveredState rec = store.recover();
+    ASSERT_EQ(rec.segment, records.substr(0, 60) + "torn tail");
+
+    const Status past = store.beginResume(rec, rec.segment.size() + 1);
+    EXPECT_EQ(past.kind(), ErrorKind::SemanticError);
+    ASSERT_TRUE(store.beginResume(rec, 60).isOk());
+    EXPECT_EQ(store.recover().segment, records.substr(0, 60));
+    // Appends go on from the cut, so the bytes match a run never torn.
+    commitEpochs(store, 9, 8, &records);
+    EXPECT_EQ(store.recover().segment, records.substr(0, 90));
+}
+
+TEST(DurableStore, BadSegmentHeaderIsNotedAndNamesNoRecords)
+{
+    const fs::path dir = freshDir();
+    writeBytes(dir / "jobs.amsg", "JUNKJUNK" + patternedPayload());
+    auto opened = DurableStateStore::open(storeOptions(dir, 3));
+    ASSERT_TRUE(opened.ok());
+    DurableStateStore store = opened.take();
+    const RecoveredState rec = store.recover();
+    EXPECT_TRUE(rec.segment.empty());
+    const bool noted = std::any_of(
+        rec.notes.begin(), rec.notes.end(), [](const std::string &n) {
+            return n.starts_with("segment: ");
+        });
+    EXPECT_TRUE(noted);
+    // Resuming from what names no record starts the segment afresh.
+    EXPECT_EQ(store.beginResume(rec, 1).kind(), ErrorKind::SemanticError);
+    ASSERT_TRUE(store.beginResume(rec, 0).isOk());
+    const SegmentScan scan = Segment::scan(store.segmentPath());
+    EXPECT_TRUE(scan.notes.empty());
+    EXPECT_TRUE(scan.records.empty());
+    EXPECT_EQ(readBytes(store.segmentPath()).size(), Segment::kHeaderBytes);
 }
 
 TEST(DurableStore, RecoverSkipsStaleRecordsAfterASnapshotCrash)
@@ -738,7 +932,7 @@ TEST(DurableStore, ContiguityBreakEndsTheUsablePrefix)
     // beginResume truncates the journal at the break; a rescan after
     // resume sees only the contiguous prefix.
     DurableStateStore store = opened.take();
-    ASSERT_TRUE(store.beginResume(rec).isOk());
+    ASSERT_TRUE(store.beginResume(rec, 0).isOk());
     const JournalScan scan =
         Journal::scan((dir / "journal.amjl").string());
     EXPECT_EQ(scan.records.size(), 2u);
@@ -826,7 +1020,7 @@ TEST(DurabilityCorpus, EveryMalformedJournalIsDetectedOnRecovery)
             EXPECT_GT(entry.epoch, 0u);
         // And the store still resumes — recovery is never a dead end.
         DurableStateStore store = opened.take();
-        EXPECT_TRUE(store.beginResume(rec).isOk());
+        EXPECT_TRUE(store.beginResume(rec, 0).isOk());
     }
 }
 

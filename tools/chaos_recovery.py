@@ -13,8 +13,9 @@ process level:
      epoch), a fresh durable run is started with that kill point armed.
      The process must die there with the dedicated exit code 86.
   4. The same command is re-run with --recover. It must exit 0, and the
-     finished trace file and the final snapshot must be byte-identical
-     to the uninterrupted run's.
+     finished trace file, the final snapshot and the job segment (the
+     done-job records the snapshots name instead of holding) must be
+     byte-identical to the uninterrupted run's.
   5. One double-crash scenario kills the *recovery* run too, then
      recovers again — recovery must be idempotent under repeated
      failure.
@@ -69,6 +70,10 @@ def final_snapshot(state_dir):
     return Path(state_dir) / f"snapshot-{EPOCHS:08d}.amss"
 
 
+def job_segment(state_dir):
+    return Path(state_dir) / "jobs.amsg"
+
+
 def fail(msg, proc=None):
     print(f"FAIL: {msg}", file=sys.stderr)
     if proc is not None and proc.stderr:
@@ -101,14 +106,16 @@ def check_killed(proc, spec):
              f"got {proc.returncode}", proc)
 
 
-def recover_and_verify(binary, work, state, trace, golden_trace,
-                       golden_snapshot, label):
+def recover_and_verify(binary, state, trace, golden_trace, golden_state,
+                       label):
     proc = run(binary, durable_args(state, recover=True), trace)
     if proc.returncode != 0:
         fail(f"{label}: recovery exited {proc.returncode}", proc)
     expect_identical(trace, golden_trace, f"{label}: trace")
-    expect_identical(final_snapshot(state), golden_snapshot,
+    expect_identical(final_snapshot(state), final_snapshot(golden_state),
                      f"{label}: final snapshot")
+    expect_identical(job_segment(state), job_segment(golden_state),
+                     f"{label}: job segment")
 
 
 def main():
@@ -141,9 +148,14 @@ def main():
         fail("durable run failed", proc)
     expect_identical(durable_trace, golden_trace,
                      "durable run must not perturb the trace")
-    golden_snapshot = final_snapshot(durable_state)
-    if not golden_snapshot.exists():
-        fail(f"durable run left no final snapshot {golden_snapshot}")
+    for golden in (final_snapshot(durable_state),
+                   job_segment(durable_state)):
+        if not golden.exists():
+            fail(f"durable run left no {golden}")
+    # The scenario must freeze done jobs, or the segment would hold a
+    # bare header and the comparison would prove nothing.
+    if job_segment(durable_state).stat().st_size <= 8:
+        fail("durable run froze no job records into its segment")
 
     # 3 + 4. Kill matrix: first occurrence and a mid-run occurrence of
     #        every catalogued site.
@@ -157,9 +169,8 @@ def main():
             check_killed(
                 run(opts.binary, durable_args(state, kill=spec), trace),
                 spec)
-            recover_and_verify(opts.binary, work, state, trace,
-                               golden_trace, golden_snapshot,
-                               f"kill {spec}")
+            recover_and_verify(opts.binary, state, trace, golden_trace,
+                               durable_state, f"kill {spec}")
             checked += 1
             print(f"ok: {spec} killed and recovered", flush=True)
 
@@ -176,8 +187,8 @@ def main():
             durable_args(state, recover=True,
                          kill="snapshot.pre_rename:1"), trace),
         "snapshot.pre_rename:1 (during recovery)")
-    recover_and_verify(opts.binary, work, state, trace, golden_trace,
-                       golden_snapshot, "double crash")
+    recover_and_verify(opts.binary, state, trace, golden_trace,
+                       durable_state, "double crash")
     print("ok: double crash recovered", flush=True)
 
     print(f"chaos-recovery: {checked} kill/recover cycles + 1 double "
