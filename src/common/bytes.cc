@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace amdahl {
 
@@ -133,6 +134,33 @@ ByteReader::expectEnd()
                            " unexpected trailing bytes after a "
                            "complete record");
     }
+}
+
+void
+ByteReader::latch(Status failure)
+{
+    if (st.isOk())
+        st = std::move(failure);
+}
+
+void
+FieldReader::field(int &v)
+{
+    constexpr auto kMax =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+    const std::uint64_t raw = readU64();
+    if (raw > kMax)
+        latch(Status::error(ErrorKind::SemanticError, 0, "count ",
+                            static_cast<std::int64_t>(raw),
+                            " is outside [0, ", kMax, "]"));
+    v = static_cast<int>(std::min(raw, kMax));
+}
+
+void
+FieldReader::field(std::vector<char> &v)
+{
+    const std::string bytes = readString();
+    v.assign(bytes.begin(), bytes.end());
 }
 
 } // namespace amdahl

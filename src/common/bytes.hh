@@ -225,6 +225,10 @@ class ByteReader
      */
     void expectEnd();
 
+  protected:
+    /** Latch @p failure unless a failure is already latched. */
+    void latch(Status failure);
+
   private:
     /** @return true when @p n more bytes may be consumed. */
     bool
@@ -244,6 +248,99 @@ class ByteReader
     std::string_view in;
     std::size_t pos = 0;
     Status st = Status::ok();
+};
+
+/**
+ * The writing end of a field walk.
+ *
+ * A record's layout is written once, as a function template that hands
+ * the record's fields, in order, to `io(fields...)`, and a container of
+ * records to `io.records(container, walkOne)`:
+ *
+ *     template <class Io, class Entry>
+ *     void walkEntry(Io &io, Entry &e) { io(e.epoch, e.crc); }
+ *
+ * Called with a FieldWriter and a const record it encodes, and with a
+ * FieldReader it decodes, so the two ends cannot list different
+ * fields. A field's type picks its bytes: a u32 or u64 as itself, a
+ * double by bit pattern, an int as the u64 of its sign extension, and
+ * a vector or a container of records as a u64 count and then its
+ * elements (a vector<char> as a byte string).
+ */
+class FieldWriter : public ByteWriter
+{
+  public:
+    template <class... T>
+    void
+    operator()(const T &...fields)
+    {
+        (field(fields), ...);
+    }
+
+    /** Fold the count of @p recs, then each record by @p walkOne. */
+    template <class Records, class Walk>
+    void
+    records(const Records &recs, Walk walkOne)
+    {
+        putU64(recs.size());
+        for (const auto &rec : recs)
+            walkOne(rec);
+    }
+
+  private:
+    void field(std::uint32_t v) { putU32(v); }
+    void field(std::uint64_t v) { putU64(v); }
+    void field(int v) { putU64(static_cast<std::uint64_t>(std::int64_t{v})); }
+    void field(double v) { putF64(v); }
+    void field(const std::vector<double> &v) { putF64Vector(v); }
+    void field(const std::vector<std::uint64_t> &v) { putU64Vector(v); }
+    void field(const std::vector<char> &v) { putString({v.data(), v.size()}); }
+
+    void
+    field(const std::vector<int> &v)
+    {
+        records(v, [&](int x) { field(x); });
+    }
+};
+
+/**
+ * The reading end of a field walk (see FieldWriter). Every int field
+ * is a count: a value outside [0, INT_MAX] latches a SemanticError, so
+ * a decoded record never holds a value other than the one its bytes
+ * spell.
+ */
+class FieldReader : public ByteReader
+{
+  public:
+    using ByteReader::ByteReader;
+
+    template <class... T>
+    void
+    operator()(T &...fields)
+    {
+        (field(fields), ...);
+    }
+
+    /** Read a count, then that many records into @p recs by
+     *  @p walkOne, stopping at the first failure. */
+    template <class Records, class Walk>
+    void
+    records(Records &recs, Walk walkOne)
+    {
+        const std::uint64_t n = readU64();
+        for (std::uint64_t i = 0; ok() && i < n; ++i)
+            walkOne(recs.emplace_back());
+    }
+
+  private:
+    void field(std::uint32_t &v) { v = readU32(); }
+    void field(std::uint64_t &v) { v = readU64(); }
+    void field(int &v);
+    void field(double &v) { v = readF64(); }
+    void field(std::vector<double> &v) { v = readF64Vector(); }
+    void field(std::vector<std::uint64_t> &v) { v = readU64Vector(); }
+    void field(std::vector<char> &v);
+    void field(std::vector<int> &v) { records(v, [&](int &x) { field(x); }); }
 };
 
 } // namespace amdahl

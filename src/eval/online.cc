@@ -177,88 +177,62 @@ emitRunStart(const OnlineOptions &opts, const std::string &policyName)
 /** Layout version of encodeOnlineState; bump on any field change. */
 constexpr std::uint32_t kStateVersion = 7;
 
+/*
+ * The layout of the state encoding, one field walk per record (see
+ * FieldWriter): encode and the digest run each walk with a FieldWriter
+ * over the const state, decode with a FieldReader.
+ */
+
+/** One job record: nine fixed-width 8-byte fields. */
+template <class Io, class Job>
 void
-putJob(ByteWriter &w, const OnlineJob &job)
+walkJob(Io &io, Job &job)
 {
-    w.putU64(static_cast<std::uint64_t>(job.user));
-    w.putU64(static_cast<std::uint64_t>(job.server));
-    w.putU64(static_cast<std::uint64_t>(job.workloadIndex));
-    w.putF64(job.arrivalSeconds);
-    w.putF64(job.totalWork);
-    w.putF64(job.remainingWork);
-    w.putF64(job.completionSeconds);
-    w.putF64(job.checkpointedWork);
-    w.putU64(static_cast<std::uint64_t>(job.epochsSinceCheckpoint));
+    io(job.user, job.server, job.workloadIndex, job.arrivalSeconds,
+       job.totalWork, job.remainingWork, job.completionSeconds,
+       job.checkpointedWork, job.epochsSinceCheckpoint);
 }
 
-OnlineJob
-readJob(ByteReader &r)
-{
-    OnlineJob job;
-    job.user = static_cast<std::size_t>(r.readU64());
-    job.server = static_cast<std::size_t>(r.readU64());
-    job.workloadIndex = static_cast<std::size_t>(r.readU64());
-    job.arrivalSeconds = r.readF64();
-    job.totalWork = r.readF64();
-    job.remainingWork = r.readF64();
-    job.completionSeconds = r.readF64();
-    job.checkpointedWork = r.readF64();
-    job.epochsSinceCheckpoint = static_cast<int>(r.readU64());
-    return job;
-}
-
+/** The weighted-speedup accumulator. */
+template <class Io, class Stats>
 void
-putStats(ByteWriter &w, const OnlineStatsState &st)
+walkStats(Io &io, Stats &st)
 {
-    w.putU64(static_cast<std::uint64_t>(st.n));
-    w.putF64(st.m);
-    w.putF64(st.m2);
-    w.putF64(st.lo);
-    w.putF64(st.hi);
+    io(st.n, st.m, st.m2, st.lo, st.hi);
 }
 
-OnlineStatsState
-readStats(ByteReader &r)
-{
-    OnlineStatsState st;
-    st.n = static_cast<std::size_t>(r.readU64());
-    st.m = r.readF64();
-    st.m2 = r.readF64();
-    st.lo = r.readF64();
-    st.hi = r.readF64();
-    return st;
-}
-
+/** After the version and fingerprint, up to the unfrozen job records:
+ *  the epoch, the RNG, the job count and the frozen prefix's length
+ *  and CRC. */
+template <class Io, class State, class Words, class Count>
 void
-putIntVector(ByteWriter &w, const std::vector<int> &v)
+walkHead(Io &io, State &s, Words &rng, Count &jobCount)
 {
-    w.putU64(v.size());
-    for (int x : v)
-        w.putU64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(x)));
+    io(s.epoch, rng[0], rng[1], rng[2], rng[3], jobCount, s.frozenJobs,
+       s.frozenJobsCrc);
 }
 
-std::vector<int>
-readIntVector(ByteReader &r)
-{
-    const std::vector<std::uint64_t> raw = r.readU64Vector();
-    std::vector<int> out;
-    out.reserve(raw.size());
-    for (std::uint64_t x : raw)
-        out.push_back(static_cast<int>(static_cast<std::int64_t>(x)));
-    return out;
-}
-
+/** After the job records: the wait queue to the end. */
+template <class Io, class State, class Placer, class Stats>
 void
-putCount(ByteWriter &w, int v)
+walkTail(Io &io, State &s, Placer &placer, Stats &stats)
 {
-    w.putU64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-}
-
-int
-readCount(ByteReader &r)
-{
-    return static_cast<int>(static_cast<std::int64_t>(r.readU64()));
+    io.records(s.waitQueue, [&](auto &job) { walkJob(io, job); });
+    io(s.queueDelaySum, placer.live, placer.prices, placer.sinceUpdate,
+       placer.nextRoundRobin);
+    walkStats(io, stats);
+    auto &m = s.metrics;
+    io(s.granted, s.entitled, s.entitledAvail, m.nonConvergedEpochs,
+       m.fallbackEpochsDamped, m.fallbackEpochsProportional,
+       m.fallbackEpochsDeadline, m.deadlineExpiredEpochs, m.jobsQueued,
+       m.jobsShed, m.peakQueueLength, m.crashEvents, m.replacements,
+       m.workLostSeconds, m.occupancyHistory, m.speedupHistory,
+       s.net.ticks, s.net.globalRound, s.net.edgeSeq,
+       m.netDegradedRounds, m.netStaleBidRounds, m.netRetransmits,
+       m.netQuorumCollapses);
+    // The kernel cache is deliberately absent: a recovered run
+    // rebuilds it, and it is bitwise invisible. So is all that
+    // decodeOnlineState derives.
 }
 
 } // namespace
@@ -329,65 +303,8 @@ onlineStateFingerprint(const OnlineOptions &opts,
 
 namespace {
 
-/** Bytes putJob writes: nine fixed-width 8-byte fields. */
+/** Bytes walkJob writes: nine fixed-width 8-byte fields. */
 constexpr std::size_t kJobBytes = 72;
-
-/** The encoding up to the unfrozen job records: version through the
- *  frozen prefix's length and CRC. */
-void
-putHead(ByteWriter &w, const OnlineRunState &s, const OnlineOptions &opts)
-{
-    w.putU32(kStateVersion);
-    w.putU32(onlineStateFingerprint(opts, s.metrics.policyName));
-    w.putU64(static_cast<std::uint64_t>(s.epoch));
-    for (std::uint64_t word : s.rng.state())
-        w.putU64(word);
-    w.putU64(s.jobs.size());
-    w.putU64(s.frozenJobs);
-    w.putU32(s.frozenJobsCrc);
-}
-
-/** The encoding after the job records: the wait queue to the end. */
-void
-putTail(ByteWriter &w, const OnlineRunState &s)
-{
-    w.putU64(s.waitQueue.size());
-    for (const auto &job : s.waitQueue)
-        putJob(w, job);
-    w.putF64(s.queueDelaySum);
-    const alloc::JobPlacerState &placer = s.placer.state();
-    w.putString(std::string_view(placer.live.data(), placer.live.size()));
-    w.putF64Vector(placer.prices);
-    putIntVector(w, placer.sinceUpdate);
-    w.putU64(static_cast<std::uint64_t>(placer.nextRoundRobin));
-    putStats(w, s.weightedSpeedup.state());
-    w.putF64Vector(s.granted);
-    w.putF64Vector(s.entitled);
-    w.putF64Vector(s.entitledAvail);
-    putCount(w, s.metrics.nonConvergedEpochs);
-    putCount(w, s.metrics.fallbackEpochsDamped);
-    putCount(w, s.metrics.fallbackEpochsProportional);
-    putCount(w, s.metrics.fallbackEpochsDeadline);
-    putCount(w, s.metrics.deadlineExpiredEpochs);
-    putCount(w, s.metrics.jobsQueued);
-    putCount(w, s.metrics.jobsShed);
-    putCount(w, s.metrics.peakQueueLength);
-    putCount(w, s.metrics.crashEvents);
-    putCount(w, s.metrics.replacements);
-    w.putF64(s.metrics.workLostSeconds);
-    w.putF64Vector(s.metrics.occupancyHistory);
-    w.putF64Vector(s.metrics.speedupHistory);
-    w.putU64(s.net.ticks);
-    w.putU64(s.net.globalRound);
-    w.putU64Vector(s.net.edgeSeq);
-    w.putU64(s.metrics.netDegradedRounds);
-    w.putU64(s.metrics.netStaleBidRounds);
-    w.putU64(s.metrics.netRetransmits);
-    w.putU64(s.metrics.netQuorumCollapses);
-    // The kernel cache is deliberately absent: a recovered run
-    // rebuilds it, and it is bitwise invisible. So is all that
-    // decodeOnlineState derives.
-}
 
 /**
  * Hand the records of @p jobs to @p sink, kStateChunkJobs at a time
@@ -397,13 +314,13 @@ void
 emitJobs(std::span<const OnlineJob> jobs,
          const durability::PayloadSink &sink)
 {
-    ByteWriter chunk;
+    FieldWriter chunk;
     chunk.reserve(kJobBytes * std::min(jobs.size(), kStateChunkJobs));
     for (std::size_t k = 0; k < jobs.size(); k += kStateChunkJobs) {
         chunk.clear();
         for (const OnlineJob &job :
              jobs.subspan(k, std::min(kStateChunkJobs, jobs.size() - k)))
-            putJob(chunk, job);
+            walkJob(chunk, job);
         sink(chunk.bytes());
     }
 }
@@ -473,10 +390,12 @@ onlineStatePayload(const OnlineRunState &s, const OnlineOptions &opts,
                   "encoding epoch ", s.epoch, " with its frozen-prefix "
                   "cursor at ", s.frozenJobs,
                   ", short of the done prefix of the job log");
-    ByteWriter head;
-    putHead(head, s, opts);
-    ByteWriter tail;
-    putTail(tail, s);
+    FieldWriter head;
+    head(kStateVersion, onlineStateFingerprint(opts, s.metrics.policyName));
+    const std::uint64_t jobCount = s.jobs.size();
+    walkHead(head, s, s.rng.state(), jobCount);
+    FieldWriter tail;
+    walkTail(tail, s, s.placer.state(), s.weightedSpeedup.state());
     const std::span<const OnlineJob> jobs =
         std::span<const OnlineJob>(s.jobs).subspan(s.frozenJobs);
     const std::uint64_t size = head.bytes().size() +
@@ -512,7 +431,7 @@ Result<OnlineRunState>
 decodeOnlineState(std::string_view payload, std::string_view segment,
                   const OnlineOptions &opts, std::string_view policyName)
 {
-    ByteReader r(payload);
+    FieldReader r(payload);
     const std::uint32_t version = r.readU32();
     if (r.ok() && version != kStateVersion) {
         return Status::error(ErrorKind::SemanticError, 0,
@@ -532,14 +451,11 @@ decodeOnlineState(std::string_view payload, std::string_view segment,
     }
 
     OnlineRunState s;
-    s.epoch = static_cast<int>(r.readU64());
     std::array<std::uint64_t, 4> rng_words{};
-    for (auto &word : rng_words)
-        word = r.readU64();
+    std::uint64_t job_count = 0;
+    walkHead(r, s, rng_words, job_count);
     s.rng = Rng(rng_words);
-    const std::uint64_t job_count = r.readU64();
-    const std::uint64_t frozen = r.readU64();
-    s.frozenJobsCrc = r.readU32();
+    const std::uint64_t frozen = s.frozenJobs;
     if (r.ok() && frozen > job_count) {
         return Status::error(ErrorKind::SemanticError, 0,
                              "snapshot's frozen job prefix of ", frozen,
@@ -563,49 +479,19 @@ decodeOnlineState(std::string_view payload, std::string_view segment,
                                  "; the snapshot names ",
                                  s.frozenJobsCrc);
         }
-        ByteReader records(prefix);
+        FieldReader records(prefix);
         s.jobs.reserve(static_cast<std::size_t>(
             frozen + std::min(job_count - frozen, r.remaining() / kJobBytes)));
-        for (std::uint64_t i = 0; i < frozen; ++i)
-            s.jobs.push_back(readJob(records));
-        s.frozenJobs = static_cast<std::size_t>(frozen);
+        for (std::uint64_t i = 0; records.ok() && i < frozen; ++i)
+            walkJob(records, s.jobs.emplace_back());
+        if (!records.ok())
+            return records.status();
     }
     for (std::uint64_t i = frozen; r.ok() && i < job_count; ++i)
-        s.jobs.push_back(readJob(r));
-    const std::uint64_t queue_count = r.readU64();
-    for (std::uint64_t i = 0; r.ok() && i < queue_count; ++i)
-        s.waitQueue.push_back(readJob(r));
-    s.queueDelaySum = r.readF64();
+        walkJob(r, s.jobs.emplace_back());
     alloc::JobPlacerState placer;
-    const std::string live = r.readString();
-    placer.live.assign(live.begin(), live.end());
-    placer.prices = r.readF64Vector();
-    placer.sinceUpdate = readIntVector(r);
-    placer.nextRoundRobin = static_cast<std::size_t>(r.readU64());
-    s.weightedSpeedup = OnlineStats(readStats(r));
-    s.granted = r.readF64Vector();
-    s.entitled = r.readF64Vector();
-    s.entitledAvail = r.readF64Vector();
-    s.metrics.nonConvergedEpochs = readCount(r);
-    s.metrics.fallbackEpochsDamped = readCount(r);
-    s.metrics.fallbackEpochsProportional = readCount(r);
-    s.metrics.fallbackEpochsDeadline = readCount(r);
-    s.metrics.deadlineExpiredEpochs = readCount(r);
-    s.metrics.jobsQueued = readCount(r);
-    s.metrics.jobsShed = readCount(r);
-    s.metrics.peakQueueLength = readCount(r);
-    s.metrics.crashEvents = readCount(r);
-    s.metrics.replacements = readCount(r);
-    s.metrics.workLostSeconds = r.readF64();
-    s.metrics.occupancyHistory = r.readF64Vector();
-    s.metrics.speedupHistory = r.readF64Vector();
-    s.net.ticks = r.readU64();
-    s.net.globalRound = r.readU64();
-    s.net.edgeSeq = r.readU64Vector();
-    s.metrics.netDegradedRounds = r.readU64();
-    s.metrics.netStaleBidRounds = r.readU64();
-    s.metrics.netRetransmits = r.readU64();
-    s.metrics.netQuorumCollapses = r.readU64();
+    OnlineStatsState stats;
+    walkTail(r, s, placer, stats);
     r.expectEnd();
     if (!r.ok())
         return r.status();
@@ -691,6 +577,7 @@ decodeOnlineState(std::string_view payload, std::string_view segment,
     s.budgets = drawBudgets(budget_rng, opts);
     s.metrics.policyName = std::string(policyName);
     s.placer = alloc::JobPlacer(opts.placement, std::move(placer));
+    s.weightedSpeedup = OnlineStats(stats);
     return s;
 }
 

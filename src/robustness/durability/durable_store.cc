@@ -41,6 +41,14 @@ envelopePrefix(const OnlineSnapshotEnvelope &env, std::uint64_t stateLen)
     return w.take();
 }
 
+/** The one layout of a journal entry (see FieldWriter). */
+template <class Io, class Entry>
+void
+walkEntry(Io &io, Entry &entry)
+{
+    io(entry.epoch, entry.eventCrc, entry.traceBytes, entry.traceSeq);
+}
+
 } // namespace
 
 std::string
@@ -89,23 +97,17 @@ decodeSnapshotEnvelope(std::string_view payload)
 std::string
 DurableStateStore::encodeEntry(const JournalEntry &entry)
 {
-    ByteWriter w;
-    w.putU64(entry.epoch);
-    w.putU32(entry.eventCrc);
-    w.putU64(entry.traceBytes);
-    w.putU64(entry.traceSeq);
+    FieldWriter w;
+    walkEntry(w, entry);
     return w.take();
 }
 
 Result<JournalEntry>
 DurableStateStore::decodeEntry(std::string_view payload)
 {
-    ByteReader r(payload);
+    FieldReader r(payload);
     JournalEntry entry;
-    entry.epoch = r.readU64();
-    entry.eventCrc = r.readU32();
-    entry.traceBytes = r.readU64();
-    entry.traceSeq = r.readU64();
+    walkEntry(r, entry);
     r.expectEnd();
     if (!r.ok())
         return r.status();
@@ -144,18 +146,16 @@ DurableStateStore::recover() const
         rec.snapshotPayload = snap.snapshot->payload;
     }
 
-    SegmentScan segment = Segment::scan(segmentPath());
+    FileScan segment = AppendFile::scan(segmentPath(), kSegmentFormat);
     for (const std::string &note : segment.notes)
         rec.notes.push_back("segment: " + note);
-    rec.segment = std::move(segment.records);
+    rec.segment = std::move(segment.body);
 
     const JournalScan scan = Journal::scan(journalPath());
     for (const std::string &note : scan.notes)
         rec.notes.push_back("journal: " + note);
     rec.journalUsable = scan.usable;
     rec.tornTail = scan.tornTail;
-    rec.journalValidBytes =
-        scan.usable ? scan.validBytes : Journal::kHeaderBytes;
 
     // Decode the verified records into entries, keeping only the
     // strictly contiguous run that continues the snapshot. Records at
@@ -229,7 +229,7 @@ DurableStateStore::beginFresh()
     if (!journal.ok())
         return journal.status();
     journal_ = journal.take();
-    auto segment = Segment::create(segmentPath(), opts_.stateDir, io_);
+    auto segment = AppendFile::create(segmentPath(), kSegmentFormat, io_);
     if (!segment.ok())
         return segment.status();
     segment_ = segment.take();
@@ -264,10 +264,11 @@ DurableStateStore::beginResume(const RecoveredState &rec,
     }
     // No byte the resumed snapshot names is cut, and no kept older
     // snapshot names more: the segment only ever grows by appends.
-    auto segment = segmentBytes == 0
-                       ? Segment::create(segmentPath(), opts_.stateDir, io_)
-                       : Segment::openResume(segmentPath(), segmentBytes,
-                                             io_);
+    auto segment =
+        segmentBytes == 0
+            ? AppendFile::create(segmentPath(), kSegmentFormat, io_)
+            : AppendFile::openResume(segmentPath(), segmentBytes,
+                                     kSegmentFormat, io_);
     if (!segment.ok())
         return segment.status();
     segment_ = segment.take();
@@ -283,7 +284,8 @@ DurableStateStore::takeSnapshot(
 {
     // The records a snapshot names are durable before it is.
     if (segment.emit) {
-        if (Status st = segment_->append(segment, io_); !st.isOk())
+        if (Status st = segment_->append(segment.size, segment.emit, io_);
+            !st.isOk())
             return st;
     }
     const SnapshotPayload payload = encodeState();

@@ -10,10 +10,11 @@
  *      produced is observable until this fsync returns);
  *   2. every snapshotEvery epochs: segment.append(records) — the
  *      records the state has frozen since the last snapshot go once
- *      to the append-only segment (segment.hh) and are fsynced — then
- *      snapshot.write(state payload), then journal.reset() — the
- *      snapshot makes journaled epochs redundant, so the journal
- *      truncates back to a bare header. The snapshot names the
+ *      to the append-only job segment (kSegmentFormat below) and are
+ *      fsynced — then snapshot.write(state payload), then
+ *      journal.reset() — the snapshot makes journaled epochs
+ *      redundant, so the journal truncates back to a bare header.
+ *      The snapshot names the
  *      segment prefix it builds on instead of holding it, so it stays
  *      the size of the live state, not of the run's history. The
  *      payload is streamed (SnapshotPayload): the state goes to disk
@@ -31,6 +32,12 @@
  * nondeterminism bug, a tampered journal) is detected and reported
  * instead of silently producing different history.
  *
+ * The journal and the segment are both an AppendFile
+ * (append_file.hh), the one implementation of creating, resuming and
+ * appending to a headered file; the journal adds its record framing
+ * and reset, the segment nothing. A journal entry's layout is one
+ * field walk that encodeEntry and decodeEntry both run.
+ *
  * See DESIGN.md §13 for the full recovery state machine.
  */
 
@@ -45,13 +52,45 @@
 #include <vector>
 
 #include "common/status.hh"
+#include "robustness/durability/append_file.hh"
 #include "robustness/durability/io_faults.hh"
 #include "robustness/durability/journal.hh"
 #include "robustness/durability/posix_io.hh"
-#include "robustness/durability/segment.hh"
 #include "robustness/durability/snapshot.hh"
 
 namespace amdahl::durability {
+
+/**
+ * The job segment `jobs.amsg`: an AppendFile whose body is the records
+ * a snapshot names instead of holding (the online runtime's frozen job
+ * records, eval/online.hh), opaque here. A record, once appended,
+ * never changes, so a snapshot names a prefix of the body by its
+ * length (and its CRC, which the snapshot's owner checks). The segment
+ * is never pruned: every kept snapshot names a prefix, and a resume
+ * only cuts the tail beyond the prefix its snapshot names.
+ */
+inline constexpr FileFormat kSegmentFormat{
+    .name = "segment",
+    .magic = "AMSG",
+    .version = 1,
+    .midAppendSite = "segment.mid_append",
+    .preSyncSite = "segment.pre_sync",
+    .refusedMagic = "treating the segment as empty",
+    .refusedVersion = "treating the segment as empty",
+    .zeroLengthNote = {},
+};
+
+/**
+ * The records a snapshot names: the segment must hold `size` record
+ * bytes once the snapshot is published, and `emit(from, sink)` hands
+ * bytes [from, size) to the sink in order. An empty `emit` means the
+ * snapshot names no segment at all.
+ */
+struct SegmentRecords
+{
+    std::uint64_t size = 0;
+    std::function<void(std::uint64_t from, const PayloadSink &)> emit;
+};
 
 /** Durability knobs (CLI: --state-dir / --snapshot-every / --recover). */
 struct DurabilityOptions
@@ -244,7 +283,7 @@ class DurableStateStore
         std::make_unique<DurabilityCounters>();
     IoContext io_;
     std::optional<Journal> journal_;
-    std::optional<Segment> segment_;
+    std::optional<AppendFile> segment_;
     std::uint64_t lastSnapshotEpoch_ = 0;
 };
 

@@ -8,6 +8,8 @@
  *     record:  u32 payloadLen | u32 crc32(payload) | payload bytes
  *     ...repeated until end of file
  *
+ * The file is an AppendFile (append_file.hh), which creates, resumes
+ * and appends to it; the journal adds the record framing and reset.
  * The journal is append-only between snapshots; a snapshot makes all
  * journaled epochs redundant and the journal is reset (truncated back
  * to a bare header, fsynced). Appends write the complete record then
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "common/status.hh"
+#include "robustness/durability/append_file.hh"
 #include "robustness/durability/posix_io.hh"
 
 namespace amdahl::durability {
@@ -64,7 +67,7 @@ class Journal
   public:
     static constexpr std::uint32_t kVersion = 1;
     /** "AMJL" + u32 version. */
-    static constexpr std::uint64_t kHeaderBytes = 8;
+    static constexpr std::uint64_t kHeaderBytes = AppendFile::kHeaderBytes;
     /** Sanity cap on one record; larger lengths are treated as
      *  corruption, bounding allocation on malicious/garbage input. */
     static constexpr std::uint32_t kMaxRecordBytes = 1u << 26;
@@ -77,7 +80,8 @@ class Journal
      */
     static JournalScan scan(const std::string &path);
 
-    /** Create/truncate @p path with a fresh header (fsynced). */
+    /** Create/truncate @p path with a fresh header (file and
+     *  directory fsynced). */
     static Result<Journal> create(const std::string &path, IoContext &io);
 
     /**
@@ -106,15 +110,16 @@ class Journal
     Status reset(IoContext &io);
 
     /** @return Current file size in bytes (header + records). */
-    std::uint64_t sizeBytes() const { return size_; }
+    std::uint64_t
+    sizeBytes() const
+    {
+        return kHeaderBytes + file_.bodyBytes();
+    }
 
   private:
-    Journal(PosixFile file, std::uint64_t size)
-        : file_(std::move(file)), size_(size)
-    {}
+    explicit Journal(AppendFile file) : file_(std::move(file)) {}
 
-    PosixFile file_;
-    std::uint64_t size_ = 0;
+    AppendFile file_;
 };
 
 } // namespace amdahl::durability

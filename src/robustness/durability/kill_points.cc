@@ -1,5 +1,6 @@
 #include "robustness/durability/kill_points.hh"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -59,15 +60,12 @@ armKillPoint(std::string_view spec)
         colon != std::string_view::npos) {
         site = spec.substr(0, colon);
         const std::string_view n = spec.substr(colon + 1);
-        occurrence = 0;
-        for (const char c : n) {
-            if (c < '0' || c > '9')
-                return Status::error(ErrorKind::DomainError, 0,
-                                     "kill-point occurrence `", n,
-                                     "` is not a positive integer");
-            occurrence = occurrence * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (n.empty() || occurrence == 0)
+        // from_chars refuses a sign and reports overflow, so a count
+        // past 2^64 - 1 is refused instead of wrapping onto a small one.
+        const auto [end, ec] =
+            std::from_chars(n.data(), n.data() + n.size(), occurrence);
+        if (ec != std::errc() || end != n.data() + n.size() ||
+            occurrence == 0)
             return Status::error(ErrorKind::DomainError, 0,
                                  "kill-point occurrence `", n,
                                  "` is not a positive integer");

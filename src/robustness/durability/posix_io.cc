@@ -23,7 +23,7 @@ errnoStatus(const char *what, int err)
 } // namespace
 
 Status
-IoContext::run(const char *what, const std::function<Status()> &op)
+IoContext::run(std::string_view what, const std::function<Status()> &op)
 {
     const std::uint64_t opId = faults.nextOpId();
     const int maxRetries = faults.options().maxRetries;

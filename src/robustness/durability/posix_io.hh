@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/status.hh"
 #include "robustness/durability/io_faults.hh"
@@ -69,7 +70,7 @@ class IoContext
      *             undo partial effects — e.g. truncate a half-written
      *             record — before returning failure).
      */
-    Status run(const char *what, const std::function<Status()> &op);
+    Status run(std::string_view what, const std::function<Status()> &op);
 
     /** @return The cumulative counters. */
     const DurabilityCounters &counters() const { return *counters_; }

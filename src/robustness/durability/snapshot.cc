@@ -1,6 +1,7 @@
 #include "robustness/durability/snapshot.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 
 #include "common/bytes.hh"
@@ -12,7 +13,7 @@ namespace amdahl::durability {
 
 namespace {
 
-constexpr char kMagic[4] = {'A', 'M', 'S', 'S'};
+constexpr std::string_view kMagic = "AMSS";
 constexpr std::string_view kPrefix = "snapshot-";
 constexpr std::string_view kSuffix = ".amss";
 constexpr std::string_view kTmpSuffix = ".amss.tmp";
@@ -37,12 +38,13 @@ epochFromName(std::string_view name)
         return std::nullopt;
     const std::string_view digits = name.substr(
         kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+    // from_chars refuses a sign and reports overflow, so an epoch
+    // past 2^64 - 1 names no snapshot instead of wrapping onto one.
     std::uint64_t epoch = 0;
-    for (const char c : digits) {
-        if (c < '0' || c > '9')
-            return std::nullopt;
-        epoch = epoch * 10 + static_cast<std::uint64_t>(c - '0');
-    }
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), epoch);
+    if (ec != std::errc() || end != digits.data() + digits.size())
+        return std::nullopt;
     return epoch;
 }
 
@@ -58,7 +60,7 @@ SnapshotStore::decodeFile(const std::string &path)
     if (data.empty())
         return Status::error(ErrorKind::ParseError, 0,
                              "snapshot is zero-length");
-    if (data.size() < 4 || data.compare(0, 4, kMagic, 4) != 0)
+    if (!data.starts_with(kMagic))
         return Status::error(ErrorKind::ParseError, 0,
                              "snapshot magic is missing or wrong");
     ByteReader r(std::string_view(data).substr(4));
@@ -157,43 +159,6 @@ SnapshotPayload::collect() const
 }
 
 Status
-writeTearingAtHalf(PosixFile &file, std::uint64_t size,
-                   const std::function<void(const PayloadSink &)> &emit,
-                   std::string_view tearSite, std::string_view what)
-{
-    const std::uint64_t half = size / 2;
-    std::uint64_t written = 0;
-    bool torn = false;
-    const auto tearAtHalf = [&] {
-        if (!torn && written == half) {
-            torn = true;
-            killPoint(tearSite);
-        }
-    };
-    Status w = Status::ok();
-    tearAtHalf();
-    emit([&](std::string_view piece) {
-        while (w.isOk() && !piece.empty()) {
-            std::size_t n = piece.size();
-            if (written < half)
-                n = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(n, half - written));
-            w = file.writeAll(piece.data(), n);
-            written += n;
-            piece.remove_prefix(n);
-            tearAtHalf();
-        }
-    });
-    if (!w.isOk())
-        return w;
-    if (written != size)
-        return Status::error(ErrorKind::SemanticError, 0, what,
-                             " emitted ", written,
-                             " bytes; its size was declared as ", size);
-    return Status::ok();
-}
-
-Status
 SnapshotStore::write(std::uint64_t epoch, const SnapshotPayload &payload,
                      IoContext &io)
 {
@@ -203,15 +168,10 @@ SnapshotStore::write(std::uint64_t epoch, const SnapshotPayload &payload,
                              " bytes exceeds the ", kMaxPayloadBytes,
                              "-byte limit its reader accepts");
     ByteWriter header;
-    header.putU32(static_cast<std::uint32_t>(kMagic[0]) |
-                  static_cast<std::uint32_t>(kMagic[1]) << 8 |
-                  static_cast<std::uint32_t>(kMagic[2]) << 16 |
-                  static_cast<std::uint32_t>(kMagic[3]) << 24);
-    header.putU32(kVersion);
     header.putU64(epoch);
     header.putU64(payload.size);
     header.putU32(payload.crc);
-    const std::string head = header.take();
+    const std::string head = fileHeader(kMagic, kVersion) + header.take();
 
     const std::string finalPath = pathFor(epoch);
     const std::string tmpPath = dir_ + "/" + std::string(kPrefix) +

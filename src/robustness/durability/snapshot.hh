@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/status.hh"
+#include "robustness/durability/append_file.hh"
 #include "robustness/durability/posix_io.hh"
 
 namespace amdahl::durability {
@@ -54,9 +55,6 @@ struct SnapshotLoad
     /** Notes for every newer snapshot that failed verification. */
     std::vector<std::string> rejected;
 };
-
-/** Receives a payload's bytes, one piece at a time, in order. */
-using PayloadSink = std::function<void(std::string_view)>;
 
 /**
  * A snapshot payload as the writer streams it: its size and CRC-32
@@ -80,19 +78,6 @@ struct SnapshotPayload
     /** @return Every piece emit hands over, concatenated. */
     std::string collect() const;
 };
-
-/**
- * Write every piece @p emit hands over to @p file, in order, and hit
- * kill point @p tearSite once the first floor(@p size / 2) bytes are
- * written (before any byte when that is zero), splitting a piece if
- * need be: the torn-write crash site of a streamed write.
- *
- * @return The first write error, or a SemanticError naming @p what
- * when the pieces add up to a byte count other than @p size.
- */
-Status writeTearingAtHalf(PosixFile &file, std::uint64_t size,
-                          const std::function<void(const PayloadSink &)> &emit,
-                          std::string_view tearSite, std::string_view what);
 
 /** Manages the snapshot generation files in one state directory. */
 class SnapshotStore

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "alloc/amdahl_bidding_policy.hh"
+#include "alloc/fallback_policy.hh"
 #include "common/bytes.hh"
 #include "common/crc32.hh"
 #include "eval/online.hh"
@@ -252,8 +253,27 @@ TEST(Recovery, DecodeRejectsScenarioPolicyAndFormatSkew)
         *at = static_cast<char>(opts.servers);
         return decodeOnlineState(bytes, segmentOf(ran), opts, ab.name());
     };
+    // Every int field is a count: a negative one, or one past INT_MAX
+    // (which an int cast would truncate), is refused, not re-encoded
+    // to other bytes. Such a count exists only as bytes; its word is
+    // where the encodings of shed counts 0 and 1 differ.
+    const auto shedPastIntMax = [&] {
+        OnlineRunState one = ran;
+        one.metrics.jobsShed = 1;
+        std::string bytes = encodeOnlineState(ran, opts);
+        const std::string other = encodeOnlineState(one, opts);
+        const auto at =
+            std::mismatch(bytes.begin(), bytes.end(), other.begin()).first;
+        *(at + 3) = static_cast<char>(0x80); // 2^31
+        return decodeOnlineState(bytes, segmentOf(ran), opts, ab.name());
+    };
     const std::size_t huge = 1000000;
     const Result<OnlineRunState> cases[] = {
+        tampered([&](OnlineRunState &st) { st.metrics.jobsShed = -1; }),
+        tampered([&](OnlineRunState &st) {
+            st.jobs[live].epochsSinceCheckpoint = -1;
+        }),
+        shedPastIntMax(),
         tampered([&](OnlineRunState &st) { st.jobs[live].user = huge; }),
         tampered([&](OnlineRunState &st) { st.jobs[live].server = huge; }),
         tampered([&](OnlineRunState &st) {
@@ -336,7 +356,7 @@ TEST(Recovery, KillAfterAnyCommitRecoversTheUninterruptedOutcome)
             .pathFor(static_cast<std::uint64_t>(sim.epochCount())));
     ASSERT_TRUE(goldenSnapshot.ok());
     const std::string goldenSegment = fileBytes(goldenDir / "jobs.amsg");
-    ASSERT_GT(goldenSegment.size(), durability::Segment::kHeaderBytes);
+    ASSERT_GT(goldenSegment.size(), durability::AppendFile::kHeaderBytes);
 
     for (int killAfter = 1; killAfter < sim.epochCount(); ++killAfter) {
         SCOPED_TRACE("killed after epoch " + std::to_string(killAfter));
@@ -483,6 +503,61 @@ faultedAdmissionScenario()
     opts.admission.maxLoadFactor = 2.0;
     opts.admission.maxQueueLength = 4;
     return opts;
+}
+
+TEST(Recovery, EveryBitFlipIsRefusedOrReencodesToTheFlippedBytes)
+{
+    // Mutation fuzzing of the decoder: decoding the encoding of a state
+    // with one bit flipped gives a classified error, or a state whose
+    // encoding is exactly the flipped bytes. A decoder that accepts a
+    // value it cannot write back (a truncated count, say) fails the
+    // second half.
+    CharacterizationCache cache;
+    OnlineOptions opts = smallScenario();
+    opts.arrivalsPerServerEpoch = 2.0;
+    opts.admission.enabled = true;
+    opts.admission.maxLoadFactor = 1.0;
+    opts.admission.maxQueueLength = 4;
+    opts.net.shards = 2;
+    OnlineSimulator sim(cache, opts);
+    const alloc::FallbackPolicy policy; // the sharded-clearing policy
+    const robustness::FaultInjector injector(
+        opts.faults, static_cast<std::size_t>(opts.servers),
+        sim.epochCount());
+    OnlineRunState state = sim.initState(policy);
+    // Flips then land in frozen-prefix fields, job records, the wait
+    // queue and the network session alike.
+    while (state.waitQueue.empty() || state.frozenJobs == 0 ||
+           state.frozenJobs == state.jobs.size()) {
+        ASSERT_LT(state.epoch, sim.epochCount());
+        sim.runEpoch(state, policy, FractionSource::Estimated, injector);
+    }
+    ASSERT_FALSE(state.net.edgeSeq.empty());
+    const std::string encoded = encodeOnlineState(state, opts);
+    const std::string segment = segmentOf(state);
+    ASSERT_TRUE(decodeOnlineState(encoded, segment, opts, policy.name()).ok());
+
+    std::size_t accepted = 0;
+    for (std::size_t bit = 0; bit < 8 * encoded.size(); ++bit) {
+        std::string flipped = encoded;
+        flipped[bit / 8] =
+            static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        auto decoded =
+            decodeOnlineState(flipped, segment, opts, policy.name());
+        if (!decoded.ok()) {
+            const ErrorKind kind = decoded.status().kind();
+            ASSERT_TRUE(kind == ErrorKind::ParseError ||
+                        kind == ErrorKind::SemanticError)
+                << "bit " << bit << ": " << decoded.status().toString();
+            continue;
+        }
+        ++accepted;
+        ASSERT_TRUE(encodeOnlineState(decoded.value(), opts) == flipped)
+            << "bit " << bit << " decodes to a state with other bytes";
+    }
+    // Doubles and in-range indices take any value, so some flips do
+    // decode.
+    EXPECT_GT(accepted, 0u);
 }
 
 TEST(Recovery, DecodeDerivesLoadsCountsAndBudgetsUnderFaults)
@@ -672,7 +747,7 @@ TEST(Recovery, TornSegmentTailIsCutOnResume)
     const fs::path dir = root / "torn";
     abandonAfterSeven(sim, ab, dir);
     const std::string named = fileBytes(dir / "jobs.amsg");
-    ASSERT_GT(named.size(), durability::Segment::kHeaderBytes);
+    ASSERT_GT(named.size(), durability::AppendFile::kHeaderBytes);
     {
         std::ofstream out(dir / "jobs.amsg",
                           std::ios::binary | std::ios::app);
@@ -724,7 +799,7 @@ TEST(Recovery, DamagedSegmentIsAClassifiedError)
         const fs::path dir = root / name;
         abandonAfterSeven(sim, ab, dir);
         std::string bytes = fileBytes(dir / "jobs.amsg");
-        ASSERT_GT(bytes.size(), durability::Segment::kHeaderBytes);
+        ASSERT_GT(bytes.size(), durability::AppendFile::kHeaderBytes);
         edit(bytes);
         {
             std::ofstream out(dir / "jobs.amsg",
@@ -759,7 +834,7 @@ TEST(Recovery, FreshRunNeverReadsAStaleSegment)
     const Golden golden = goldenRun(sim, ab, root / "golden");
 
     std::string foreign = golden.segment;
-    for (std::size_t i = durability::Segment::kHeaderBytes;
+    for (std::size_t i = durability::AppendFile::kHeaderBytes;
          i < foreign.size(); ++i)
         foreign[i] = static_cast<char>(i);
     for (const std::string &stale : {foreign, std::string("JUNK")}) {

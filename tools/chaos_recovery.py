@@ -13,8 +13,9 @@ process level:
      epoch), a fresh durable run is started with that kill point armed.
      The process must die there with the dedicated exit code 86.
   4. The same command is re-run with --recover. It must exit 0, and the
-     finished trace file, the final snapshot and the job segment (the
-     done-job records the snapshots name instead of holding) must be
+     finished trace file, the final snapshot, the job segment (the
+     done-job records the snapshots name instead of holding) and the
+     journal (a bare header once the run finishes) must be
      byte-identical to the uninterrupted run's.
   5. One double-crash scenario kills the *recovery* run too, then
      recovers again — recovery must be idempotent under repeated
@@ -74,6 +75,10 @@ def job_segment(state_dir):
     return Path(state_dir) / "jobs.amsg"
 
 
+def journal(state_dir):
+    return Path(state_dir) / "journal.amjl"
+
+
 def fail(msg, proc=None):
     print(f"FAIL: {msg}", file=sys.stderr)
     if proc is not None and proc.stderr:
@@ -116,6 +121,8 @@ def recover_and_verify(binary, state, trace, golden_trace, golden_state,
                      f"{label}: final snapshot")
     expect_identical(job_segment(state), job_segment(golden_state),
                      f"{label}: job segment")
+    expect_identical(journal(state), journal(golden_state),
+                     f"{label}: journal")
 
 
 def main():
@@ -149,9 +156,12 @@ def main():
     expect_identical(durable_trace, golden_trace,
                      "durable run must not perturb the trace")
     for golden in (final_snapshot(durable_state),
-                   job_segment(durable_state)):
+                   job_segment(durable_state), journal(durable_state)):
         if not golden.exists():
             fail(f"durable run left no {golden}")
+    # The final snapshot makes every journaled epoch redundant.
+    if journal(durable_state).stat().st_size != 8:
+        fail("durable run's final journal is not a bare header")
     # The scenario must freeze done jobs, or the segment would hold a
     # bare header and the comparison would prove nothing.
     if job_segment(durable_state).stat().st_size <= 8:
