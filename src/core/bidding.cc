@@ -45,32 +45,23 @@ constexpr double kAndersonMaxMixWeight = 30.0;
 
 /**
  * Anderson acceleration state over the proportional-response map
- * (DESIGN.md §16). Keeps up to depth+1 (iterate, update) pairs with
- * their residuals f = g(x) - x and the residual Gram matrix
+ * (DESIGN.md §16). Keeps the updates g(x) of up to depth+1 iterates
+ * with their residuals f = g(x) - x and the residual Gram matrix
  * G[a][b] = <f_a, f_b>, maintained incrementally so each round costs
- * one new row of dot products. All reductions are strict serial left
- * folds — the accelerated trajectory is as reproducible as the plain
- * one.
+ * one new row of dot products. The proposal mixes updates only, so
+ * the iterates themselves are not kept. All reductions are strict
+ * serial left folds — the accelerated trajectory is as reproducible
+ * as the plain one.
  */
 struct AndersonState
 {
     int depth;
-    std::deque<std::vector<double>> xs;
     std::deque<std::vector<double>> gs;
     std::deque<std::vector<double>> fs; // residuals g - x
     std::deque<std::vector<double>> gram;
 
     void
-    clear()
-    {
-        xs.clear();
-        gs.clear();
-        fs.clear();
-        gram.clear();
-    }
-
-    void
-    push(std::vector<double> x, const std::vector<double> &g)
+    push(const std::vector<double> &x, const std::vector<double> &g)
     {
         const std::size_t jobs = x.size();
         std::vector<double> f(jobs);
@@ -93,13 +84,11 @@ struct AndersonState
         row.back() = self;
         gram.push_back(std::move(row));
 
-        xs.push_back(std::move(x));
         gs.push_back(g);
         fs.push_back(std::move(f));
 
         const std::size_t cap = static_cast<std::size_t>(depth) + 1;
-        if (xs.size() > cap) {
-            xs.pop_front();
+        if (gs.size() > cap) {
             gs.pop_front();
             fs.pop_front();
             gram.pop_front();
@@ -544,7 +533,7 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
     std::uint64_t lost_messages = 0;
 
     const bool accel = opts.accel.enabled;
-    AndersonState anderson{opts.accel.depth, {}, {}, {}, {}};
+    AndersonState anderson{opts.accel.depth, {}, {}, {}};
     std::vector<double> accel_prev;
     std::vector<double> accel_mix;
     std::vector<double> accel_candidate;
@@ -632,11 +621,11 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
             // strictly below the plain step's; the evaluation pass is
             // never wasted, because on acceptance g(candidate) is
             // exactly the next iterate (and joins the history). On
-            // rejection the plain step stands untouched and the
-            // window restarts — a poisoned history would keep
-            // proposing the same bad direction.
+            // rejection the plain step stands untouched and the window
+            // is kept: the plain step has already joined it, and the
+            // next round proposes again from it.
             const double plain_delta = max_delta;
-            anderson.push(std::move(accel_prev), kernel.bids);
+            anderson.push(accel_prev, kernel.bids);
             double accel_delta = -1.0;
             bool accepted = false;
             if (anderson.proposal(accel_mix)) {
@@ -658,8 +647,7 @@ clearMarket(const FisherMarket &market, const BiddingOptions &opts,
                     accel_prices, accel_next_prices, m);
                 if (accel_delta < plain_delta) {
                     accepted = true;
-                    anderson.push(std::move(accel_candidate),
-                                  kernel.bids);
+                    anderson.push(accel_candidate, kernel.bids);
                     std::swap(new_prices, accel_next_prices);
                     max_delta = accel_delta;
                     ++result.accelAccepted;

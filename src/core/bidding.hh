@@ -101,9 +101,10 @@ struct DeadlineOptions
  * Rejection rule (the guaranteed fallback): the proposal is accepted
  * only when its posted-price residual is strictly smaller than the
  * plain step's. On rejection the round serves the plain PRD step
- * unchanged and the history window is cleared, so the iteration is
- * never worse than undamped proportional response — in the worst case
- * it *is* undamped proportional response.
+ * unchanged and the history window is kept (the rejected candidate
+ * does not join it), so the iteration is never worse than undamped
+ * proportional response — in the worst case it *is* undamped
+ * proportional response.
  *
  * Off (the default) the solve path is bit-identical to a build
  * without this feature. Incompatible with lossy transports and
@@ -238,7 +239,7 @@ JobMatrix meanFieldSeedBids(const FisherMarket &market);
  * anytime budgets, the kernel cache, per-user bid loss) means the
  * same thing here. Determinism bridge: with every fault rate zero and
  * no scheduled partitions, the result — traces, metrics (modulo
- * exec.steal), bids, prices, allocations — is byte-identical to
+ * wall-clock timings), bids, prices, allocations — is byte-identical to
  * solveAmdahlBidding at any shard count. Requires no wall-clock
  * deadline (virtual time only) and no Anderson acceleration; fatals
  * otherwise.

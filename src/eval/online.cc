@@ -1434,7 +1434,6 @@ OnlineSimulator::runDurable(const alloc::AllocationPolicy &policy,
     metrics.snapshotsWritten = counters.snapshotsWritten;
     metrics.ioRetries = counters.ioRetries;
     metrics.ioInjectedFaults = counters.injectedFaults;
-    metrics.ioBackoffUnits = counters.backoffUnits;
     {
         auto &reg = obs::metrics();
         reg.counter("durability.journal_commits")

@@ -336,9 +336,6 @@ struct OnlineMetrics
     /** Transient IO faults injected into this process's writes. */
     std::uint64_t ioInjectedFaults = 0;
 
-    /** Deterministic backoff accrued across retries (virtual units). */
-    std::uint64_t ioBackoffUnits = 0;
-
     /** Per-epoch jobs in the system (time series). */
     std::vector<double> occupancyHistory;
 

@@ -19,23 +19,16 @@ thread_local bool insideRegion = false;
 constexpr int kSpinIterations = 256;
 
 /**
- * The pool's counters, each looked up in the registry (a mutex and a
- * map search) once per process instead of once per region: a registry
+ * The pool's counter, looked up in the registry (a mutex and a map
+ * search) once per process instead of once per region: a registry
  * counter lives as long as the registry, and reset() zeroes it in
- * place. Each is created on its first add, so a metrics snapshot lists
- * only the counters a run touched.
+ * place. It is created on its first add, so a metrics snapshot lists
+ * it only when a run touched it.
  */
 obs::Counter &
 tasksCounter()
 {
     static obs::Counter &c = obs::metrics().counter("exec.tasks");
-    return c;
-}
-
-obs::Counter &
-stealCounter()
-{
-    static obs::Counter &c = obs::metrics().counter("exec.steal");
     return c;
 }
 
@@ -79,11 +72,9 @@ ThreadPool::runSerial(std::size_t begin, std::size_t end,
         fn(lo, std::min(end, lo + grain));
 }
 
-std::size_t
-ThreadPool::runChunks(Region &region, bool submitter)
+void
+ThreadPool::runChunks(Region &region)
 {
-    (void)submitter;
-    std::size_t ran = 0;
     for (;;) {
         const std::size_t i =
             region.nextChunk.fetch_add(1, std::memory_order_relaxed);
@@ -105,9 +96,7 @@ ThreadPool::runChunks(Region &region, bool submitter)
             }
         }
         region.executed.fetch_add(1, std::memory_order_release);
-        ++ran;
     }
-    return ran;
 }
 
 void
@@ -144,10 +133,8 @@ ThreadPool::workerLoop()
             ++activeWorkers_;
         }
         insideRegion = true;
-        const std::size_t ran = runChunks(*region, false);
+        runChunks(*region);
         insideRegion = false;
-        if (ran > 0)
-            region->stolen.fetch_add(ran, std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             --activeWorkers_;
@@ -192,7 +179,7 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     wake_.notify_all();
 
     insideRegion = true;
-    runChunks(region, true);
+    runChunks(region);
     insideRegion = false;
 
     {
@@ -209,10 +196,6 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
         std::rethrow_exception(region.error);
 
     tasksCounter().add(chunks);
-    const std::size_t stolen =
-        region.stolen.load(std::memory_order_relaxed);
-    if (stolen > 0)
-        stealCounter().add(stolen);
 }
 
 void

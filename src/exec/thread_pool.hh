@@ -34,10 +34,9 @@
  * contract checks (AMDAHL_ASSERT) fire exactly as they do serially.
  *
  * Telemetry: each region adds its chunk count to the `exec.tasks`
- * counter (deterministic — the layout is thread-count independent)
- * and the number of chunks executed by pool workers rather than the
- * submitter to `exec.steal` (scheduling telemetry, explicitly outside
- * the determinism contract; see DESIGN.md §11).
+ * counter (deterministic — the layout is thread-count independent).
+ * Which thread ran a chunk is not counted: it depends on scheduling,
+ * and every registry counter is thread-count independent.
  */
 
 #ifndef AMDAHL_EXEC_THREAD_POOL_HH
@@ -137,7 +136,6 @@ class ThreadPool
         const ChunkFn *body = nullptr;
         std::atomic<std::size_t> nextChunk{0};
         std::atomic<std::size_t> executed{0};
-        std::atomic<std::size_t> stolen{0};
         std::atomic<bool> failed{false};
         std::exception_ptr error;
         std::mutex errorMutex;
@@ -145,9 +143,8 @@ class ThreadPool
 
     void ensureWorkers(int wanted);
     void workerLoop();
-    /** Claim and run chunks of @p region until none remain.
-     *  @return chunks this thread executed. */
-    std::size_t runChunks(Region &region, bool submitter);
+    /** Claim and run chunks of @p region until none remain. */
+    void runChunks(Region &region);
     void runSerial(std::size_t begin, std::size_t end,
                    std::size_t grain, const ChunkFn &fn);
 

@@ -191,18 +191,4 @@ AppendFile::append(
     return Status::ok();
 }
 
-Status
-AppendFile::reset(IoContext &io)
-{
-    const Status st = io.run(label(*format_, "reset"), [&]() -> Status {
-        if (Status t = file_.truncate(kHeaderBytes); !t.isOk())
-            return t;
-        return file_.sync();
-    });
-    if (!st.isOk())
-        return st;
-    body_ = 0;
-    return Status::ok();
-}
-
 } // namespace amdahl::durability

@@ -6,13 +6,13 @@
  *
  *     4 magic bytes | u32 version | body bytes ...
  *
- * The body only grows, by appends, except where its owner cuts it
- * back. Each append goes from the durable end of the body: an attempt
- * first cuts the file back there (a failed earlier attempt may have
- * left partial bytes, so a successful retry never duplicates any),
- * writes the new bytes with a torn-write kill point at half of them,
- * and fsyncs before the append returns. A resume cuts the file to the
- * body bytes its owner verified. A create writes a bare header and
+ * The body only grows, by appends. Each append goes from the durable
+ * end of the body: an attempt first cuts the file back there (a
+ * failed earlier attempt may have left partial bytes, so a successful
+ * retry never duplicates any), writes the new bytes with a torn-write
+ * kill point at half of them, and fsyncs before the append returns.
+ * Only a resume cuts durable bytes: those past the body its owner
+ * verified. A create writes a bare header and
  * fsyncs the file and its directory: POSIX makes a new file's name
  * durable only once its directory is.
  *
@@ -131,9 +131,6 @@ class AppendFile
                   const std::function<void(std::uint64_t from,
                                            const PayloadSink &)> &emit,
                   IoContext &io);
-
-    /** Cut the body to nothing and fsync. */
-    Status reset(IoContext &io);
 
     /** @return Body bytes durable past the header. */
     std::uint64_t bodyBytes() const { return body_; }

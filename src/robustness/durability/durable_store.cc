@@ -19,11 +19,6 @@ validateDurabilityOptions(const DurabilityOptions &opts)
                              "snapshot cadence must be >= 0 (0 = final "
                              "snapshot only), got ",
                              opts.snapshotEvery);
-    if (opts.keepSnapshots < 1)
-        return Status::error(ErrorKind::DomainError, 0,
-                             "kept snapshot generations must be >= 1, "
-                             "got ",
-                             opts.keepSnapshots);
     return validateIoFaultOptions(opts.ioFaults);
 }
 
@@ -159,14 +154,13 @@ DurableStateStore::recover() const
 
     // Decode the verified records into entries, keeping only the
     // strictly contiguous run that continues the snapshot. Records at
-    // or before the snapshot epoch are the normal residue of a crash
-    // between a snapshot and its journal reset — skipped, but still
-    // part of the valid prefix. Anything out of order (gap, duplicate,
-    // undecodable payload) ends the usable prefix with a note, and the
-    // journal is truncated there on resume.
+    // or before the snapshot epoch are history the snapshot already
+    // holds — skipped, but still part of the valid prefix. Anything
+    // out of order (gap, duplicate, undecodable payload) ends the
+    // usable prefix with a note, and the journal is truncated there
+    // on resume.
     std::uint64_t lastAccepted = rec.snapshotEpoch;
     std::uint64_t acceptedValidBytes = Journal::kHeaderBytes;
-    bool sawStale = false;
     for (const ScannedRecord &record : scan.records) {
         auto decoded = decodeEntry(record.payload);
         if (!decoded.ok()) {
@@ -179,7 +173,6 @@ DurableStateStore::recover() const
         }
         const JournalEntry entry = decoded.take();
         if (entry.epoch <= rec.snapshotEpoch) {
-            sawStale = true;
             acceptedValidBytes = record.endOffset;
             continue;
         }
@@ -199,10 +192,6 @@ DurableStateStore::recover() const
     }
     rec.journalValidBytes =
         scan.usable ? acceptedValidBytes : Journal::kHeaderBytes;
-    if (sawStale)
-        rec.notes.emplace_back(
-            "journal: skipped records at or before the snapshot epoch "
-            "(crash between snapshot and journal reset)");
     return rec;
 }
 
@@ -292,9 +281,6 @@ DurableStateStore::takeSnapshot(
     if (Status st = snapshots_.write(epoch, payload, io_); !st.isOk())
         return st;
     ++counters_->snapshotsWritten;
-    if (Status st = journal_->reset(io_); !st.isOk())
-        return st;
-    ++counters_->journalResets;
     lastSnapshotEpoch_ = epoch;
     return Status::ok();
 }

@@ -11,15 +11,19 @@
  *   2. every snapshotEvery epochs: segment.append(records) — the
  *      records the state has frozen since the last snapshot go once
  *      to the append-only job segment (kSegmentFormat below) and are
- *      fsynced — then snapshot.write(state payload), then
- *      journal.reset() — the snapshot makes journaled epochs
- *      redundant, so the journal truncates back to a bare header.
- *      The snapshot names the
- *      segment prefix it builds on instead of holding it, so it stays
- *      the size of the live state, not of the run's history. The
- *      payload is streamed (SnapshotPayload): the state goes to disk
- *      in bounded pieces, and its CRC comes from the epoch's digest,
- *      not from a second pass over the bytes.
+ *      fsynced — then snapshot.write(state payload). The snapshot
+ *      names the segment prefix it builds on instead of holding it,
+ *      so it stays the size of the live state, not of the run's
+ *      history. The payload is streamed (SnapshotPayload): the state
+ *      goes to disk in bounded pieces, and its CRC comes from the
+ *      epoch's digest, not from a second pass over the bytes.
+ *
+ * The journal is never cut back: it keeps one 36-byte record per
+ * epoch (7.2 KB over 200 epochs, next to a job segment of megabytes).
+ * A snapshot only shortens the replay. Records at or before the
+ * snapshot a recovery resumes from are history and are skipped; when
+ * the newest snapshot is rejected, recovery resumes from an older
+ * kept one and replays every journaled epoch after it.
  *
  * A journal entry is deliberately *not* a state delta. It records the
  * epoch number, a CRC digest of everything the epoch admitted
@@ -34,8 +38,8 @@
  *
  * The journal and the segment are both an AppendFile
  * (append_file.hh), the one implementation of creating, resuming and
- * appending to a headered file; the journal adds its record framing
- * and reset, the segment nothing. A journal entry's layout is one
+ * appending to a headered file; the journal adds its record framing,
+ * the segment nothing. A journal entry's layout is one
  * field walk that encodeEntry and decodeEntry both run.
  *
  * See DESIGN.md §13 for the full recovery state machine.
@@ -99,8 +103,6 @@ struct DurabilityOptions
     std::string stateDir;
     /** Epochs between full snapshots; 0 = final snapshot only. */
     int snapshotEvery = 8;
-    /** Snapshot generations to retain (>= 1). */
-    int keepSnapshots = 2;
     /** Transient-IO fault injection (off by default). */
     IoFaultOptions ioFaults;
 };
@@ -167,7 +169,8 @@ struct RecoveredState
     bool hasSnapshot = false;
     /** Encoded OnlineRunState bytes (decode in eval/online). */
     std::string snapshotPayload;
-    /** Journaled epochs after the snapshot, strictly contiguous. */
+    /** Journaled epochs after the snapshot, strictly contiguous
+     *  (records at or before it are history, skipped). */
     std::vector<JournalEntry> entries;
     /** true when corrupt bytes had to be discarded from the journal. */
     bool tornTail = false;
@@ -206,7 +209,8 @@ class DurableStateStore
     /**
      * Read-only scan of the state directory: last good snapshot,
      * verified journal prefix filtered to epochs after the snapshot
-     * and checked for contiguity (a gap or duplicate ends the usable
+     * (records at or before it are skipped without a note) and
+     * checked for contiguity (a gap or duplicate ends the usable
      * prefix with a note), and the segment's records. Never mutates
      * disk.
      */
@@ -228,18 +232,18 @@ class DurableStateStore
 
     /**
      * Commit one epoch: journal append, then on the snapshot cadence
-     * the segment append (when @p segment has an emitter), a snapshot
-     * and a journal reset. @p encodeState is only invoked when a
-     * snapshot is actually taken. Brackets the work with the
-     * epoch.pre_commit / epoch.post_commit kill points.
+     * the segment append (when @p segment has an emitter) and a
+     * snapshot. @p encodeState is only invoked when a snapshot is
+     * actually taken. Brackets the work with the epoch.pre_commit /
+     * epoch.post_commit kill points.
      */
     Status
     commitEpoch(const JournalEntry &entry,
                 const std::function<SnapshotPayload()> &encodeState,
                 const SegmentRecords &segment = {});
 
-    /** Final segment append, snapshot at @p epoch and journal reset
-     *  (run completed). */
+    /** Final segment append and snapshot at @p epoch (run
+     *  completed). */
     Status finishRun(std::uint64_t epoch,
                      const std::function<SnapshotPayload()> &encodeState,
                      const SegmentRecords &segment = {});
@@ -263,13 +267,17 @@ class DurableStateStore
     static Result<JournalEntry> decodeEntry(std::string_view payload);
 
   private:
+    /** Snapshot generations kept: the newest, and one to fall back
+     *  to when the newest is rejected. */
+    static constexpr int kKeepSnapshots = 2;
+
     DurableStateStore(DurabilityOptions opts)
         : opts_(std::move(opts)),
-          snapshots_(opts_.stateDir, opts_.keepSnapshots),
+          snapshots_(opts_.stateDir, kKeepSnapshots),
           io_(IoFaultInjector(opts_.ioFaults), counters_.get())
     {}
 
-    /** Segment append + snapshot + journal reset at @p epoch. */
+    /** Segment append + snapshot at @p epoch. */
     Status
     takeSnapshot(std::uint64_t epoch,
                  const std::function<SnapshotPayload()> &encodeState,

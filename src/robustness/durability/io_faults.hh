@@ -5,15 +5,14 @@
  * The durability layer wraps every disk operation (record append,
  * snapshot write, rename, fsync) in a bounded retry loop. This module
  * decides — purely as a function of (seed, operation id, attempt) —
- * whether a given attempt suffers an injected transient failure, and
- * how many *virtual* backoff units the retry waits.
+ * whether a given attempt suffers an injected transient failure.
  *
- * Virtual means counted, never slept: wall clock is forbidden in src/
+ * A retry starts at once: wall clock is forbidden in src/
  * (DET-clock), and a retry schedule that depended on real time would
  * break byte-identical replay. The injected-fault realization uses the
  * counter-based substreams from common/random.hh, so it is identical
- * across schedules, thread counts, and recovery replays — the same
- * property PR 5 established for bid-loss faults.
+ * across schedules, thread counts, and recovery replays, as bid-loss
+ * faults are.
  *
  * When retries are exhausted the durable store surfaces an IoError
  * Status; the online runtime then degrades exactly like any other
@@ -61,14 +60,6 @@ class IoFaultInjector
     /** @return true when attempt @p attempt (0-based) of operation
      *  @p opId should fail with an injected transient fault. */
     bool injectFailure(std::uint64_t opId, std::uint64_t attempt) const;
-
-    /**
-     * @return Virtual backoff units before retrying: exponential base
-     * (1 << attempt) plus deterministic jitter in [0, 2^attempt) drawn
-     * from the (opId, attempt) substream. Never consults a clock.
-     */
-    std::uint64_t backoffUnits(std::uint64_t opId,
-                               std::uint64_t attempt) const;
 
     /** @return A fresh operation id (monotonic from 0). */
     std::uint64_t nextOpId() { return nextOp++; }

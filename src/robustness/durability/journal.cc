@@ -125,14 +125,4 @@ Journal::append(std::string_view payload, IoContext &io)
     return Status::ok();
 }
 
-Status
-Journal::reset(IoContext &io)
-{
-    killPoint("journal.pre_reset");
-    if (Status st = file_.reset(io); !st.isOk())
-        return st;
-    killPoint("journal.post_reset");
-    return Status::ok();
-}
-
 } // namespace amdahl::durability

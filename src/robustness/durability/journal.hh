@@ -9,14 +9,15 @@
  *     ...repeated until end of file
  *
  * The file is an AppendFile (append_file.hh), which creates, resumes
- * and appends to it; the journal adds the record framing and reset.
- * The journal is append-only between snapshots; a snapshot makes all
- * journaled epochs redundant and the journal is reset (truncated back
- * to a bare header, fsynced). Appends write the complete record then
- * fsync before the epoch is considered durable; a crash mid-append
- * leaves a torn tail that scan() detects (short record or CRC
- * mismatch) and reports as the end of the valid prefix — recovery
- * truncates the file there and resumes appending.
+ * and appends to it; the journal adds the record framing. It holds
+ * one record per committed epoch and is never cut back when a
+ * snapshot is taken: a snapshot only shortens the replay, so recovery
+ * can fall back past a rejected snapshot and still replay (and
+ * verify) every epoch after the one it resumes from. Appends write
+ * the complete record then fsync before the epoch is considered
+ * durable; a crash mid-append leaves a torn tail that scan() detects
+ * (short record or CRC mismatch) and reports as the end of the valid
+ * prefix — recovery truncates the file there and resumes appending.
  *
  * scan() treats the file as untrusted input: it never applies bytes
  * it cannot verify, and classifies every anomaly (missing header,
@@ -101,13 +102,6 @@ class Journal
      * kill points.
      */
     Status append(std::string_view payload, IoContext &io);
-
-    /**
-     * Truncate back to a bare header and fsync (after a snapshot made
-     * the journaled epochs redundant). Hits journal.pre_reset /
-     * journal.post_reset.
-     */
-    Status reset(IoContext &io);
 
     /** @return Current file size in bytes (header + records). */
     std::uint64_t

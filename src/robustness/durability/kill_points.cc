@@ -44,8 +44,6 @@ killPointCatalog()
         "snapshot.mid_write",   // half the temp file on disk (torn)
         "snapshot.pre_rename",  // temp complete + fsynced, not renamed
         "snapshot.post_rename", // renamed, directory not yet fsynced
-        "journal.pre_reset",    // snapshot durable, journal still full
-        "journal.post_reset",   // journal truncated to a fresh header
         "epoch.post_commit",    // everything durable for this epoch
     };
     return catalog;

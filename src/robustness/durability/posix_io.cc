@@ -29,12 +29,10 @@ IoContext::run(std::string_view what, const std::function<Status()> &op)
     const int maxRetries = faults.options().maxRetries;
     Status last = Status::ok();
     for (int attempt = 0; attempt < maxRetries; ++attempt) {
-        const auto a = static_cast<std::uint64_t>(attempt);
-        if (attempt > 0) {
+        if (attempt > 0)
             ++counters_->ioRetries;
-            counters_->backoffUnits += faults.backoffUnits(opId, a - 1);
-        }
-        if (faults.injectFailure(opId, a)) {
+        if (faults.injectFailure(opId,
+                                 static_cast<std::uint64_t>(attempt))) {
             ++counters_->injectedFaults;
             last = Status::error(ErrorKind::IoError, 0, what,
                                  ": injected transient fault (op ",

@@ -11,10 +11,10 @@
  *
  * Every operation runs under IoContext::run: a bounded retry loop that
  * consults the deterministic IoFaultInjector before each attempt and
- * charges virtual backoff units between attempts. Real IO errors
- * (ENOSPC, EIO) retry on the same schedule; when attempts are
- * exhausted the IoError Status propagates to the caller, which
- * degrades gracefully instead of crashing.
+ * retries at once, without waiting. Real IO errors (ENOSPC, EIO)
+ * retry the same way; when attempts are exhausted the IoError Status
+ * propagates to the caller, which degrades gracefully instead of
+ * crashing.
  */
 
 #ifndef AMDAHL_ROBUSTNESS_DURABILITY_POSIX_IO_HH
@@ -35,9 +35,7 @@ struct DurabilityCounters
 {
     std::uint64_t injectedFaults = 0; //!< Attempts failed by injection.
     std::uint64_t ioRetries = 0;      //!< Attempts after the first.
-    std::uint64_t backoffUnits = 0;   //!< Virtual units waited, total.
     std::uint64_t journalAppends = 0;
-    std::uint64_t journalResets = 0;
     std::uint64_t snapshotsWritten = 0;
 };
 
@@ -60,10 +58,10 @@ class IoContext
      *
      * Each attempt first consults the fault injector (an injected
      * fault consumes the attempt without running @p op), then runs
-     * @p op; a failed Status from @p op consumes the attempt too.
-     * Between attempts, deterministic backoff units are charged to the
-     * counters. After maxRetries attempts the last failure (or a
-     * synthesized IoError for an injected fault) is returned.
+     * @p op; a failed Status from @p op consumes the attempt too, and
+     * the next attempt starts at once. After maxRetries attempts the
+     * last failure (or a synthesized IoError for an injected fault) is
+     * returned.
      *
      * @param what Operation label for diagnostics.
      * @param op   The attempt body; must be safe to re-run (callers

@@ -21,8 +21,8 @@
  * loadLatest() walks snapshots newest-first and returns the first one
  * that verifies — a corrupt newest snapshot (bit rot, version skew,
  * tampering) is *rejected with a note* and the previous one is used,
- * which is why write() retains keepSnapshots generations instead of
- * exactly one.
+ * which is why write() retains `keep` generations instead of exactly
+ * one.
  */
 
 #ifndef AMDAHL_ROBUSTNESS_DURABILITY_SNAPSHOT_HH

@@ -208,12 +208,11 @@ TEST(BiddingDeterminism, TraceBytesAreThreadCountIndependent)
             << "trace diverged at " << threads << " threads";
 }
 
-TEST(BiddingDeterminism, MetricsAreThreadCountIndependentModuloSteal)
+TEST(BiddingDeterminism, MetricsAreThreadCountIndependent)
 {
     // Every counter the solve path touches must match across thread
-    // counts except exec.steal, which counts chunks run by pool
-    // workers — scheduling telemetry, explicitly outside the
-    // determinism contract (DESIGN.md §11).
+    // counts: the registry counts work, never which thread ran it
+    // (DESIGN.md §11).
     const auto market = testMarket(kChunkedUsers);
     BiddingOptions opts;
     opts.transport.lossRate = 0.2;
@@ -223,10 +222,8 @@ TEST(BiddingDeterminism, MetricsAreThreadCountIndependentModuloSteal)
         solveAt(threads, market, opts);
         auto snapshot = obs::metrics().snapshot();
         std::vector<std::pair<std::string, std::uint64_t>> out;
-        for (const auto &c : snapshot.counters) {
-            if (c.name != "exec.steal")
-                out.emplace_back(c.name, c.value);
-        }
+        for (const auto &c : snapshot.counters)
+            out.emplace_back(c.name, c.value);
         return out;
     };
     const auto reference = counterSamples(1);

@@ -703,10 +703,12 @@ goldenRun(OnlineSimulator &sim, const alloc::AllocationPolicy &policy,
     return g;
 }
 
-/** Resume @p dir and expect it to finish on @p golden's bytes. */
+/** Resume @p dir and expect it to finish on @p golden's bytes, after
+ *  replaying @p replayed epochs when that is not negative. */
 void
 expectResumesTo(OnlineSimulator &sim, const alloc::AllocationPolicy &policy,
-                const fs::path &dir, const Golden &golden)
+                const fs::path &dir, const Golden &golden,
+                int replayed = -1)
 {
     auto store = openStore(dir, 3);
     const durability::RecoveredState rec = store.recover();
@@ -714,6 +716,9 @@ expectResumesTo(OnlineSimulator &sim, const alloc::AllocationPolicy &policy,
         sim.runDurable(policy, FractionSource::Estimated, store, &rec);
     ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
     EXPECT_TRUE(resumed.value().recovered);
+    if (replayed >= 0) {
+        EXPECT_EQ(resumed.value().recoveryReplayedEpochs, replayed);
+    }
     expectSameSimulation(resumed.value(), golden.metrics);
     EXPECT_EQ(fileBytes(durability::SnapshotStore(dir.string(), 2)
                             .pathFor(static_cast<std::uint64_t>(
@@ -761,6 +766,9 @@ TEST(Recovery, OlderKeptSnapshotResumesOverALongerSegment)
     // The newest snapshot is rejected, so recovery falls back to the
     // kept generation before it, which names a shorter prefix of the
     // same segment: no byte a kept snapshot names was ever dropped.
+    // The journal was never cut at the newer snapshot, so every epoch
+    // after the older one is replayed and verified, not re-executed
+    // blind.
     CharacterizationCache cache;
     OnlineSimulator sim(cache, smallScenario());
     const alloc::AmdahlBiddingPolicy ab;
@@ -781,8 +789,53 @@ TEST(Recovery, OlderKeptSnapshotResumesOverALongerSegment)
         auto store = openStore(dir, 3);
         const durability::RecoveredState rec = store.recover();
         ASSERT_EQ(rec.snapshotEpoch, 3u);
+        std::vector<std::uint64_t> epochs;
+        for (const durability::JournalEntry &entry : rec.entries)
+            epochs.push_back(entry.epoch);
+        EXPECT_EQ(epochs, (std::vector<std::uint64_t>{4, 5, 6, 7}));
+        EXPECT_FALSE(rec.tornTail);
     }
-    expectResumesTo(sim, ab, dir, golden);
+    expectResumesTo(sim, ab, dir, golden, /*replayed=*/4);
+}
+
+TEST(Recovery, BadRecordBeforeTheSnapshotEpochReexecutesFromTheSnapshot)
+{
+    // A record the newest snapshot already holds fails its checksum.
+    // The scan's valid prefix ends there, so the records after it are
+    // not replayed: the run resumes from the snapshot and re-executes
+    // the journaled epoch past it. It still finishes on the
+    // uninterrupted run's bytes.
+    CharacterizationCache cache;
+    OnlineSimulator sim(cache, smallScenario());
+    const alloc::AmdahlBiddingPolicy ab;
+    const fs::path root = freshDir();
+    const Golden golden = goldenRun(sim, ab, root / "golden");
+
+    const fs::path dir = root / "bad_record";
+    abandonAfterSeven(sim, ab, dir);
+    const fs::path journal = dir / "journal.amjl";
+    std::string bytes = fileBytes(journal);
+    constexpr std::size_t kRecordBytes = 36; // 8-byte frame + entry
+    ASSERT_EQ(bytes.size(), durability::Journal::kHeaderBytes +
+                                7 * kRecordBytes);
+    // The last payload byte of record 2 (epoch 2).
+    const std::size_t flip =
+        durability::Journal::kHeaderBytes + 2 * kRecordBytes - 1;
+    bytes[flip] = static_cast<char>(bytes[flip] ^ 0x01);
+    {
+        std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    {
+        auto store = openStore(dir, 3);
+        const durability::RecoveredState rec = store.recover();
+        EXPECT_EQ(rec.snapshotEpoch, 6u);
+        EXPECT_TRUE(rec.entries.empty());
+        EXPECT_TRUE(rec.tornTail);
+        EXPECT_EQ(rec.journalValidBytes,
+                  durability::Journal::kHeaderBytes + kRecordBytes);
+    }
+    expectResumesTo(sim, ab, dir, golden, /*replayed=*/0);
 }
 
 TEST(Recovery, DamagedSegmentIsAClassifiedError)

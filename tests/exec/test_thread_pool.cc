@@ -217,8 +217,6 @@ TEST(ThreadPool, TasksCounterIsThreadCountIndependent)
         exec::ThreadPool::chunkCount(0, 100, 7);
     EXPECT_EQ(tasksDelta(1), expected);
     EXPECT_EQ(tasksDelta(4), expected);
-    // exec.steal, by contrast, is scheduling telemetry and carries no
-    // such guarantee — nothing to pin here.
 }
 
 } // namespace

@@ -6,8 +6,8 @@
  * §14): with every fault rate zero, any shard count at any thread
  * count must reproduce solveAmdahlBidding() *byte for byte* — bids,
  * prices, allocations, iteration count, the trace stream, and the
- * metrics registry modulo the work-stealing and timing families that
- * are scheduling noise by design. With faults enabled the bridge
+ * metrics registry modulo the timing family, which is wall-clock
+ * noise by design. With faults enabled the bridge
  * weakens to self-consistency: any (shard count, thread count) pair
  * must reproduce itself exactly.
  */
@@ -140,10 +140,10 @@ expectIdentical(const BiddingResult &a, const BiddingResult &b,
 }
 
 /**
- * Metrics registry rendered as text, with the families that are
- * legitimately schedule-dependent removed: exec.* (work stealing) and
- * time.* (wall-clock histograms). Everything else — including the
- * absence of any net.* name in a sound run — must match exactly.
+ * Metrics registry rendered as text, with the one family that is
+ * legitimately schedule-dependent removed: time.* (wall-clock
+ * histograms). Everything else — exec.tasks included, and the absence
+ * of any net.* name in a sound run — must match exactly.
  */
 std::string
 comparableMetrics()
@@ -155,8 +155,7 @@ comparableMetrics()
     std::string line;
     std::string kept;
     while (std::getline(in, line)) {
-        if (line.find("exec.") != std::string::npos ||
-            line.find("time.") != std::string::npos)
+        if (line.find("time.") != std::string::npos)
             continue;
         kept += line;
         kept += '\n';

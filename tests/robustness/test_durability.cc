@@ -317,24 +317,6 @@ TEST(DurabilityJournal, BadHeaderMeansNonUsableWithNotes)
     EXPECT_FALSE(Journal::scan(path).usable);
 }
 
-TEST(DurabilityJournal, ResetTruncatesBackToABareHeader)
-{
-    const fs::path dir = freshDir();
-    const std::string path = (dir / "journal.amjl").string();
-    PlainIo ctx;
-    auto journal = Journal::create(path, ctx.io);
-    ASSERT_TRUE(journal.ok());
-    Journal j = journal.take();
-    ASSERT_TRUE(j.append("soon redundant", ctx.io).isOk());
-    ASSERT_TRUE(j.reset(ctx.io).isOk());
-    EXPECT_EQ(j.sizeBytes(), Journal::kHeaderBytes);
-
-    const JournalScan scan = Journal::scan(path);
-    EXPECT_TRUE(scan.usable);
-    EXPECT_TRUE(scan.records.empty());
-    EXPECT_FALSE(scan.tornTail);
-}
-
 // --- snapshots -------------------------------------------------------
 
 TEST(DurabilitySnapshot, WriteLoadRoundTrip)
@@ -638,8 +620,6 @@ TEST(DurabilityIoFaults, RealizationIsAPureFunctionOfTheSeed)
         for (std::uint64_t attempt = 0; attempt < 4; ++attempt) {
             EXPECT_EQ(a.injectFailure(op, attempt),
                       b.injectFailure(op, attempt));
-            EXPECT_EQ(a.backoffUnits(op, attempt),
-                      b.backoffUnits(op, attempt));
             faults += a.injectFailure(op, attempt) ? 1 : 0;
         }
     }
@@ -666,21 +646,6 @@ TEST(DurabilityIoFaults, DisabledOrZeroRateNeverFails)
     for (std::uint64_t op = 0; op < 32; ++op) {
         EXPECT_FALSE(disabled.injectFailure(op, 0));
         EXPECT_FALSE(zeroRate.injectFailure(op, 0));
-    }
-}
-
-TEST(DurabilityIoFaults, BackoffIsExponentialWithBoundedJitter)
-{
-    IoFaultOptions opts;
-    opts.failureRate = 0.5;
-    const IoFaultInjector injector(opts);
-    for (std::uint64_t attempt = 0; attempt < 6; ++attempt) {
-        const std::uint64_t base = 1ull << attempt;
-        for (std::uint64_t op = 0; op < 16; ++op) {
-            const std::uint64_t units = injector.backoffUnits(op, attempt);
-            EXPECT_GE(units, base);
-            EXPECT_LT(units, 2 * base);
-        }
     }
 }
 
@@ -792,8 +757,8 @@ TEST(DurableStore, FileHeadersArePinned)
 TEST(DurableStore, OversizedSnapshotIsRefusedBeforeAnyFile)
 {
     // decodeFile rejects a payload above kMaxPayloadBytes, so writing
-    // one (and then resetting the journal) would leave a newest
-    // snapshot that can never load. The writer refuses it up front.
+    // one would leave a newest snapshot that can never load. The
+    // writer refuses it up front.
     const fs::path dir = freshDir();
     auto opened = DurableStateStore::open(storeOptions(dir, 2));
     ASSERT_TRUE(opened.ok()) << opened.status().toString();
@@ -815,7 +780,6 @@ TEST(DurableStore, OversizedSnapshotIsRefusedBeforeAnyFile)
             "snapshot-"))
             << entry.path();
     EXPECT_EQ(store.counters().snapshotsWritten, 0u);
-    EXPECT_EQ(store.counters().journalResets, 0u);
     const RecoveredState rec = store.recover();
     EXPECT_FALSE(rec.hasSnapshot);
     ASSERT_EQ(rec.entries.size(), 2u);
@@ -928,41 +892,64 @@ TEST(DurableStore, BadSegmentHeaderIsNotedAndNamesNoRecords)
     EXPECT_EQ(readBytes(store.segmentPath()).size(), AppendFile::kHeaderBytes);
 }
 
-TEST(DurableStore, RecoverSkipsStaleRecordsAfterASnapshotCrash)
+TEST(DurableStore, JournalKeepsEveryEpochAcrossSnapshots)
 {
-    // Crash window between snapshot.write and journal.reset: the
-    // journal still holds epochs at or before the snapshot.
+    // A snapshot only shortens the replay: the journal keeps its
+    // header and one 36-byte record (8-byte frame + 28-byte entry) per
+    // committed epoch, through every snapshot and the final one.
     const fs::path dir = freshDir();
-    PlainIo ctx;
-    SnapshotStore snapshots(dir.string(), 2);
-    ASSERT_TRUE(snapshots
-                    .write(4,
-                           encodeSnapshotEnvelope(
-                               OnlineSnapshotEnvelope{false, 0, 0, "s4"}),
-                           ctx.io)
+    auto opened = DurableStateStore::open(storeOptions(dir, 3));
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    DurableStateStore store = opened.take();
+    ASSERT_TRUE(store.beginFresh().isOk());
+    constexpr std::uint64_t kEpochs = 10; // snapshots at 3, 6 and 9
+    commitEpochs(store, static_cast<int>(kEpochs));
+    ASSERT_TRUE(store
+                    .finishRun(kEpochs,
+                               [] { return std::string("final"); })
                     .isOk());
-    auto journal =
-        Journal::create((dir / "journal.amjl").string(), ctx.io);
-    ASSERT_TRUE(journal.ok());
-    Journal j = journal.take();
-    for (std::uint64_t e : {3u, 4u, 5u})
-        ASSERT_TRUE(j.append(DurableStateStore::encodeEntry(
-                                 JournalEntry{e, 0, 0, 0}),
-                             ctx.io)
-                        .isOk());
+    EXPECT_EQ(store.counters().snapshotsWritten, 4u);
 
+    EXPECT_EQ(readBytes(store.journalPath()).size(),
+              Journal::kHeaderBytes + 36 * kEpochs);
+    const JournalScan scan = Journal::scan(store.journalPath());
+    EXPECT_FALSE(scan.tornTail);
+    ASSERT_EQ(scan.records.size(), kEpochs);
+    for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+        auto entry =
+            DurableStateStore::decodeEntry(scan.records[e - 1].payload);
+        ASSERT_TRUE(entry.ok()) << entry.status().toString();
+        EXPECT_EQ(entry.value().epoch, e);
+    }
+}
+
+TEST(DurableStore, RecoverSkipsRecordsAtOrBeforeTheSnapshot)
+{
+    // The journal holds every epoch; those the snapshot already holds
+    // are history, skipped without a note and without a torn tail.
+    const fs::path dir = freshDir();
+    {
+        auto opened = DurableStateStore::open(storeOptions(dir, 4));
+        ASSERT_TRUE(opened.ok()) << opened.status().toString();
+        DurableStateStore store = opened.take();
+        ASSERT_TRUE(store.beginFresh().isOk());
+        commitEpochs(store, 6); // snapshot at 4; 1..6 journaled
+    }
     auto opened = DurableStateStore::open(storeOptions(dir, 4));
     ASSERT_TRUE(opened.ok());
-    const RecoveredState rec = opened.value().recover();
+    DurableStateStore store = opened.take();
+    const RecoveredState rec = store.recover();
     EXPECT_EQ(rec.snapshotEpoch, 4u);
-    ASSERT_EQ(rec.entries.size(), 1u);
+    ASSERT_EQ(rec.entries.size(), 2u);
     EXPECT_EQ(rec.entries[0].epoch, 5u);
+    EXPECT_EQ(rec.entries[1].epoch, 6u);
     EXPECT_FALSE(rec.tornTail);
-    const bool noted = std::any_of(
-        rec.notes.begin(), rec.notes.end(), [](const std::string &n) {
-            return n.find("skipped records") != std::string::npos;
-        });
-    EXPECT_TRUE(noted);
+    EXPECT_TRUE(rec.notes.empty());
+    // The skipped records stay in the valid prefix: a resume keeps
+    // them.
+    EXPECT_EQ(rec.journalValidBytes, Journal::kHeaderBytes + 36 * 6);
+    ASSERT_TRUE(store.beginResume(rec, 0).isOk());
+    EXPECT_EQ(Journal::scan(store.journalPath()).records.size(), 6u);
 }
 
 TEST(DurableStore, ContiguityBreakEndsTheUsablePrefix)
@@ -1015,7 +1002,6 @@ TEST(DurableStore, TransientFaultsAreRetriedToSuccess)
     EXPECT_GT(store.counters().injectedFaults, 0u);
     EXPECT_GE(store.counters().ioRetries,
               store.counters().injectedFaults);
-    EXPECT_GT(store.counters().backoffUnits, 0u);
     // Same data durable despite the faults.
     const RecoveredState rec = store.recover();
     EXPECT_EQ(rec.frontierEpoch(), 8u);

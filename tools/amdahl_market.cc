@@ -65,17 +65,20 @@
  *       --epochs <n>         Horizon in epochs (default 20).
  *       --faults             Enable server churn and bid-message loss.
  *       --admission          Enable overload admission control.
- *       --state-dir <dir>    Persist a write-ahead epoch journal and
- *                            checksummed snapshots under dir; the run
- *                            becomes crash-recoverable.
+ *       --state-dir <dir>    Persist a write-ahead epoch journal (one
+ *                            record per epoch, never cut back) and
+ *                            checksummed snapshots (two generations)
+ *                            under dir; the run becomes
+ *                            crash-recoverable.
  *       --snapshot-every <n> Epochs between full snapshots (default 8;
  *                            0 = final snapshot only).
- *       --keep-snapshots <n> Snapshot generations to retain (default 2).
  *       --recover            Resume from the durable state in
- *                            --state-dir: verify the journal, truncate
- *                            the trace file to its durable frontier,
- *                            replay, and continue. The finished trace
- *                            is byte-identical to an uninterrupted run.
+ *                            --state-dir: load the newest snapshot that
+ *                            verifies, truncate the trace file to the
+ *                            durable frontier, replay and verify the
+ *                            journaled epochs after that snapshot, and
+ *                            continue. The finished trace is
+ *                            byte-identical to an uninterrupted run.
  *       --io-fault-rate <p>  Inject deterministic transient-IO faults
  *                            with per-attempt probability p.
  *       --io-fault-seed <n>  Substream seed for injected IO faults.
@@ -206,8 +209,7 @@ usage()
         << "       amdahl_market trace [--seed n] [--users n]"
         << " [--servers n] [--cores n]\n"
         << "                     [--epochs n] [--faults] [--admission]\n"
-        << "                     [--state-dir dir] [--snapshot-every n]"
-        << " [--keep-snapshots n]\n"
+        << "                     [--state-dir dir] [--snapshot-every n]\n"
         << "                     [--recover] [--io-fault-rate p]"
         << " [--io-fault-seed n]\n"
         << "                     [--io-max-retries n]"
@@ -916,8 +918,6 @@ cmdTrace(const std::vector<std::string> &args,
             durable = true;
         } else if (arg == "--snapshot-every" && a + 1 < args.size()) {
             dur.snapshotEvery = parseNumber<int>(arg, args[++a]);
-        } else if (arg == "--keep-snapshots" && a + 1 < args.size()) {
-            dur.keepSnapshots = parseNumber<int>(arg, args[++a]);
         } else if (arg == "--recover") {
             recover = true;
         } else if (arg == "--io-fault-rate" && a + 1 < args.size()) {

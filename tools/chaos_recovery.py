@@ -15,11 +15,21 @@ process level:
   4. The same command is re-run with --recover. It must exit 0, and the
      finished trace file, the final snapshot, the job segment (the
      done-job records the snapshots name instead of holding) and the
-     journal (a bare header once the run finishes) must be
+     journal (one record per epoch, never cut back) must be
      byte-identical to the uninterrupted run's.
   5. One double-crash scenario kills the *recovery* run too, then
      recovers again — recovery must be idempotent under repeated
      failure.
+  6. A run killed after epoch 14 has its newest snapshot (epoch 12)
+     damaged. Recovery must fall back to the kept one (epoch 8),
+     replay and verify the six journaled epochs after it, and still
+     finish on the uninterrupted run's bytes, journal included.
+  7. A run killed after epoch 14 has a journal record the newest
+     snapshot already holds (epoch 2) damaged. The valid prefix ends
+     there, so the run resumes from the snapshot without replaying;
+     trace, final snapshot and segment must still match. The journal
+     does not: it keeps the one record before the damage, then goes on
+     from epoch 13.
 
 Any deviation (wrong exit code, a kill point never reached, a byte
 difference) is a hard failure. The harness is deterministic: fixed
@@ -38,6 +48,10 @@ from pathlib import Path
 KILL_EXIT_CODE = 86
 EPOCHS = 18
 SNAPSHOT_EVERY = 4
+# A journal is an 8-byte header, then one 36-byte record per epoch (an
+# 8-byte length|crc frame around a 28-byte entry).
+JOURNAL_HEADER_BYTES = 8
+JOURNAL_RECORD_BYTES = 36
 
 SCENARIO = [
     "trace",
@@ -112,7 +126,7 @@ def check_killed(proc, spec):
 
 
 def recover_and_verify(binary, state, trace, golden_trace, golden_state,
-                       label):
+                       label, same_journal=True):
     proc = run(binary, durable_args(state, recover=True), trace)
     if proc.returncode != 0:
         fail(f"{label}: recovery exited {proc.returncode}", proc)
@@ -121,8 +135,26 @@ def recover_and_verify(binary, state, trace, golden_trace, golden_state,
                      f"{label}: final snapshot")
     expect_identical(job_segment(state), job_segment(golden_state),
                      f"{label}: job segment")
-    expect_identical(journal(state), journal(golden_state),
-                     f"{label}: journal")
+    if same_journal:
+        expect_identical(journal(state), journal(golden_state),
+                         f"{label}: journal")
+    return proc
+
+
+def flip_byte(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def killed_after_epoch_14(binary, work, name):
+    state = work / f"state_{name}"
+    trace = work / f"trace_{name}.jsonl"
+    check_killed(
+        run(binary, durable_args(state, kill="epoch.post_commit:14"),
+            trace),
+        "epoch.post_commit:14")
+    return state, trace
 
 
 def main():
@@ -159,9 +191,11 @@ def main():
                    job_segment(durable_state), journal(durable_state)):
         if not golden.exists():
             fail(f"durable run left no {golden}")
-    # The final snapshot makes every journaled epoch redundant.
-    if journal(durable_state).stat().st_size != 8:
-        fail("durable run's final journal is not a bare header")
+    # The journal keeps every epoch's record; no snapshot cuts it.
+    want = JOURNAL_HEADER_BYTES + JOURNAL_RECORD_BYTES * EPOCHS
+    if journal(durable_state).stat().st_size != want:
+        fail(f"durable run's final journal is not {want} bytes "
+             f"(a header and {EPOCHS} records)")
     # The scenario must freeze done jobs, or the segment would hold a
     # bare header and the comparison would prove nothing.
     if job_segment(durable_state).stat().st_size <= 8:
@@ -201,8 +235,36 @@ def main():
                        durable_state, "double crash")
     print("ok: double crash recovered", flush=True)
 
-    print(f"chaos-recovery: {checked} kill/recover cycles + 1 double "
-          f"crash, all byte-identical to the uninterrupted run")
+    # 6. Newest snapshot rejected: fall back to the older kept one and
+    #    replay the whole journaled stretch after it.
+    state, trace = killed_after_epoch_14(opts.binary, work, "fallback")
+    flip_byte(state / "snapshot-00000012.amss", -1)
+    proc = recover_and_verify(opts.binary, state, trace, golden_trace,
+                              durable_state, "rejected newest snapshot")
+    if "recovered from epoch 14 (6 epoch(s) replayed)" not in proc.stderr:
+        fail("rejected newest snapshot: recovery did not replay the six "
+             "epochs after the older snapshot", proc)
+    if "breaks contiguity" in proc.stderr:
+        fail("rejected newest snapshot: the journal broke contiguity",
+             proc)
+    print("ok: rejected newest snapshot recovered", flush=True)
+
+    # 7. A damaged record the newest snapshot holds ends the valid
+    #    prefix: the run resumes from the snapshot without replaying.
+    state, trace = killed_after_epoch_14(opts.binary, work, "bad_record")
+    flip_byte(journal(state),
+              JOURNAL_HEADER_BYTES + 2 * JOURNAL_RECORD_BYTES - 1)
+    proc = recover_and_verify(opts.binary, state, trace, golden_trace,
+                              durable_state, "damaged old journal record",
+                              same_journal=False)
+    if "recovered from epoch 12 (0 epoch(s) replayed)" not in proc.stderr:
+        fail("damaged old journal record: recovery did not resume from "
+             "the newest snapshot", proc)
+    print("ok: damaged old journal record recovered", flush=True)
+
+    print(f"chaos-recovery: {checked} kill/recover cycles, 1 double "
+          f"crash and 2 damaged-file scenarios, all finishing on the "
+          f"uninterrupted run's bytes")
 
 
 if __name__ == "__main__":
